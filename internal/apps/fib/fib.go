@@ -53,49 +53,71 @@ func Iterative(n int) uint64 {
 	return a
 }
 
-// par runs one task-parallel fib computation.
-func par(c *omp.Context, n, depth, cutoff int, variant core.Variant, res *uint64) {
+// run is the state one parallel fib computation shares across its
+// tasks. Task bodies capture the pointer, so a task costs exactly one
+// allocation in this package: its body closure.
+type run struct {
+	cutoff  int
+	variant core.Variant
+	// cells hands out result slots. BOTS's C version returns each
+	// child's value through a variable on the parent's stack; in Go a
+	// variable a task body points to must live on the heap, and one
+	// allocation per call would put as many allocations in the
+	// kernel as the runtime spends on the tasks being measured. Each
+	// thread instead carves slots off a chunk of its own — a bump
+	// allocator standing in for the parent's stack frame.
+	cells *omp.ThreadPrivate[[]uint64]
+}
+
+// cellChunk is the number of result slots a thread allocates at once.
+const cellChunk = 512
+
+// resultCells returns two fresh result slots from the calling
+// thread's chunk.
+func (r *run) resultCells(c *omp.Context) []uint64 {
+	chunk := r.cells.Get(c)
+	if len(*chunk) < 2 {
+		*chunk = make([]uint64, cellChunk)
+	}
+	pair := (*chunk)[:2:2]
+	*chunk = (*chunk)[2:]
+	return pair
+}
+
+// par runs one task-parallel fib computation at the given depth.
+func (r *run) par(c *omp.Context, n, depth int, res *uint64) {
 	c.AddWork(1)
 	c.AddWrites(0, 1) // result returned through a shared (parent-stack) variable
 	if n < 2 {
 		*res = uint64(n)
 		return
 	}
-	var a, b uint64
-	spawn := func(m int, dst *uint64) {
-		body := func(c *omp.Context) { par(c, m, depth+1, cutoff, variant, dst) }
-		switch variant.Cutoff {
-		case "manual":
-			if depth < cutoff {
-				c.Task(body, taskOpts(variant, nil)...)
-			} else {
-				// Manual cut-off: plain recursion, no task at all.
-				v, calls := Seq(m)
-				c.AddWork(calls)
-				c.AddWrites(0, calls)
-				*dst = v
-			}
-		case "if":
-			c.Task(body, taskOpts(variant, omp.If(depth < cutoff))...)
-		default: // "none"
-			c.Task(body, taskOpts(variant, nil)...)
-		}
-	}
-	spawn(n-1, &a)
-	spawn(n-2, &b)
+	ab := r.resultCells(c)
+	r.spawn(c, n-1, depth, &ab[0])
+	r.spawn(c, n-2, depth, &ab[1])
 	c.Taskwait()
-	*res = a + b
+	*res = ab[0] + ab[1]
 }
 
-func taskOpts(variant core.Variant, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
+// spawn computes fib(m) into dst from a task at the given depth: as a
+// child task, or under the manual cut-off by plain recursion.
+func (r *run) spawn(c *omp.Context, m, depth int, dst *uint64) {
+	var cut omp.TaskOpt
+	switch r.variant.Cutoff {
+	case "manual":
+		if depth >= r.cutoff {
+			// Manual cut-off: plain recursion, no task at all.
+			v, calls := Seq(m)
+			c.AddWork(calls)
+			c.AddWrites(0, calls)
+			*dst = v
+			return
+		}
+	case "if":
+		cut = omp.If(depth < r.cutoff)
 	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
+	opts := core.TaskOpts(capturedBytes, r.variant.Untied, cut)
+	c.Task(func(c *omp.Context) { r.par(c, m, depth+1, dst) }, opts[:]...)
 }
 
 func digest(n int, v uint64) string { return fmt.Sprintf("fib(%d)=%d", n, v) }
@@ -127,12 +149,12 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 		cutoff = DefaultCutoffDepth
 	}
 	var res uint64
+	r := &run{cutoff: cutoff, variant: variant, cells: omp.NewThreadPrivate[[]uint64](cfg.Threads)}
+	opts := core.TaskOpts(capturedBytes, variant.Untied, omp.TaskOpt{})
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			c.Task(func(c *omp.Context) {
-				par(c, n, 0, cutoff, variant, &res)
-			}, taskOpts(variant, nil)...)
+			c.Task(func(c *omp.Context) { r.par(c, n, 0, &res) }, opts[:]...)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

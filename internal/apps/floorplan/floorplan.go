@@ -157,17 +157,6 @@ func Seq(cells []inputs.Cell) (area, nodes int64) {
 	return sh.best.Load(), n
 }
 
-func taskOpts(variant core.Variant, captured int, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(captured)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
-}
-
 // parExplore is the task-parallel search: each branch becomes a task
 // (subject to the depth cut-off), with per-thread node counters.
 func parExplore(c *omp.Context, sh *shared, s *state, idx, cutoff int,
@@ -175,20 +164,19 @@ func parExplore(c *omp.Context, sh *shared, s *state, idx, cutoff int,
 	var local int64
 	spawn := func(child *state, nextIdx int) bool {
 		depth := nextIdx // depth in the task tree == cells placed
-		body := func(c *omp.Context) {
-			parExplore(c, sh, child, nextIdx, cutoff, variant, nodes)
-		}
+		var cut omp.TaskOpt
 		switch variant.Cutoff {
 		case "manual":
 			if depth >= cutoff {
 				return false // caller recurses sequentially, no task
 			}
-			c.Task(body, taskOpts(variant, child.capturedBytes(), nil)...)
 		case "if":
-			c.Task(body, taskOpts(variant, child.capturedBytes(), omp.If(depth < cutoff))...)
-		default:
-			c.Task(body, taskOpts(variant, child.capturedBytes(), nil)...)
+			cut = omp.If(depth < cutoff)
 		}
+		opts := core.TaskOpts(child.capturedBytes(), variant.Untied, cut)
+		c.Task(func(c *omp.Context) {
+			parExplore(c, sh, child, nextIdx, cutoff, variant, nodes)
+		}, opts[:]...)
 		return true
 	}
 	explore(sh, s, idx, &local, spawn)

@@ -241,36 +241,24 @@ func seqSim(v *Village) int64 {
 func parSim(c *omp.Context, v *Village, cutoffLevel int, variant core.Variant) {
 	for _, child := range v.children {
 		child := child
-		body := func(c *omp.Context) { parSim(c, child, cutoffLevel, variant) }
+		var cut omp.TaskOpt
 		switch variant.Cutoff {
 		case "manual":
-			if child.level >= cutoffLevel {
-				c.Task(body, taskOpts(variant, nil)...)
-			} else {
+			if child.level < cutoffLevel {
 				c.AddWork(seqSim(child))
+				continue
 			}
 		case "if":
-			c.Task(body, taskOpts(variant, omp.If(child.level >= cutoffLevel))...)
-		default:
-			c.Task(body, taskOpts(variant, nil)...)
+			cut = omp.If(child.level >= cutoffLevel)
 		}
+		opts := core.TaskOpts(capturedBytes, variant.Untied, cut)
+		c.Task(func(c *omp.Context) { parSim(c, child, cutoffLevel, variant) }, opts[:]...)
 	}
 	c.Taskwait()
 	w := v.absorbChildren()
 	w += v.simStep()
 	c.AddWork(w)
 	c.AddWrites(w/4, w/8) // queue-pointer updates; partially shared structures
-}
-
-func taskOpts(variant core.Variant, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
 }
 
 // stats aggregates the verification statistics over the tree.

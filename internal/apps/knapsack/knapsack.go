@@ -137,35 +137,23 @@ func SeqDP(items []Item, capacity int) int64 {
 	return dp[capacity]
 }
 
-func taskOpts(variant core.Variant, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
-}
-
 // parExplore is the task-parallel search.
 func parExplore(c *omp.Context, sh *shared, idx, weight, value, cutoff int,
 	variant core.Variant, nodes *omp.ThreadPrivate[int64]) {
 	var local int64
 	spawn := func(ni, nw, nv int) bool {
 		depth := ni
-		body := func(c *omp.Context) { parExplore(c, sh, ni, nw, nv, cutoff, variant, nodes) }
+		var cut omp.TaskOpt
 		switch variant.Cutoff {
 		case "manual":
 			if depth >= cutoff {
 				return false
 			}
-			c.Task(body, taskOpts(variant, nil)...)
 		case "if":
-			c.Task(body, taskOpts(variant, omp.If(depth < cutoff))...)
-		default:
-			c.Task(body, taskOpts(variant, nil)...)
+			cut = omp.If(depth < cutoff)
 		}
+		opts := core.TaskOpts(capturedBytes, variant.Untied, cut)
+		c.Task(func(c *omp.Context) { parExplore(c, sh, ni, nw, nv, cutoff, variant, nodes) }, opts[:]...)
 		return true
 	}
 	explore(sh, idx, weight, value, &local, spawn)

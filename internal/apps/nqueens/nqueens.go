@@ -73,55 +73,64 @@ func Seq(n int) (solutions, work int64) {
 	return solutions, work
 }
 
+// maxN bounds the board size (knownSolutions stops at 15).
+const maxN = 16
+
+// board holds the column of the queen in each placed row. It is a
+// fixed-size array so that a task body captures its copy by value:
+// the board prefix a child receives — the paper's captured
+// environment — travels inside the body closure, and a task costs
+// exactly one allocation in this package.
+type board [maxN]int8
+
+// with returns b with a queen placed in column col of row row.
+func (b board) with(row int, col int8) board {
+	b[row] = col
+	return b
+}
+
+// run is the state one parallel search shares across its tasks.
+type run struct {
+	n, cutoff int
+	variant   core.Variant
+	counts    *omp.ThreadPrivate[int64]
+}
+
 // par explores one node of the search tree. Each viable placement in
 // the next row becomes a child task with a private copy of the board
 // prefix. Solutions are accumulated into the executing thread's slot
 // of counts.
-func par(c *omp.Context, board []int8, row, cutoff int, variant core.Variant, counts *omp.ThreadPrivate[int64]) {
-	n := len(board)
+func (r *run) par(c *omp.Context, b board, row int) {
+	n := r.n
 	c.AddWork(int64(row) + 1)
 	c.AddWrites(int64(row), 0) // the board copy is written into task-private memory
 	if row == n {
-		*counts.Get(c)++
+		*r.counts.Get(c)++
 		return
 	}
 	for col := int8(0); col < int8(n); col++ {
-		if !ok(board, row, col) {
+		if !ok(b[:], row, col) {
 			continue
 		}
-		child := make([]int8, n)
-		copy(child, board[:row])
-		child[row] = col
-		body := func(c *omp.Context) { par(c, child, row+1, cutoff, variant, counts) }
-		switch variant.Cutoff {
+		child := b.with(row, col) // never reassigned or addressed: captured by value
+		var cut omp.TaskOpt
+		switch r.variant.Cutoff {
 		case "manual":
-			if row < cutoff {
-				c.Task(body, taskOpts(variant, n, nil)...)
-			} else {
+			if row >= r.cutoff {
 				// Manual cut-off: continue on this thread without any
-				// task; reuse the child buffer for the whole subtree.
-				var w int64
-				*counts.Get(c) += seqCount(child, row+1, &w)
+				// task, searching the whole subtree in one buffer.
+				buf, w := child, int64(0)
+				*r.counts.Get(c) += seqCount(buf[:n], row+1, &w)
 				c.AddWork(w)
+				continue
 			}
 		case "if":
-			c.Task(body, taskOpts(variant, n, omp.If(row < cutoff))...)
-		default: // "none"
-			c.Task(body, taskOpts(variant, n, nil)...)
+			cut = omp.If(row < r.cutoff)
 		}
+		opts := core.TaskOpts(n+16, r.variant.Untied, cut)
+		c.Task(func(c *omp.Context) { r.par(c, child, row+1) }, opts[:]...)
 	}
 	c.Taskwait()
-}
-
-func taskOpts(variant core.Variant, n int, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(n + 16)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
 }
 
 func digest(n int, count int64) string { return fmt.Sprintf("nqueens(%d)=%d", n, count) }
@@ -148,19 +157,21 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 		return nil, err
 	}
 	n := classN[cfg.Class]
+	if n > maxN {
+		return nil, fmt.Errorf("nqueens: n=%d exceeds the %d-row board type", n, maxN)
+	}
 	cutoff := cfg.CutoffDepth
 	if cutoff <= 0 {
 		cutoff = DefaultCutoffDepth
 	}
 	counts := omp.NewThreadPrivate[int64](cfg.Threads)
+	r := &run{n: n, cutoff: cutoff, variant: variant, counts: counts}
+	opts := core.TaskOpts(n+16, variant.Untied, omp.TaskOpt{})
 	var total int64
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.SingleNowait(func(c *omp.Context) {
-			board := make([]int8, n)
-			c.Task(func(c *omp.Context) {
-				par(c, board, 0, cutoff, variant, counts)
-			}, taskOpts(variant, n, nil)...)
+			c.Task(func(c *omp.Context) { r.par(c, board{}, 0) }, opts[:]...)
 		})
 		c.Barrier()
 		// Each thread folds its threadprivate count into the global

@@ -163,7 +163,8 @@ func parMerge(c *omp.Context, a, b, dest []int32, untied bool) {
 	ha := len(a) / 2
 	hb := binSplit(b, a[ha])
 	c.AddWork(int64(bits.Len(uint(len(b))) + 1))
-	opts := taskOpts(untied)
+	clauses := core.TaskOpts(capturedBytes, untied, omp.TaskOpt{})
+	opts := clauses[:]
 	c.Task(func(c *omp.Context) {
 		parMerge(c, a[:ha], b[:hb], dest[:ha+hb], untied)
 	}, opts...)
@@ -184,7 +185,8 @@ func parSort(c *omp.Context, a, tmp []int32, untied bool) {
 		return
 	}
 	q1, q2, q3 := n/4, n/2, 3*(n/4)
-	opts := taskOpts(untied)
+	clauses := core.TaskOpts(capturedBytes, untied, omp.TaskOpt{})
+	opts := clauses[:]
 	c.Task(func(c *omp.Context) { parSort(c, a[:q1], tmp[:q1], untied) }, opts...)
 	c.Task(func(c *omp.Context) { parSort(c, a[q1:q2], tmp[q1:q2], untied) }, opts...)
 	c.Task(func(c *omp.Context) { parSort(c, a[q2:q3], tmp[q2:q3], untied) }, opts...)
@@ -194,14 +196,6 @@ func parSort(c *omp.Context, a, tmp []int32, untied bool) {
 	c.Task(func(c *omp.Context) { parMerge(c, a[q2:q3], a[q3:], tmp[q2:], untied) }, opts...)
 	c.Taskwait()
 	parMerge(c, tmp[:q2], tmp[q2:], a, untied)
-}
-
-func taskOpts(untied bool) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if untied {
-		opts = append(opts, omp.Untied())
-	}
-	return opts
 }
 
 // digest hashes the array contents.
@@ -253,10 +247,11 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	n := classN[cfg.Class]
 	a := inputs.Ints32(n, inputSeed)
 	tmp := make([]int32, n)
+	opts := core.TaskOpts(capturedBytes, variant.Untied, omp.TaskOpt{})
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			c.Task(func(c *omp.Context) { parSort(c, a, tmp, variant.Untied) }, taskOpts(variant.Untied)...)
+			c.Task(func(c *omp.Context) { parSort(c, a, tmp, variant.Untied) }, opts[:]...)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

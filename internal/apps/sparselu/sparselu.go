@@ -187,19 +187,12 @@ func Seq(m *Matrix) int64 {
 	return work
 }
 
-func taskOpts(untied bool) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if untied {
-		opts = append(opts, omp.Untied())
-	}
-	return opts
-}
-
 // parSingle is the single-generator parallel factorization: one
 // thread creates every task, with taskwaits separating the phases.
 func parSingle(c *omp.Context, m *Matrix, untied bool) {
 	nb, bs := m.NB, m.BS
-	opts := taskOpts(untied)
+	clauses := core.TaskOpts(capturedBytes, untied, omp.TaskOpt{})
+	opts := clauses[:]
 	bsq := int64(bs) * int64(bs)
 	for kk := 0; kk < nb; kk++ {
 		c.AddWork(lu0(m.at(kk, kk), bs))
@@ -249,7 +242,8 @@ func parSingle(c *omp.Context, m *Matrix, untied bool) {
 // drain tasks) separating the phases.
 func parFor(c *omp.Context, m *Matrix, untied bool) {
 	nb, bs := m.NB, m.BS
-	opts := taskOpts(untied)
+	clauses := core.TaskOpts(capturedBytes, untied, omp.TaskOpt{})
+	opts := clauses[:]
 	bsq := int64(bs) * int64(bs)
 	for kk := 0; kk < nb; kk++ {
 		kk := kk
@@ -334,8 +328,11 @@ func symbolicFill(m *Matrix) {
 // higher priority than the O(nb²) trailing updates.
 func parDep(c *omp.Context, m *Matrix, untied bool) {
 	nb, bs := m.NB, m.BS
-	opts := taskOpts(untied)
-	prioOpts := append(append([]omp.TaskOpt(nil), opts...), omp.Priority(1))
+	env, prio := omp.Captured(capturedBytes), omp.Priority(1)
+	var tied omp.TaskOpt
+	if untied {
+		tied = omp.Untied()
+	}
 	bsq := int64(bs) * int64(bs)
 	symbolicFill(m)
 	for kk := 0; kk < nb; kk++ {
@@ -343,14 +340,14 @@ func parDep(c *omp.Context, m *Matrix, untied bool) {
 		c.Task(func(c *omp.Context) {
 			c.AddWork(lu0(diag, bs))
 			c.AddWrites(0, bsq)
-		}, append([]omp.TaskOpt{omp.InOut(diag)}, prioOpts...)...)
+		}, omp.InOut(diag), env, tied, prio)
 		for jj := kk + 1; jj < nb; jj++ {
 			if b := m.at(kk, jj); b != nil {
 				b := b
 				c.Task(func(c *omp.Context) {
 					c.AddWork(fwd(diag, b, bs))
 					c.AddWrites(bsq/2, bsq/2)
-				}, append([]omp.TaskOpt{omp.In(diag), omp.InOut(b)}, prioOpts...)...)
+				}, omp.In(diag), omp.InOut(b), env, tied, prio)
 			}
 		}
 		for ii := kk + 1; ii < nb; ii++ {
@@ -359,7 +356,7 @@ func parDep(c *omp.Context, m *Matrix, untied bool) {
 				c.Task(func(c *omp.Context) {
 					c.AddWork(bdiv(diag, b, bs))
 					c.AddWrites(bsq/2, bsq/2)
-				}, append([]omp.TaskOpt{omp.In(diag), omp.InOut(b)}, prioOpts...)...)
+				}, omp.In(diag), omp.InOut(b), env, tied, prio)
 			}
 		}
 		for ii := kk + 1; ii < nb; ii++ {
@@ -376,7 +373,7 @@ func parDep(c *omp.Context, m *Matrix, untied bool) {
 				c.Task(func(c *omp.Context) {
 					c.AddWork(bmod(row, col, inner, bs))
 					c.AddWrites(bsq/2, bsq/2)
-				}, append([]omp.TaskOpt{omp.In(row, col), omp.InOut(inner)}, opts...)...)
+				}, omp.In(row, col), omp.InOut(inner), env, tied)
 			}
 		}
 	}

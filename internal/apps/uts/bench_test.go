@@ -15,7 +15,9 @@ func BenchmarkSeqTraversal(b *testing.B) {
 }
 
 func BenchmarkVisitWork(b *testing.B) {
+	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sinkGuard ^= visitWork(uint64(i), 150)
+		sink ^= visitWork(uint64(i), 150)
 	}
+	sinkGuard.Store(sink)
 }

@@ -17,6 +17,7 @@ package uts
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"bots/internal/core"
@@ -103,56 +104,52 @@ func Seq(p params) int64 {
 	root := inputs.NewRNG(p.seed).Uint64()
 	var sink uint64
 	n := seqCount(root, 0, p, &sink)
-	sinkGuard = sink
+	sinkGuard.Store(sink)
 	return n
 }
 
-// sinkGuard defeats dead-code elimination of the per-node work.
-var sinkGuard uint64
+// sinkGuard defeats dead-code elimination of the per-node work: every
+// traversal stores its folded work product here once, when it ends.
+var sinkGuard atomic.Uint64
 
-// par is the task-parallel traversal with per-thread counters. Work
+// tally is one thread's running totals: the nodes it visited and the
+// XOR of their work products. Per-thread so the traversal's hot loop
+// writes no shared word.
+type tally struct {
+	nodes int64
+	sink  uint64
+}
+
+// par is the task-parallel traversal with per-thread tallies. Work
 // is counted in node units (one unit per node), matching Seq's
 // accounting; each node's actual cost is gran hash rounds.
 func par(c *omp.Context, hash uint64, depth, cutoff int, p params,
-	variant core.Variant, counts *omp.ThreadPrivate[int64]) {
-	sinkGuard ^= visitWork(hash, p.gran)
+	variant core.Variant, tallies *omp.ThreadPrivate[tally]) {
+	mine := tallies.Get(c)
+	mine.sink ^= visitWork(hash, p.gran)
+	mine.nodes++
 	c.AddWork(1)
 	c.AddWrites(1, 0)
-	*counts.Get(c)++
 	n := numChildren(hash, p, depth == 0)
 	for i := 0; i < n; i++ {
 		ch := childHash(hash, i)
-		body := func(c *omp.Context) { par(c, ch, depth+1, cutoff, p, variant, counts) }
+		var cut omp.TaskOpt
 		switch variant.Cutoff {
 		case "manual":
-			if depth < cutoff {
-				c.Task(body, taskOpts(variant, nil)...)
-			} else {
-				var sink uint64
-				sub := seqCount(ch, depth+1, p, &sink)
-				sinkGuard ^= sink
-				*counts.Get(c) += sub
+			if depth >= cutoff {
+				sub := seqCount(ch, depth+1, p, &mine.sink)
+				mine.nodes += sub
 				c.AddWork(sub)
 				c.AddWrites(sub, 0)
+				continue
 			}
 		case "if":
-			c.Task(body, taskOpts(variant, omp.If(depth < cutoff))...)
-		default:
-			c.Task(body, taskOpts(variant, nil)...)
+			cut = omp.If(depth < cutoff)
 		}
+		opts := core.TaskOpts(capturedBytes, variant.Untied, cut)
+		c.Task(func(c *omp.Context) { par(c, ch, depth+1, cutoff, p, variant, tallies) }, opts[:]...)
 	}
 	c.Taskwait()
-}
-
-func taskOpts(variant core.Variant, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
 }
 
 func digest(nodes int64) string { return fmt.Sprintf("uts-nodes=%d", nodes) }
@@ -181,22 +178,26 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	if cutoff <= 0 {
 		cutoff = DefaultCutoffDepth
 	}
-	counts := omp.NewThreadPrivate[int64](cfg.Threads)
+	tallies := omp.NewThreadPrivate[tally](cfg.Threads)
 	root := inputs.NewRNG(p.seed).Uint64()
+	opts := core.TaskOpts(capturedBytes, variant.Untied, omp.TaskOpt{})
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.SingleNowait(func(c *omp.Context) {
 			c.Task(func(c *omp.Context) {
-				par(c, root, 0, cutoff, p, variant, counts)
-			}, taskOpts(variant, nil)...)
+				par(c, root, 0, cutoff, p, variant, tallies)
+			}, opts[:]...)
 		})
 		c.Barrier()
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)
 	var total int64
-	for i := 0; i < counts.Len(); i++ {
-		total += *counts.Slot(i)
+	var sink uint64
+	for i := 0; i < tallies.Len(); i++ {
+		total += tallies.Slot(i).nodes
+		sink ^= tallies.Slot(i).sink
 	}
+	sinkGuard.Store(sink)
 	return &core.RunResult{
 		Digest:  digest(total),
 		Metric:  float64(total),

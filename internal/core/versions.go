@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"bots/internal/omp"
 )
 
 // Variant is a parsed version name. The suite's version naming
@@ -66,6 +68,20 @@ func ParseVersion(name string) (Variant, error) {
 		return v, fmt.Errorf("core: unknown version qualifier %q in %q", parts[0], name)
 	}
 	return v, nil
+}
+
+// TaskOpts returns the clause list of one task directive of a BOTS
+// kernel: the captured-environment size, the version's tiedness, and
+// one kernel-specific clause (an if cut-off, a priority; the zero
+// TaskOpt for none). It is an array, not a slice, so the list lives
+// on the caller's stack and a spawn allocates nothing for it: pass
+// opts[:]... to Task.
+func TaskOpts(captured int, untied bool, extra omp.TaskOpt) [3]omp.TaskOpt {
+	opts := [3]omp.TaskOpt{omp.Captured(captured), extra}
+	if untied {
+		opts[2] = omp.Untied()
+	}
+	return opts
 }
 
 // CutoffVersions is the version list for benchmarks with a

@@ -40,17 +40,13 @@ func (c *Context) InFinal() bool { return c.task.final }
 // dependences must be able to hold it back — and is enqueued only
 // once every predecessor sibling has finished.
 func (c *Context) Task(body func(*Context), opts ...TaskOpt) {
-	// The config lives in the worker, not on the stack: opts are
-	// opaque function values, so a local config would escape to the
-	// heap on every call. The scratch is safe to reuse because
-	// spawnTask consumes every field before it runs (or enqueues) the
-	// task — by the time a nested Task can touch the scratch again,
-	// this invocation is done with it.
+	// The config is the worker's scratch, so the deps backing array
+	// is reused from task to task. That is safe because spawnTask
+	// consumes every field before it runs (or enqueues) the task — by
+	// the time a nested Task can touch the scratch again, this
+	// invocation is done with it.
 	cfg := &c.w.taskCfg
-	cfg.reset()
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg.apply(opts)
 	c.spawnTask(body, cfg)
 }
 
@@ -108,12 +104,10 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 		return
 	}
 	// The enqueued task — and therefore its whole ancestor chain — may
-	// be reached by stale thief reads until the region ends: pin the
-	// parent out of the in-region recycling tier (finishInline
-	// propagates the mark upward; see pool.go).
-	t.visible = true
+	// be reached by stale thief reads: pin the parent out of the
+	// immediate recycling tier (finishInline propagates the mark
+	// upward; see pool.go).
 	parent.visible = true
-	parent.spawnedDeferred = true
 	w.stats.tasksCreated.Add(1)
 	parent.pending.Add(1)
 	if t.group != nil {
@@ -143,29 +137,29 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 // finishInline is finish for undeferred tasks: they were never added
 // to parent.pending, so only the team live count is released. A
 // never-shared task (no deferred descendant ever existed) is recycled
-// immediately; a visible one is buried until region end, propagating
-// visibility to its parent — the parent is an ancestor of whatever
-// deferred task made this one visible. Both the visible read and the
-// parent write happen on the thread that executed t inline, which is
-// also the thread executing t.parent.
+// immediately; a visible one takes the shared tiers like a deferred
+// task (pool.go) and passes visibility to its parent — the parent is
+// an ancestor of whatever deferred task made this one visible. The
+// parent executes on this thread, suspended in the inline chain, so
+// the visible write needs no synchronization.
 func (t *task) finishInline(w *worker) {
 	if t.depTab != nil {
 		recycleDepTab(t.depTab)
 		t.depTab = nil
 	}
 	t.team.liveTasks.Add(-1)
-	if t.visible {
-		if p := t.parent; p != nil {
-			// t has a deferred descendant, so every ancestor of t does
-			// too; the parent executes on this thread, suspended in
-			// the inline chain, so the writes need no synchronization.
-			p.visible = true
-			p.spawnedDeferred = true
-		}
-		w.bury(t)
+	if !t.visible {
+		w.recycle(t)
 		return
 	}
-	w.recycle(t)
+	p := t.parent
+	p.visible = true
+	if t.strict() {
+		w.retire(t)
+		return
+	}
+	p.leaky.Store(true)
+	w.bury(t)
 }
 
 // Taskwait suspends the current task until all child tasks it has
@@ -188,7 +182,7 @@ func (c *Context) Taskwait() {
 			continue
 		}
 		w.stats.taskwaitParks.Add(1)
-		t.park()
+		w.waitPark(t, constraint, func() bool { return t.pending.Load() == 0 })
 	}
 }
 

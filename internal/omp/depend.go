@@ -45,12 +45,27 @@ type dep struct {
 	mode depMode
 }
 
+// depEscape is never set. Storing the operand behind it makes escape
+// analysis move every depend-clause operand to the heap, which the
+// nominal scheme needs: the address is a hash key that must name the
+// same object for the parent's whole lifetime, and a stack address
+// does not survive the goroutine's stack being moved. (Option values
+// no longer capture their operands in a heap closure, so nothing else
+// forces this.)
+var (
+	depEscape     bool
+	depEscapeSink any
+)
+
 // depAddr extracts the dependence address of one depend-clause
 // operand: the pointed-to object for pointers, the backing array for
 // slices, or a raw uintptr address. Dependences are purely nominal —
 // the runtime never dereferences the address, it is only a hash key —
 // so any stable address that names the data works.
 func depAddr(obj any) uintptr {
+	if depEscape {
+		depEscapeSink = obj
+	}
 	switch v := obj.(type) {
 	case uintptr:
 		return v
@@ -63,25 +78,19 @@ func depAddr(obj any) uintptr {
 	panic(fmt.Sprintf("omp: depend clause operand must be a pointer, slice or uintptr address, got %T", obj))
 }
 
-func appendDeps(c *taskConfig, mode depMode, objs []any) {
-	for _, o := range objs {
-		c.deps = append(c.deps, dep{addr: depAddr(o), mode: mode})
-	}
-}
-
 // In declares input dependences: the task reads the listed storage
 // and must wait for the previous sibling that declared it as an
 // output. Operands may be pointers, slices (the backing array is the
 // address), or raw uintptr addresses.
-func In(objs ...any) TaskOpt { return func(c *taskConfig) { appendDeps(c, depIn, objs) } }
+func In(objs ...any) TaskOpt { return TaskOpt{kind: optIn, objs: objs} }
 
 // Out declares output dependences: the task writes the listed storage
 // and must wait for the previous writer and for every reader since.
-func Out(objs ...any) TaskOpt { return func(c *taskConfig) { appendDeps(c, depOut, objs) } }
+func Out(objs ...any) TaskOpt { return TaskOpt{kind: optOut, objs: objs} }
 
 // InOut declares read-write dependences; the ordering rules are the
 // same as Out (wait for last writer and all readers since).
-func InOut(objs ...any) TaskOpt { return func(c *taskConfig) { appendDeps(c, depInOut, objs) } }
+func InOut(objs ...any) TaskOpt { return TaskOpt{kind: optInOut, objs: objs} }
 
 // Priority sets the task's scheduling priority (OpenMP 4.5 priority
 // clause). Higher values are picked first by both the owning worker
@@ -92,7 +101,7 @@ func Priority(p int) TaskOpt {
 	if p < 0 {
 		p = 0
 	}
-	return func(c *taskConfig) { c.priority = int32(p) }
+	return TaskOpt{kind: optPriority, n: int64(p)}
 }
 
 // depEntry is the dependence-table record for one address: the last
@@ -225,36 +234,30 @@ func (t *task) releaseSuccessors(w *worker) {
 		w.freeSuccNode(n)
 		if s.depsLeft.Add(-1) == 0 {
 			w.stats.depReleases.Add(1)
-			w.enqueueReleased(s)
+			w.enqueue(s)
 		}
 		n = next
 	}
 }
 
-// enqueueReleased makes a dependence-released task runnable on w and
-// broadcasts to parked condition waiters, who may now be able to
-// execute or steal it. The broadcast is what keeps the runtime
-// deadlock-free: unlike a freshly created task (which its creator can
-// always reach at the bottom of its own deque before parking), a
-// released task appears in an arbitrary worker's queue while the
-// tasks waiting on it — a taskwait in its parent, a Taskgroup drain,
-// a Future.Wait on its result — may already be parked. One team-bell
-// broadcast reaches all of them (the old protocol signalled the
-// parent, the group and the future latch individually).
-func (w *worker) enqueueReleased(t *task) {
-	w.enqueue(t)
-	w.team.wakeWaiters()
-}
-
 // enqueue hands a ready task to the team's scheduler on behalf of w,
 // then rings the team doorbell so a worker parked at a barrier can
-// come take it. Owner-side only (w must be the calling worker).
+// come take it, and wakes the condition waiters, who may be the only
+// workers allowed to run it. That second wake is what keeps
+// dependence release deadlock-free: unlike a freshly created task
+// (which its creator can always reach at the bottom of its own deque
+// before parking), a released task appears in an arbitrary worker's
+// queue while the tasks waiting on it — a taskwait in its parent, a
+// Taskgroup drain, a Future.Wait on its result — may already be
+// parked. Owner-side only (w must be the calling worker).
 func (w *worker) enqueue(t *task) {
+	t.mustBeLive()
 	w.team.sched.Push(w.id, t)
 	if fr := w.team.fr; fr != nil {
 		fr.Record(w.id, obs.EvSpawn, int64(t.depth))
 	}
 	w.team.ring()
+	w.team.wakeWaiters()
 }
 
 // queued returns the worker's ready backlog as the scheduler reports

@@ -32,11 +32,10 @@ func (c *Context) Taskgroup(body func(*Context)) {
 	body(c)
 	c.task.group = prev
 	// Drain: execute tasks while the group has live members. A park
-	// blocks on the team waitBell; every descendant completion that
-	// empties the group broadcasts there (see task.finish and
-	// Team.wakeWaiters), as does a dependence release that makes a
-	// group member runnable (the parked drainer may be the only thread
-	// able to execute it).
+	// is a condition wait (worker.waitPark): the descendant completion
+	// that empties the group wakes it (see task.finish), as does every
+	// enqueue — the parked drainer may be the only thread able to
+	// execute a group member that just became runnable.
 	constraint := c.task
 	if c.task.untied {
 		constraint = nil
@@ -45,13 +44,13 @@ func (c *Context) Taskgroup(body func(*Context)) {
 		if c.w.runOne(constraint) {
 			continue
 		}
-		c.w.team.waitPark(func() bool { return tg.live.Load() == 0 })
+		c.w.waitPark(waitAny, constraint, func() bool { return tg.live.Load() == 0 })
 	}
 }
 
 // taskgroup tracks the live descendant count of one taskgroup region.
-// It is a bare counter: parking and waking go through the team
-// waitBell, so the group needs no mutex or channel of its own.
+// It is a bare counter: parking and waking go through the workers'
+// wake channels, so the group needs no mutex or channel of its own.
 type taskgroup struct {
 	live atomic.Int64
 	// sub, when non-nil, is the persistent-team submission this group
@@ -64,7 +63,7 @@ type taskgroup struct {
 func (tg *taskgroup) enter() { tg.live.Add(1) }
 
 // leave decrements the live count and reports whether the group just
-// emptied — the caller (task.finish) broadcasts on the team bell.
+// emptied — the caller (task.finish) wakes the condition waiters.
 func (tg *taskgroup) leave() bool {
 	return tg.live.Add(-1) == 0
 }

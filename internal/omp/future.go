@@ -11,8 +11,8 @@ import (
 // region can Wait on. It is the structured alternative to writing
 // through a captured pointer and calling Taskwait.
 //
-// A blocked Wait parks on the team's waitBell (the same futex-style
-// word taskwait and Taskgroup use; see Team.wakeWaiters), so a Future
+// A blocked Wait parks on its worker's wake channel (the condition
+// wait taskwait and Taskgroup use; see worker.waitPark), so a Future
 // carries no park state of its own — just the value and a done flag.
 //
 // Lifetime: Future cells are pool-recycled (see futPoolFor), so a
@@ -53,10 +53,10 @@ func (f *Future[T]) runFuture(tc *Context) {
 	defer func() {
 		f.fn = nil
 		f.done.Store(true)
-		// Broadcast after publishing done: a Wait that registered
-		// on the bell and re-checked before this store is woken by
-		// the broadcast; one that re-checks after sees done and
-		// never parks (Team.wakeWaiters has the full argument).
+		// Wake after publishing done: a Wait that registered and
+		// re-checked before this store is woken; one that re-checks
+		// after sees done and never parks (worker.waitPark has the
+		// full argument).
 		tc.w.team.wakeWaiters()
 	}()
 	f.val = f.fn(tc)
@@ -123,10 +123,7 @@ func Spawn[T any](c *Context, fn func(*Context) T, opts ...TaskOpt) *Future[T] {
 	f.fn = fn
 	c.w.buryFuture(f)
 	cfg := &c.w.taskCfg // see Context.Task for why the scratch is safe
-	cfg.reset()
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg.apply(opts)
 	cfg.fut = f
 	c.spawnTask(nil, cfg)
 	return f
@@ -138,7 +135,7 @@ func Spawn[T any](c *Context, fn func(*Context) T, opts ...TaskOpt) *Future[T] {
 // the OpenMP task scheduling constraint (suspended in a tied task it
 // may only run descendants of that task). Wait may be called from any
 // task of the region, any number of times, on any number of threads —
-// completion broadcasts on the team bell wake every parked waiter.
+// completion wakes every parked waiter.
 // Wait consumes the Future: once any Wait has returned, the cell is
 // recycled when its creating region (or submission DAG) reaches
 // quiescence and must not be touched after that point (see the type's
@@ -172,7 +169,7 @@ func (f *Future[T]) Wait(c *Context) T {
 			continue
 		}
 		w.stats.taskwaitParks.Add(1)
-		w.team.waitPark(f.done.Load)
+		w.waitPark(waitAny, constraint, f.done.Load)
 	}
 	return f.val
 }

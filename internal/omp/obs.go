@@ -51,16 +51,17 @@ func (pt *PersistentTeam) InflightSubmissions() int64 {
 	return pt.inflight.Load()
 }
 
-// ParkedWorkers returns the number of workers currently registered on
-// the team doorbell (parked or in the pre-park re-check). Zero after
-// Close.
+// ParkedWorkers returns the number of workers currently registered as
+// parked (blocked or in the pre-park re-check): idle on the team
+// doorbell, or in a condition wait — taskwait, Future.Wait, Taskgroup.
+// Zero after Close.
 func (pt *PersistentTeam) ParkedWorkers() int {
 	pt.obsMu.RLock()
 	defer pt.obsMu.RUnlock()
 	if pt.finalized {
 		return 0
 	}
-	return int(pt.tm.idleWaiters.Load())
+	return int(pt.tm.idleWaiters.Load() + pt.tm.waitParkers.Load())
 }
 
 // Queued returns worker w's ready backlog as the scheduler reports
@@ -88,7 +89,7 @@ func (pt *PersistentTeam) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 		func() float64 { return float64(pt.LiveTasks()) }, labels...)
 	reg.GaugeFunc("bots_team_inflight_submissions", "Submissions accepted and not yet completed.",
 		func() float64 { return float64(pt.InflightSubmissions()) }, labels...)
-	reg.GaugeFunc("bots_team_parked_workers", "Workers registered on the team doorbell (idle).",
+	reg.GaugeFunc("bots_team_parked_workers", "Workers parked: idle on the team doorbell or in a condition wait.",
 		func() float64 { return float64(pt.ParkedWorkers()) }, labels...)
 	for i := 0; i < pt.NumWorkers(); i++ {
 		i := i
@@ -134,6 +135,10 @@ func RegisterStats(reg *obs.Registry, prefix string, get func() Stats, labels ..
 		func(s Stats) int64 { return s.DepReleases })
 	counter("future_waits", "Future.Wait operations that blocked.",
 		func(s Stats) int64 { return s.FutureWaits })
+	counter("tasks_reclaimed", "Finished tasks reset for reuse inside the region, after a grace period.",
+		func(s Stats) int64 { return s.TasksReclaimed })
+	counter("task_pool_misses", "Task structs heap-allocated because every recycling tier was empty.",
+		func(s Stats) int64 { return s.TaskPoolMisses })
 }
 
 // StartStallMonitor polls the team every poll interval and calls

@@ -13,8 +13,9 @@ import (
 // builds a team, runs one SPMD region, and tears the team down; a
 // service workload instead holds a warm team and pushes many small
 // task DAGs through it, so the scheduler state (pooled queues, the
-// work-advertisement word, the wait bell) and the task-recycling tiers
-// must survive across regions. That is exactly what this type does:
+// work-advertisement word, the wake channels) and the task-recycling
+// tiers must survive across regions. That is exactly what this type
+// does:
 //
 //	pt := omp.NewPersistentTeam(4, omp.WithScheduler("workfirst"))
 //	for each request {
@@ -327,7 +328,7 @@ func (pt *PersistentTeam) runSubmission(w *worker, it *task) bool {
 	s.tg.enter() // the root itself holds the group until its finish
 	it.pending.Add(1)
 	tm.liveTasks.Add(1)
-	w.execute(t, false)
+	w.execute(t)
 	return true
 }
 
@@ -356,12 +357,14 @@ func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 			idle = 0
 			continue
 		}
-		// Single-worker teams have no thieves, so a quiescent worker
-		// may recycle its buried tasks immediately instead of waiting
-		// for Close — this is what keeps a sequential submit loop at
-		// zero steady-state allocations (see flushOwnGrave).
+		// A single-worker team observed with no live task is quiescent
+		// on the spot — no thief exists, no queue holds a task, no Wait
+		// is in flight — so the worker recycles what it buried (future
+		// cells, and the tasks in-region reclamation had to leave
+		// behind) instead of waiting for Close. This is what keeps a
+		// sequential submit loop at zero steady-state allocations.
 		if len(tm.workers) == 1 && (len(w.grave) > 0 || len(w.futGrave) > 0) && tm.liveTasks.Load() == 0 {
-			pt.flushOwnGrave(w)
+			w.flushGraves(w.free)
 		}
 		if pt.closed.Load() && pt.inflight.Load() == 0 && tm.liveTasks.Load() == 0 {
 			return
@@ -392,43 +395,20 @@ func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 	}
 }
 
-// flushOwnGrave recycles a single worker's grave list into its free
-// list. Only legal on a one-worker team observed with no live tasks:
-// no thief exists, no queue holds a task, so nothing can reach a
-// buried (finished) task and a stale-read hazard cannot arise.
-func (pt *PersistentTeam) flushOwnGrave(w *worker) {
-	for i, t := range w.grave {
-		t.reset()
-		if len(w.freeTasks) < maxWorkerFreeTasks {
-			w.freeTasks = append(w.freeTasks, t)
-		} else {
-			taskPool.Put(t)
-		}
-		w.grave[i] = nil
-	}
-	w.grave = w.grave[:0]
-	for i, f := range w.futGrave {
-		// No live task ⇒ no Wait can be in flight, so the consumed
-		// flags are stable: recycle what was consumed, drop the rest.
-		f.tryRecycle()
-		w.futGrave[i] = nil
-	}
-	w.futGrave = w.futGrave[:0]
-}
-
 // tryFlushGraves recycles every worker's grave list on a multi-worker
-// team, when safe. Buried tasks are stale-readable: a thief that
-// loaded queue indices before the tasks drained may still probe a
-// lagging slot and walk a finished task's ancestors (pool.go). The
-// flush is therefore only performed at full quiescence — no inflight
-// submission, no live task, and every worker registered as parked —
-// observed under inboxMu so no new submission can slip in while
-// flushing. Once all workers have registered, any later probe (a
-// spuriously woken worker re-checking) starts fresh against empty
-// queues and never dereferences a slot, so the flush cannot race it.
-// When the moment of quiescence never comes (sustained load), graves
-// stay bounded by maxWorkerGrave and overflow is dropped to the GC —
-// the same bound a long Parallel region has.
+// team, when safe. Strict tasks are reclaimed while the team runs
+// (pool.go); what is buried — non-strict and dependence tasks, future
+// cells — is still readable by live descendants, stale thief reads or
+// a parent's dependence table, so the flush is only performed at full
+// quiescence — no inflight submission, no live task, and every worker
+// registered as parked — observed under inboxMu so no new submission
+// can slip in while flushing. Once all workers have registered, any
+// later probe (a spuriously woken worker re-checking) starts fresh
+// against empty queues and never dereferences a slot, so the flush
+// cannot race it. When the moment of quiescence never comes
+// (sustained load), graves stay bounded by maxWorkerGrave and
+// overflow is dropped to the GC — the same bound a long Parallel
+// region has.
 func (pt *PersistentTeam) tryFlushGraves() {
 	tm := pt.tm
 	if len(tm.workers) == 1 {
@@ -443,16 +423,6 @@ func (pt *PersistentTeam) tryFlushGraves() {
 		return
 	}
 	for _, w := range tm.workers {
-		for i, t := range w.grave {
-			t.reset()
-			taskPool.Put(t)
-			w.grave[i] = nil
-		}
-		w.grave = w.grave[:0]
-		for i, f := range w.futGrave {
-			f.tryRecycle() // quiescent: no Wait in flight (cf. flushOwnGrave)
-			w.futGrave[i] = nil
-		}
-		w.futGrave = w.futGrave[:0]
+		w.flushGraves(func(t *task) { taskPool.Put(t) })
 	}
 }

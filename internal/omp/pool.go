@@ -5,45 +5,104 @@ import "sync"
 // Task recycling. The BOTS paper's central claim is that task-runtime
 // overheads — creation, queuing, stealing — decide which configuration
 // wins, and on this runtime the dominant creation cost was the
-// per-task heap allocation (one ~250-byte task struct plus one
-// execution Context per task). Recycling removes it in two tiers:
+// per-task heap allocation. A finished task struct is reused through
+// one of four tiers, chosen by who may still hold a pointer to it:
 //
-//  1. In-region, per-worker free lists recycle tasks that were never
-//     shared: an undeferred task that never acquired a deferred
-//     descendant is reachable only from its creator's stack, so its
-//     struct can be reset and reused immediately after finishInline.
-//     Under the runtime cut-offs (maxtasks/maxdepth/adaptive) the
-//     vast majority of tasks take exactly this path.
+//  1. Immediate (free list). An undeferred task that never acquired a
+//     deferred descendant is reachable only from its creator's stack:
+//     finishInline resets it and pushes it on the worker's free list.
+//     Under the runtime cut-offs (maxtasks/maxdepth/adaptive) the vast
+//     majority of tasks take exactly this path.
 //
-//  2. Cross-region, a global sync.Pool. Tasks that were enqueued are
-//     *stale-readable*: a thief in deque.stealIf may read a lagging
-//     ring slot and call pred on a task that has already finished, and
-//     pred (isDescendantOf) walks parent/depth of the task and its
-//     ancestors. Resetting any such task mid-region would race with
-//     those reads. They are instead buried on the finishing worker's
-//     grave list with their fields intact and recycled only at region
-//     end, after every worker goroutine has joined and no thief can
-//     exist.
+//  2. In-region, after a grace period (limbo). Every other task — all
+//     deferred tasks, and undeferred tasks with deferred descendants —
+//     is *shared*: other workers may hold its pointer. Two kinds of
+//     foreign reader exist, and each is closed off separately:
 //
-// The visibility invariant that makes tier 1 safe: every ancestor of
-// an enqueued (stale-readable) task is itself unrecyclable in-region.
-// Creation marks the parent of each deferred task `visible`, and
-// finishInline propagates the mark one level up when a visible
-// undeferred task completes — both writes happen on the thread
-// executing the parent, so they need no synchronization. A task is
-// recycled in-region only when its visible flag is still clear.
+//     Stale slot reads. A thief in deque.stealIf reads a ring slot,
+//     and when it carries a constraint predicate it dereferences what
+//     it read (isDescendantOf walks the task's parent chain) before
+//     its CAS on top tells it whether the slot was still live. Every
+//     worker brackets that section — and only that section: a
+//     constrained Steal — with two increments of its quiesce counter
+//     (odd while inside). A finished task goes to the finishing
+//     worker's open limbo batch; closing the batch snapshots every
+//     other worker's counter, and the batch is reset and moved to the
+//     free list once each of them is seen outside the section it was
+//     in at the snapshot (the snapshot was even, or the counter has
+//     moved since). A section that starts after a task finished
+//     cannot reach it: the pointer a thief reads at index top was
+//     queued at some instant after the thief loaded top, so
+//     everything a section can dereference finished — if at all —
+//     after the section began. Sections are rare (constrained steals
+//     are the slow path of a tied taskwait) and short, so a batch
+//     normally passes at the moment it closes.
+//
+//     Parent-chain walks from live descendants. The walk above, and a
+//     finishing child's decrement of parent.pending, dereference the
+//     ancestors of a *live* task for as long as it lives — no grace
+//     period bounds that. So only fully-strict tasks enter limbo: a
+//     task that finished with pending == 0 and whose children all
+//     finished strict. By induction every descendant of such a task
+//     finished before it did, hence no live task has it as an
+//     ancestor. A task that finishes non-strict (it returned without
+//     taskwait, or its body panicked, with children outstanding)
+//     stays on tier 3 and sets its parent's leaky flag *before* it
+//     decrements the parent's pending count; the parent's finish runs
+//     after observing pending == 0, therefore after that store, and
+//     takes tier 3 as well — the mark climbs as far as the non-strict
+//     subtree is reachable. Every taskwait-synchronised BOTS kernel
+//     is fully strict.
+//
+//     The visible flag extends tier 2 to undeferred tasks: creation
+//     marks the parent of each deferred task, and finishInline passes
+//     the mark one level up, so every ancestor of a task that was
+//     ever queued takes the grace period instead of tier 1.
+//
+//  3. At quiescence (grave). What the contract above cannot prove
+//     safe keeps the bury-until-quiescence path: non-strict and leaky
+//     tasks, and tasks with depend clauses — the parent's dependence
+//     table names them as predecessors until the parent finishes, and
+//     resolve() reads their succHead expecting the closed sentinel.
+//     They are reset only when no reader can exist: at region end,
+//     after every worker joined, and on a persistent team at the
+//     quiescence flushes (persistent.go).
+//
+//  4. Across regions, the global sync.Pool, filled at region end from
+//     every tier and by free-list overflow.
+//
+// reset writes poisonDepth into the struct; isDescendantOf, enqueue and
+// execute panic if they ever meet it, so a reuse that raced a reader
+// fails loudly instead of corrupting a walk.
 const (
-	// maxWorkerFreeTasks bounds the per-worker in-region free list.
-	maxWorkerFreeTasks = 512
+	// limboBatch is the size at which a worker's open limbo batch is
+	// closed for its grace period.
+	limboBatch = 64
+	// maxWorkerFreeTasks bounds the per-worker free list. Two batches
+	// is what a worker that finishes about as many tasks as it creates
+	// ever holds; a worker that mostly runs tasks others created (a
+	// thief) would otherwise hoard their structs while the creators
+	// fall through to the allocator, so the excess goes to the global
+	// pool, where they find it.
+	maxWorkerFreeTasks = 2 * limboBatch
+	// maxWorkerLimbo bounds the open batch while the closed one waits
+	// on a worker stuck inside a section (descheduled mid-steal on an
+	// oversubscribed host); beyond it finished tasks take tier 3.
+	maxWorkerLimbo = 4096
 	// maxWorkerGrave bounds the per-worker grave; beyond it, finished
 	// shared tasks are simply dropped for the GC (a long region should
 	// not pin every task it ever ran).
 	maxWorkerGrave = 8192
 )
 
+// poisonDepth is the depth of a reset task: no live task has it, so
+// meeting it on a walk or in a queue proves a reclaimed task was
+// still reachable.
+const poisonDepth = -1 << 30
+
 // taskPool recycles task structs across parallel regions. Every task
-// in the pool is reset.
-var taskPool = sync.Pool{New: func() any { return new(task) }}
+// in the pool is reset. It has no New: newTask counts the misses.
+var taskPool sync.Pool
 
 // depTabPool recycles per-parent dependence tables (with their entry
 // free lists) across tasks and regions. Safe to Put mid-region: a
@@ -53,16 +112,28 @@ var depTabPool = sync.Pool{New: func() any {
 	return &depTracker{entries: make(map[uintptr]*depEntry)}
 }}
 
-// newTask returns a reset task: from the worker's free list when the
-// in-region tier has one, else from the global pool.
+// skipGrace, when set, makes every limbo batch pass its grace period
+// at once. Test-only: the reclamation tests set it to prove they
+// detect a reuse that races a reader.
+var skipGrace bool
+
+// newTask returns a reset task: from the worker's free list, else by
+// closing the limbo batch early, else from the global pool.
 func (w *worker) newTask() *task {
+	if len(w.freeTasks) == 0 && len(w.limbo)+len(w.graced) > 0 {
+		w.advanceLimbo()
+	}
 	if n := len(w.freeTasks) - 1; n >= 0 {
 		t := w.freeTasks[n]
 		w.freeTasks[n] = nil
 		w.freeTasks = w.freeTasks[:n]
 		return t
 	}
-	return taskPool.Get().(*task)
+	if t, _ := taskPool.Get().(*task); t != nil {
+		return t
+	}
+	w.stats.taskPoolMisses.Add(1)
+	return new(task)
 }
 
 // recycle resets a never-shared task and returns it to the worker's
@@ -71,14 +142,78 @@ func (w *worker) newTask() *task {
 // descendants).
 func (w *worker) recycle(t *task) {
 	t.reset()
+	w.free(t)
+}
+
+// free pushes a reset task on the free list, overflowing to the
+// global pool.
+func (w *worker) free(t *task) {
 	if len(w.freeTasks) < maxWorkerFreeTasks {
 		w.freeTasks = append(w.freeTasks, t)
+	} else {
+		taskPool.Put(t)
 	}
 }
 
-// bury records a finished shared task for region-end recycling
-// (tier 2). The task is NOT reset here: stale thief reads may still
-// inspect its creation-time fields until the region joins.
+// retire queues a finished, fully-strict shared task for reuse after
+// a grace period (tier 2). The task is NOT reset here: a thief inside
+// a section may still be walking it.
+func (w *worker) retire(t *task) {
+	if len(w.limbo) >= maxWorkerLimbo {
+		w.bury(t)
+		return
+	}
+	w.limbo = append(w.limbo, t)
+	if len(w.limbo)%limboBatch == 0 {
+		w.advanceLimbo()
+	}
+}
+
+// advanceLimbo moves the limbo pipeline one step: recycle the closed
+// batch if its grace period has elapsed, then close the open batch —
+// which, with no worker inside a section, passes on the spot.
+func (w *worker) advanceLimbo() {
+	if len(w.graced) > 0 && !w.recycleGraced() {
+		return
+	}
+	if len(w.limbo) == 0 {
+		return
+	}
+	w.limbo, w.graced = w.graced, w.limbo
+	if w.gracedAt == nil {
+		w.gracedAt = make([]uint64, len(w.team.workers))
+	}
+	for i, o := range w.team.workers {
+		w.gracedAt[i] = o.quiesce.Load()
+	}
+	w.recycleGraced()
+}
+
+// recycleGraced resets the closed batch onto the free list if every
+// other worker has left the section it was in when the batch closed,
+// and reports whether it did. w itself is never inside a section
+// here: sections end before the task they picked executes.
+func (w *worker) recycleGraced() bool {
+	if !skipGrace {
+		for i, o := range w.team.workers {
+			if at := w.gracedAt[i]; o != w && at&1 == 1 && o.quiesce.Load() == at {
+				return false
+			}
+		}
+	}
+	for i, t := range w.graced {
+		t.reset()
+		w.free(t)
+		w.graced[i] = nil
+	}
+	w.stats.tasksReclaimed.Add(int64(len(w.graced)))
+	w.graced = w.graced[:0]
+	return true
+}
+
+// bury records a finished shared task for recycling at quiescence
+// (tier 3). The task is NOT reset here: live descendants, stale thief
+// reads and the parent's dependence table may still inspect it.
 func (w *worker) bury(t *task) {
 	if len(w.grave) < maxWorkerGrave {
 		w.grave = append(w.grave, t)
@@ -100,26 +235,38 @@ func (w *worker) buryFuture(f futCell) {
 	}
 }
 
-// releaseTasks drains the worker's recycling tiers into the global
-// pool. Called from Parallel after every worker goroutine has joined,
-// when no task of the region can be referenced anymore.
-func (w *worker) releaseTasks() {
-	for i, t := range w.freeTasks {
-		taskPool.Put(t) // already reset
-		w.freeTasks[i] = nil
-	}
-	w.freeTasks = nil
+// flushGraves resets everything buried on w and hands the tasks to
+// put. Only legal at quiescence: no live task, no thief, no waiter —
+// nothing can reach a buried task or have a Future.Wait in flight.
+func (w *worker) flushGraves(put func(*task)) {
 	for i, t := range w.grave {
 		t.reset()
-		taskPool.Put(t)
+		put(t)
 		w.grave[i] = nil
 	}
-	w.grave = nil
+	w.grave = w.grave[:0]
 	for i, f := range w.futGrave {
 		f.tryRecycle()
 		w.futGrave[i] = nil
 	}
-	w.futGrave = nil
+	w.futGrave = w.futGrave[:0]
+}
+
+// releaseTasks drains the worker's recycling tiers into the global
+// pool. Called from shutdown after every worker goroutine has joined,
+// when no task of the region can be referenced anymore.
+func (w *worker) releaseTasks() {
+	for _, t := range w.freeTasks {
+		taskPool.Put(t) // already reset
+	}
+	for _, batch := range [][]*task{w.limbo, w.graced} {
+		for _, t := range batch {
+			t.reset()
+			taskPool.Put(t)
+		}
+	}
+	w.flushGraves(func(t *task) { taskPool.Put(t) })
+	w.freeTasks, w.limbo, w.graced, w.grave, w.futGrave = nil, nil, nil, nil, nil
 }
 
 // reset zeroes a task for reuse. Atomics are stored through, so the
@@ -131,11 +278,11 @@ func (t *task) reset() {
 	t.parent = nil
 	t.team = nil
 	t.creator = nil
-	t.depth = 0
+	t.depth = poisonDepth
 	t.untied = false
 	t.final = false
 	t.visible = false
-	t.spawnedDeferred = false
+	t.leaky.Store(false)
 	t.priority = 0
 	t.pending.Store(0)
 	t.group = nil

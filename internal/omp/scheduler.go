@@ -30,7 +30,11 @@ import (
 //     operations), but the pushed task may be consumed by any worker.
 //   - PopLocal/Steal with a non-nil pred must never return a task
 //     rejected by pred. pred is a pure function of the task and may
-//     be called on tasks that are not ultimately returned.
+//     be called on tasks that are not ultimately returned. Only Steal
+//     may apply it to a task it does not yet own or hold under a lock
+//     (a stale slot read): the runtime brackets constrained Steal
+//     calls, and nothing else, as the section finished tasks wait out
+//     before their structs are reused (pool.go).
 //   - Progress rule: a worker suspended in a tied task calls
 //     PopLocal with a pred accepting only descendants. Its unstarted
 //     children are its own most recent pushes, so a scheduler with
@@ -548,13 +552,13 @@ func (d *dequeScheduler) Steal(self int, pred func(*task) bool) *task {
 // (own bottom only) nor Steal (victims' tops only) reaches it. This
 // weakens the progress rule's premise ("a waiter's children are its
 // own most recent pushes") but not liveness: the park/wake protocol
-// guarantees every parked waiter is woken by each child completion
-// and by dependence release (enqueueReleased), and the holder's own
-// progress — its newest pushes are its own children, whose
-// completions wake it in turn — eventually pops or exposes buried
-// tasks at an accessible end. A future scheduler that relocates
-// tasks *and* parks without those wakes would deadlock; keep both
-// halves of the protocol.
+// guarantees every parked waiter is woken by every enqueue, dependence
+// release included (worker.enqueue), and by the completion of its own
+// last child (task.finish), and the holder's own progress — its
+// newest pushes are its own children, whose completion wakes it in
+// turn — eventually pops or exposes buried tasks at an accessible
+// end. A future scheduler that relocates tasks *and* parks without
+// those wakes would deadlock; keep both halves of the protocol.
 func (d *dequeScheduler) takeFrom(self, victim int, pred func(*task) bool) *task {
 	vs := &d.ws[victim]
 	if t := vs.pq.take(pred); t != nil {

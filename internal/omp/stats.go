@@ -53,6 +53,15 @@ type Stats struct {
 	// FutureWaits is the number of Future.Wait operations that had to
 	// block (the producing task was not yet done).
 	FutureWaits int64
+	// TasksReclaimed is the exact number of finished shared tasks
+	// whose struct was reset for reuse inside the region, after a
+	// grace period (pool.go, tier 2). TaskPoolMisses is the exact
+	// number of task structs that had to be heap-allocated because
+	// the worker's free list, its limbo and the global pool were all
+	// empty. Together they say whether a sustained region runs on
+	// recycled tasks: reclaimed ≈ created and misses bounded by a few
+	// limbo batches per worker.
+	TasksReclaimed, TaskPoolMisses int64
 	// CapturedBytes is the total captured-environment (firstprivate)
 	// bytes declared at task creation.
 	CapturedBytes int64
@@ -90,6 +99,9 @@ func (s *Stats) String() string {
 	if s.FutureWaits > 0 {
 		out += fmt.Sprintf(" futurewaits=%d", s.FutureWaits)
 	}
+	if s.TasksReclaimed > 0 || s.TaskPoolMisses > 0 {
+		out += fmt.Sprintf(" reclaimed=%d poolmisses=%d", s.TasksReclaimed, s.TaskPoolMisses)
+	}
 	if s.SchedulerSeed != 0 {
 		out += fmt.Sprintf(" schedseed=%#x", s.SchedulerSeed)
 	}
@@ -116,6 +128,8 @@ func (s Stats) Sub(prev Stats) Stats {
 		TasksDepDeferred: s.TasksDepDeferred - prev.TasksDepDeferred,
 		DepReleases:      s.DepReleases - prev.DepReleases,
 		FutureWaits:      s.FutureWaits - prev.FutureWaits,
+		TasksReclaimed:   s.TasksReclaimed - prev.TasksReclaimed,
+		TaskPoolMisses:   s.TaskPoolMisses - prev.TaskPoolMisses,
 		CapturedBytes:    s.CapturedBytes - prev.CapturedBytes,
 		WorkUnits:        s.WorkUnits - prev.WorkUnits,
 		PrivateWrites:    s.PrivateWrites - prev.PrivateWrites,
@@ -148,11 +162,13 @@ type workerStats struct {
 	tasksDepDeferred atomic.Int64
 	depReleases      atomic.Int64
 	futureWaits      atomic.Int64
+	tasksReclaimed   atomic.Int64
+	taskPoolMisses   atomic.Int64
 	capturedBytes    atomic.Int64
 	workUnits        atomic.Int64
 	privateWrites    atomic.Int64
 	sharedWrites     atomic.Int64
-	_                [56]byte // pad to a multiple of 64 bytes
+	_                [40]byte // pad to a multiple of 64 bytes
 }
 
 // snapshot returns a point-in-time copy of the team's aggregated
@@ -180,6 +196,8 @@ func (tm *Team) snapshot() Stats {
 		s.TasksDepDeferred += ws.tasksDepDeferred.Load()
 		s.DepReleases += ws.depReleases.Load()
 		s.FutureWaits += ws.futureWaits.Load()
+		s.TasksReclaimed += ws.tasksReclaimed.Load()
+		s.TaskPoolMisses += ws.taskPoolMisses.Load()
 		s.CapturedBytes += ws.capturedBytes.Load()
 		s.WorkUnits += ws.workUnits.Load()
 		s.PrivateWrites += ws.privateWrites.Load()

@@ -21,19 +21,22 @@ type task struct {
 	final    bool
 	priority int32
 
-	// visible marks tasks whose pointer may be reachable outside the
-	// executing thread — every enqueued task, and every ancestor of an
-	// enqueued task (stale thief reads walk parent chains; see
-	// pool.go). Only !visible tasks are recycled in-region. Written
-	// exclusively by the thread executing the task's parent.
+	// visible marks tasks that have, or had, a deferred descendant:
+	// a queued task's ancestors are reachable from other threads
+	// (stale thief reads walk parent chains), so a visible undeferred
+	// task is recycled through the grace period instead of
+	// immediately (pool.go). Written only by the thread executing the
+	// task: at each deferred spawn, and by finishInline one level up.
 	visible bool
 
-	// spawnedDeferred marks tasks that (transitively through inline
-	// children) acquired a deferred descendant: constraint predicates
-	// may walk up to this task from a queued descendant, so it cannot
-	// be recycled at finish even on a single-worker team. Written
-	// exclusively by the thread executing the task.
-	spawnedDeferred bool
+	// leaky marks tasks with a non-strict descendant subtree: some
+	// child finished while its own children were still outstanding,
+	// so a live task may still walk through this one and it must not
+	// be reused before quiescence. Set by the finishing child (any
+	// thread) before it decrements pending; read by this task's
+	// finish, after it observed pending == 0 (pool.go has the
+	// argument).
+	leaky atomic.Bool
 
 	// ctx is the task's reusable execution context: execute and the
 	// undeferred path hand &ctx to the body, saving a per-execution
@@ -42,9 +45,9 @@ type task struct {
 	ctx Context
 
 	// pending counts outstanding (created, not yet finished) child
-	// tasks; taskwait blocks until it reaches zero. Parked taskwaits
-	// block on the team's waitBell (see Team.wakeWaiters) — the task
-	// itself carries no park state.
+	// tasks; taskwait blocks until it reaches zero. A parked taskwait
+	// blocks on its worker's wake channel (see worker.waitPark) — the
+	// task itself carries no park state.
 	pending atomic.Int64
 
 	// group is the innermost enclosing taskgroup, inherited by
@@ -91,8 +94,32 @@ func (t *task) run(c *Context) {
 	t.body(c)
 }
 
-// TaskOpt configures a single task creation.
-type TaskOpt func(*taskConfig)
+// TaskOpt configures a single task creation. It is a small value —
+// a kind, one scalar, and the operand list of a depend clause — not a
+// closure: building one allocates nothing, and a variadic option list
+// stays on the caller's stack (Context.Task copies what it needs into
+// the worker's scratch config and keeps no reference). The zero value
+// is the empty option and configures nothing, so call sites can pass
+// a conditional clause without building a slice.
+type TaskOpt struct {
+	kind optKind
+	n    int64 // If/Final: 0 or 1; Captured: bytes; Priority: level
+	objs []any // In/Out/InOut operands
+}
+
+type optKind uint8
+
+const (
+	optNone optKind = iota
+	optUntied
+	optIf
+	optFinal
+	optCaptured
+	optPriority
+	optIn
+	optOut
+	optInOut
+)
 
 type taskConfig struct {
 	untied   bool
@@ -116,47 +143,93 @@ func (cfg *taskConfig) reset() {
 	cfg.fut = nil
 }
 
+// apply folds the option list of one task directive into cfg.
+func (cfg *taskConfig) apply(opts []TaskOpt) {
+	cfg.reset()
+	for i := range opts {
+		o := &opts[i]
+		switch o.kind {
+		case optUntied:
+			cfg.untied = true
+		case optIf:
+			cfg.ifClause = o.n != 0
+		case optFinal:
+			cfg.final = o.n != 0
+		case optCaptured:
+			cfg.captured = int(o.n)
+		case optPriority:
+			cfg.priority = int32(o.n)
+		case optIn, optOut, optInOut:
+			mode := depMode(o.kind - optIn) // same order as depIn, depOut, depInOut
+			for _, obj := range o.objs {
+				cfg.deps = append(cfg.deps, dep{addr: depAddr(obj), mode: mode})
+			}
+		}
+	}
+}
+
+func boolOpt(kind optKind, cond bool) TaskOpt {
+	if cond {
+		return TaskOpt{kind: kind, n: 1}
+	}
+	return TaskOpt{kind: kind}
+}
+
 // Untied marks the task untied: at scheduling points, a thread
 // suspended in this task may execute or steal any ready task, not
 // only descendants. (Mid-execution migration to another thread is not
 // modeled; see DESIGN.md.)
-func Untied() TaskOpt { return func(c *taskConfig) { c.untied = true } }
+func Untied() TaskOpt { return TaskOpt{kind: optUntied} }
 
 // If attaches an if clause to the task directive: when cond is false
 // the task is undeferred and executes immediately on the encountering
 // thread, but the runtime still performs task bookkeeping — exactly
 // the distinction the BOTS paper draws between the if-clause cut-off
 // (its Figure 1) and the manual cut-off (its Figure 2).
-func If(cond bool) TaskOpt { return func(c *taskConfig) { c.ifClause = cond } }
+func If(cond bool) TaskOpt { return boolOpt(optIf, cond) }
 
 // Final marks the task final: all of its descendants are undeferred.
-func Final(cond bool) TaskOpt { return func(c *taskConfig) { c.final = cond } }
+func Final(cond bool) TaskOpt { return boolOpt(optFinal, cond) }
 
 // Captured declares the number of bytes of captured environment
 // (firstprivate data) copied into the task. It feeds the Table II
 // accounting and the creation-cost model; it has no semantic effect.
-func Captured(bytes int) TaskOpt { return func(c *taskConfig) { c.captured = bytes } }
+func Captured(bytes int) TaskOpt { return TaskOpt{kind: optCaptured, n: int64(bytes)} }
 
-// isDescendantOf reports whether t is a descendant of anc.
+// isDescendantOf reports whether t is a descendant of anc. Thieves
+// call it on tasks read from possibly stale queue slots; pool.go
+// explains why every task on the walk is still intact, and the
+// poison check turns a violation into a panic.
 func (t *task) isDescendantOf(anc *task) bool {
+	t.mustBeLive()
 	for p := t.parent; p != nil; p = p.parent {
 		if p == anc {
 			return true
 		}
 		if p.depth <= anc.depth {
+			p.mustBeLive() // poison is below every real depth
 			return false
 		}
 	}
 	return false
 }
 
+// mustBeLive panics if t has been reset for reuse: the schedulers and
+// the constraint walk call it on every task they are handed.
+func (t *task) mustBeLive() {
+	if t.depth == poisonDepth {
+		panic("omp: reclaimed task still reachable")
+	}
+}
+
 // finish performs completion bookkeeping for t on worker w: release
 // dependent successor tasks, recycle the dependence table of t's
 // children, decrement the team's live-task count, the enclosing
-// taskgroup's live count, and the parent's pending count, waking a
-// parked taskwait if this was the last outstanding child. The task
-// itself is buried for region-end recycling (it was enqueued, so
-// stale thief reads may still inspect it; see pool.go).
+// taskgroup's live count, and the parent's pending count, waking the
+// worker parked in the parent's taskwait if this was the last
+// outstanding child. The task itself was shared (it was enqueued), so
+// it is retired for reuse after a grace period when its subtree was
+// fully strict, and buried until quiescence otherwise (pool.go).
 //
 // finish and finishInline are the only two places the team live-task
 // count is decremented, and every task goes through exactly one of
@@ -166,7 +239,8 @@ func (t *task) isDescendantOf(anc *task) bool {
 // TestLiveTasksReturnToZero pins this invariant; recycling depends on
 // it (a double decrement would also double-recycle a task).
 func (t *task) finish(w *worker) {
-	if fr := t.team.fr; fr != nil {
+	tm := t.team
+	if fr := tm.fr; fr != nil {
 		fr.Record(w.id, obs.EvFinish, int64(t.depth))
 	}
 	t.releaseSuccessors(w)
@@ -180,43 +254,39 @@ func (t *task) finish(w *worker) {
 	// of this task. Unreleased dependent successors hold their own live
 	// counts, so the early decrement cannot let a barrier (or a
 	// persistent team's quiescence check) pass while work remains.
-	t.team.liveTasks.Add(-1)
-	wake := false
+	tm.liveTasks.Add(-1)
+	strict := t.strict()
 	if p := t.parent; p != nil {
-		if p.pending.Add(-1) == 0 {
-			wake = true // a taskwait may be parked in the parent
+		if !strict {
+			p.leaky.Store(true) // before the decrement; see the field
+		}
+		// Once pending reads zero the parent may finish and be retired,
+		// so it is not touched again: the worker to wake is the one
+		// that executes the parent, which is the one that created t
+		// (tasks never migrate once started), and only the pointer is
+		// compared.
+		if p.pending.Add(-1) == 0 && t.creator.waitTask.Load() == p {
+			t.creator.wake()
 		}
 	}
 	if t.group != nil && t.group.leave() {
-		wake = true // a Taskgroup drain may be parked on the group
 		if s := t.group.sub; s != nil {
 			// The group is a persistent-team submission and this was
 			// its last live task: complete the submission (signal its
 			// waiter or run its callback; see persistent.go).
 			s.complete()
 		}
+		tm.wakeWaiters() // a Taskgroup drain may be parked on the group
 	}
-	if wake {
-		t.team.wakeWaiters()
+	if strict && !t.hasDeps {
+		w.retire(t)
+	} else {
+		w.bury(t)
 	}
-	// A single-worker team has no thieves, so finished deferred tasks
-	// are not stale-readable and can recycle immediately — unless a
-	// constraint walk can still reach this task from a queued
-	// descendant (spawnedDeferred) or the parent's dependence table
-	// still names it as a predecessor (hasDeps).
-	if len(t.team.workers) == 1 && !t.spawnedDeferred && !t.hasDeps {
-		w.recycle(t)
-		return
-	}
-	w.bury(t)
 }
 
-// park blocks until a completion broadcast arrives or the task's
-// pending count is observed at zero. The check-then-sleep is made
-// race-free by the waitPark registration protocol (waitParkers is
-// incremented before the re-check; see Team.wakeWaiters for the
-// ordering argument), replacing the old per-task mutex + lazily
-// allocated wake channel.
-func (t *task) park() {
-	t.team.waitPark(func() bool { return t.pending.Load() == 0 })
+// strict reports, at t's finish, whether t's whole subtree finished
+// before it: no child outstanding and none that finished non-strict.
+func (t *task) strict() bool {
+	return t.pending.Load() == 0 && !t.leaky.Load()
 }

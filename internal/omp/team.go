@@ -36,8 +36,8 @@ type Team struct {
 	// cluster has a distinct writer population and write rate, and
 	// without separation a write to one (liveTasks, touched by every
 	// spawn and finish on every core) would keep invalidating the line
-	// under the read-mostly words next to it (idleWaiters, loaded on
-	// every enqueue; waitParkers, loaded on every completion). The
+	// under the read-mostly words next to it (idleWaiters and
+	// waitParkers, loaded on every enqueue). The
 	// padding microbench in internal/perf (pad.go) measures the
 	// cross-core invalidation cost these pads remove; the separations
 	// are pinned by TestPaddedLayout. The Team is allocated once per
@@ -86,24 +86,13 @@ type Team struct {
 	doorbell    chan struct{}
 	_           [48]byte
 
-	// waitBell is the futex-style park word for condition waiters —
-	// taskwait, Future.Wait and Taskgroup drains. A waiter registers
-	// in waitParkers, loads the current bell, re-checks its condition,
-	// and blocks on the bell; every completion event that can satisfy
-	// a waiter (a subtree's last child finishing, a future completing,
-	// a taskgroup emptying, a dependence release) broadcasts via
-	// wakeWaiters, which swaps in a fresh bell and closes the old one.
-	// Broadcasts are recipient-agnostic — every parked waiter re-checks
-	// its own condition — which is what lets one shared word replace
-	// the old per-task mutex + lazily-allocated wake channel without
-	// misdirected-token deadlocks; the close-based broadcast (rather
-	// than depositing tokens) is what makes it absorption-proof. See
-	// wakeWaiters for the lost-wakeup argument.
-	// waitParkers is likewise read-mostly (loaded by wakeWaiters on
-	// every completion that could satisfy a waiter).
+	// waitParkers counts workers registered in a condition wait —
+	// taskwait, Future.Wait, a Taskgroup drain (see worker.waitPark).
+	// Read-mostly like idleWaiters: loaded by every enqueue and by
+	// every completion that could satisfy a waiter, written only at
+	// park edges; non-zero is what sends wakeWaiters on its scan.
 	waitParkers atomic.Int32
-	waitBell    atomic.Pointer[chan struct{}]
-	_           [48]byte
+	_           [60]byte
 
 	// Worksharing bookkeeping: per-construct-instance state, keyed by
 	// each thread's private construct counter (all threads encounter
@@ -178,11 +167,21 @@ type worker struct {
 	loopIdx   int64 // private counter of loop constructs encountered
 	reduceIdx int64 // private counter of Reduce constructs encountered
 
-	// Task-recycling tiers (pool.go); owner-only.
+	// Task-recycling tiers (pool.go); owner-only. limbo is the open
+	// batch of finished strict tasks, graced the closed batch waiting
+	// out its grace period, gracedAt every worker's quiesce counter
+	// when it closed. The three lists start out on arrays inside the
+	// worker, so a region that never outgrows a batch allocates
+	// nothing for them.
 	freeTasks []*task
+	limbo     []*task
+	graced    []*task
+	gracedAt  []uint64
 	grave     []*task
 	futGrave  []futCell
 	freeSuccs []*succNode
+	freeBuf   [maxWorkerFreeTasks]*task
+	limboBuf  [2][limboBatch]*task
 
 	// taskCfg is the scratch task-creation config Task/Spawn apply
 	// options into; owner-only. Living in the worker (already on the
@@ -197,6 +196,22 @@ type worker struct {
 	// PopLocal/Steal calls of this worker's own runOne.
 	predConstraint *task
 	predFn         func(*task) bool
+
+	// The words other workers read, on a line of their own so the
+	// owner's per-task writes above never invalidate it; the owner
+	// writes them only at the edges of a constrained steal or a park.
+	_ [64]byte
+	// quiesce is odd while w is inside a constrained Steal, the one
+	// section in which a task read from a stale queue slot is
+	// dereferenced; limbo batches wait on it (pool.go).
+	quiesce atomic.Uint64
+	// waitTask is non-nil while w is registered in a condition wait:
+	// the task whose taskwait it is parked in, or waitAny for a
+	// Future.Wait or Taskgroup drain. wakeCh (capacity 1) is what it
+	// blocks on; see waitPark.
+	waitTask atomic.Pointer[task]
+	wakeCh   chan struct{}
+	_        [40]byte
 
 	stats workerStats
 }
@@ -276,18 +291,18 @@ func newTeam(n int, opts []TeamOpt) (*Team, []*task) {
 	}
 	tm.barBells[0] = make(chan struct{})
 	tm.barBells[1] = make(chan struct{})
-	wb := make(chan struct{})
-	tm.waitBell.Store(&wb)
 	tm.adv, _ = cfg.sched.(workAdvertiser)
 	tm.sched.Init(n)
 	tm.workers = make([]*worker, n)
 	implicit := make([]*task, n)
 	for i := 0; i < n; i++ {
-		w := &worker{id: i, team: tm}
+		w := &worker{id: i, team: tm, wakeCh: make(chan struct{}, 1)}
+		w.freeTasks, w.limbo, w.graced = w.freeBuf[:0], w.limboBuf[0][:0], w.limboBuf[1][:0]
 		w.predFn = func(c *task) bool { return c.isDescendantOf(w.predConstraint) }
 		tm.workers[i] = w
-		it := taskPool.Get().(*task)
+		it := w.newTask()
 		it.team = tm
+		it.depth = 0
 		if tm.rec != nil {
 			it.node = tm.rec.Root()
 		}
@@ -421,10 +436,10 @@ func (tm *Team) parkOnDoorbell(w *worker, bell chan struct{}) {
 	fr.Record(w.id, obs.EvWake, int64(time.Since(t0)))
 }
 
-// ring wakes one parked worker, if any. Called after every task
-// enqueue (see worker.enqueue). The load-then-send is cheap enough
-// for the spawn hot path: with no parker registered it is a single
-// atomic load.
+// ring wakes one idle-parked worker, if any. Called after every task
+// enqueue (see worker.enqueue) and every submission. The
+// load-then-send is cheap enough for the spawn hot path: with no
+// parker registered it is a single atomic load.
 func (tm *Team) ring() {
 	if tm.idleWaiters.Load() > 0 {
 		select {
@@ -449,69 +464,111 @@ func (tm *Team) ringAll() {
 	}
 }
 
-// wakeWaiters broadcasts to every parked condition waiter (taskwait,
-// Future.Wait, Taskgroup). With no waiter registered it is a single
-// atomic load — the common completion path stays as cheap as the old
-// per-task signalWake's mutex-free fast path, without the per-task
-// mutex + channel behind it.
-//
-// No-lost-wakeup argument (all atomics are sequentially consistent):
-// a waiter increments waitParkers, loads the current bell, re-checks
-// its wait condition, then blocks on the loaded bell; a completer
-// changes the waited-on state, then loads waitParkers. If the
-// waiter's re-check missed the state change, the change — and
-// therefore the completer's waitParkers load — is ordered after the
-// waiter's increment, so the completer observes the registration and
-// broadcasts by swapping in a fresh bell and closing the one it
-// replaced. The waiter loaded its bell *before* the re-check, so the
-// bell it blocks on is the swapped-out one (or an even older one,
-// already closed): the close reaches it. Closing — rather than
-// depositing tokens — makes the broadcast absorption-proof: no
-// sequence of other waiters' park/re-check cycles can consume it.
-// The fresh channel is allocated only when a parker is registered, so
-// the common completion path stays allocation-free.
+// waitAny is the waitTask registration of a waiter that is not parked
+// in a particular task's taskwait (Future.Wait, Taskgroup drain).
+// Only its address is used.
+var waitAny = new(task)
+
+// wake deposits w's wake token. The channel has capacity one and only
+// w receives from it, so a token can be neither lost (a full buffer
+// already holds one) nor absorbed by another worker.
+func (w *worker) wake() {
+	select {
+	case w.wakeCh <- struct{}{}:
+	default:
+	}
+}
+
+// wakeWaiters wakes every worker registered in a condition wait. With
+// none registered it is a single atomic load. Callers: a taskgroup
+// emptying, a future completing, and every enqueue — a parked waiter
+// may be the only worker allowed to run the new task (a descendant of
+// the tied task it is suspended in, or a dependence-released task),
+// so new work re-polls the waiters as it rings idle workers. A
+// taskwait's own completion does not come through here: finish wakes
+// the one worker parked in that parent.
 func (tm *Team) wakeWaiters() {
 	if tm.waitParkers.Load() == 0 {
 		return
 	}
-	fresh := make(chan struct{})
-	old := tm.waitBell.Swap(&fresh)
-	close(*old)
+	for _, w := range tm.workers {
+		if w.waitTask.Load() != nil {
+			w.wake()
+		}
+	}
 }
 
-// waitPark blocks the calling worker until the next completion
-// broadcast, unless cond() already holds after registration. Callers
-// loop around it re-checking their own condition: a wake proves only
-// that *some* completion happened. The bell load MUST precede the
-// cond() re-check — loading after would let a completer swap and
-// close the old bell between the (failed) re-check and the load,
-// leaving the waiter parked on a bell nobody will ever close.
-func (tm *Team) waitPark(cond func() bool) {
-	tm.waitParkers.Add(1)
-	bell := tm.waitBell.Load()
-	if cond() {
-		tm.waitParkers.Add(-1)
-		return
+// waitPark blocks w in a condition wait until it is woken, unless
+// after registration cond() already holds or a task is runnable under
+// constraint — in which case that task is executed instead. key is
+// the task whose taskwait this is, or waitAny. Callers loop around it
+// re-checking their own condition: a wake proves only that something
+// happened.
+//
+// No-lost-wakeup argument (all atomics are sequentially consistent).
+// The waiter drains its channel (a token from before registration is
+// stale by definition), stores waitTask, increments waitParkers, and
+// only then re-checks cond and re-probes the queues. A completer
+// changes the waited-on state — pending reaching zero, done, the
+// group emptying, a task pushed — and only then loads waitTask (the
+// targeted wake in task.finish) or waitParkers and waitTask
+// (wakeWaiters). If the waiter's re-check missed the change, the
+// change is ordered after the re-check, so the completer's loads are
+// ordered after the registration: it sees the waiter and deposits a
+// token. The token sits in a channel only this worker reads, so it is
+// still there when the waiter blocks, however many other waiters park
+// and wake in between; the per-completion fresh channel the old
+// shared bell needed for that property is gone. The targeted wake
+// compares waitTask with the parent by address only — it never
+// dereferences the parent, which may already be retired — and a stale
+// match (the struct reused for a task this worker now waits in) costs
+// one spurious wake.
+func (w *worker) waitPark(key, constraint *task, cond func() bool) {
+	tm := w.team
+	select {
+	case <-w.wakeCh:
+	default:
 	}
-	<-*bell
+	w.waitTask.Store(key)
+	tm.waitParkers.Add(1)
+	var t *task
+	if !cond() {
+		if t = w.pick(constraint); t == nil {
+			<-w.wakeCh
+		}
+	}
 	tm.waitParkers.Add(-1)
+	w.waitTask.Store(nil)
+	if t != nil {
+		w.execute(t)
+	}
 }
 
 // runOne tries to execute one ready task, honouring the OpenMP task
 // scheduling constraint: when constraint is non-nil (a suspended tied
 // task), only descendants of that task may run on this thread. It
 // returns true if a task was executed.
+func (w *worker) runOne(constraint *task) bool {
+	t := w.pick(constraint)
+	if t == nil {
+		return false
+	}
+	w.execute(t)
+	return true
+}
+
+// pick takes one ready task admissible under constraint, or nil.
 //
 // The pick order is the scheduler's: local area first (priority
 // queue, then own queue under the scheduler's discipline), then a
 // steal. The runtime only counts — every placement decision lives in
 // the Scheduler.
-func (w *worker) runOne(constraint *task) bool {
+func (w *worker) pick(constraint *task) *task {
 	var pred func(*task) bool
 	if constraint != nil {
 		// Reuse the worker's prebuilt predicate closure instead of
 		// allocating one per call; predConstraint is only read inside
-		// the synchronous scheduler calls below, so a nested runOne
+		// the synchronous scheduler calls below, so a nested pick
 		// (from a task body suspended deeper) may freely overwrite it.
 		w.predConstraint = constraint
 		pred = w.predFn
@@ -528,7 +585,18 @@ func (w *worker) runOne(constraint *task) bool {
 		// registering (see advMask and barrier).
 		if adv := w.team.adv; adv == nil || adv.HasStealableWork(w.id) {
 			w.stats.stealAttempts.Add(1)
+			if pred != nil {
+				// A constrained steal applies pred to tasks read from
+				// possibly stale slots: the section limbo batches wait
+				// out (pool.go). PopLocal is outside it — it applies
+				// pred only to tasks it has dequeued or holds under a
+				// lock, which are live.
+				w.quiesce.Add(1)
+			}
 			t = sched.Steal(w.id, pred)
+			if pred != nil {
+				w.quiesce.Add(1)
+			}
 			if t == nil {
 				w.stats.stealFails.Add(1)
 			} else if fr := w.team.fr; fr != nil {
@@ -536,11 +604,7 @@ func (w *worker) runOne(constraint *task) bool {
 			}
 		}
 	}
-	if t == nil {
-		return false
-	}
-	w.execute(t, t.parent != nil && t.creator != w)
-	return true
+	return t
 }
 
 // execute runs task t to completion on w (tasks never migrate once
@@ -549,10 +613,11 @@ func (w *worker) runOne(constraint *task) bool {
 // body is contained: completion bookkeeping still runs (so waiters
 // and barriers are not wedged), the first panic value is recorded,
 // and Parallel re-raises it after the region drains.
-func (w *worker) execute(t *task, stolen bool) {
-	if stolen {
+func (w *worker) execute(t *task) {
+	if t.creator != w {
 		w.stats.tasksStolen.Add(1)
 	}
+	t.mustBeLive()
 	prev := w.cur
 	w.cur = t
 	defer func() {

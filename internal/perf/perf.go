@@ -53,6 +53,11 @@ type Metric struct {
 	// Gate marks host-independent metrics that participate in the
 	// regression gate.
 	Gate bool `json:"gate,omitempty"`
+	// Ceiling, when non-zero, is an absolute bound written in code: a
+	// lower-is-better value above it fails the gate whatever the
+	// baseline says, so the gate cannot creep with a re-anchored
+	// baseline.
+	Ceiling float64 `json:"ceiling,omitempty"`
 	// Params pins the workload parameters the value was measured
 	// under ("fib=25/threads=4"). Metrics are only compared when both
 	// Name and Params match, so a quick-mode run never compares its
@@ -146,7 +151,9 @@ type Comparison struct {
 
 // Compare diffs cur against base: metrics match when Name and Params
 // both match, and gated metrics moving in the wrong direction by more
-// than maxRegression are flagged. The returned comparison is also
+// than maxRegression are flagged. A metric above its own Ceiling is
+// flagged without consulting the baseline (its delta is reported
+// against the ceiling). The returned comparison is also
 // attached to cur.
 func Compare(cur, base *Report, maxRegression float64) *Comparison {
 	cmp := &Comparison{
@@ -159,6 +166,16 @@ func Compare(cur, base *Report, maxRegression float64) *Comparison {
 		baseBy[m.key()] = m
 	}
 	for _, m := range cur.Metrics {
+		if m.Ceiling > 0 && m.Value > m.Ceiling {
+			cmp.Deltas = append(cmp.Deltas, Delta{
+				Name: m.Name, Params: m.Params,
+				Baseline: m.Ceiling, Current: m.Value,
+				Pct:        (m.Value - m.Ceiling) / m.Ceiling * 100,
+				Regression: true,
+			})
+			cmp.Regressions++
+			continue
+		}
 		b, ok := baseBy[m.key()]
 		if !ok {
 			continue

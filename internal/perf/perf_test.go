@@ -84,6 +84,27 @@ func TestCompareGatesOnlyGatedMetrics(t *testing.T) {
 	}
 }
 
+// TestCompareEnforcesCeilings: a metric above its own absolute ceiling
+// fails the gate even when the baseline carries the same (bad) value
+// or does not carry the metric at all.
+func TestCompareEnforcesCeilings(t *testing.T) {
+	base := sampleReport()
+	base.Metrics[0].Value = 6
+	cur := sampleReport()
+	cur.Metrics[0].Value = 6
+	cur.Metrics[0].Ceiling = 5
+	cur.Metrics = append(cur.Metrics, Metric{
+		Name: "b/allocs", Value: 2, Unit: "allocs/task", Better: "lower", Gate: true, Ceiling: 1.2,
+	})
+	if cmp := Compare(cur, base, 0.25); cmp.Regressions != 2 {
+		t.Fatalf("regressions = %d, want 2 (both metrics are above their ceilings): %+v", cmp.Regressions, cmp.Deltas)
+	}
+	cur.Metrics[0].Value, cur.Metrics[3].Value = 5, 1.2
+	if cmp := Compare(cur, base, 0.25); cmp.Regressions != 0 {
+		t.Fatalf("values at their ceilings flagged: %+v", cmp.Deltas)
+	}
+}
+
 func TestCompareSkipsMismatchedParams(t *testing.T) {
 	base := sampleReport()
 	cur := sampleReport()
@@ -239,6 +260,7 @@ func TestQuickSuiteSmoke(t *testing.T) {
 	}
 	for _, want := range []string{
 		"fib/spawn-allocs", "fib/spawn-allocs-undeferred", "future/spawn-allocs",
+		"fib/spawn-allocs-sustained",
 		"fib/spawn-rate", "nqueens/spawn-rate",
 		"steal/workfirst/throughput", "steal/centralized/throughput",
 		"sort/elapsed", "strassen/elapsed",
@@ -259,6 +281,11 @@ func TestQuickSuiteSmoke(t *testing.T) {
 	cur, _ := rep.Metric("fib/spawn-allocs")
 	if cur.Value > 1.0 {
 		t.Errorf("fib/spawn-allocs = %v, want <= 1.0 (steady state is ~0)", cur.Value)
+	}
+	// The sustained gate is its own ceiling: a whole two-thread kernel,
+	// closures included.
+	if sus, _ := rep.Metric("fib/spawn-allocs-sustained"); sus.Ceiling == 0 || sus.Value > sus.Ceiling {
+		t.Errorf("fib/spawn-allocs-sustained = %v, ceiling %v", sus.Value, sus.Ceiling)
 	}
 }
 
