@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -118,20 +119,11 @@ func (s *Sweep) isCancelled() bool {
 	return s.cancelled
 }
 
-// Status returns a snapshot of the sweep.
-func (s *Sweep) Status() SweepStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := SweepStatus{
-		ID:        s.id,
-		Name:      s.name,
-		Created:   s.created,
-		Instances: s.instances,
-		Total:     len(s.jobs),
-		Jobs:      append([]JobView(nil), s.jobs...),
-	}
-	for _, j := range s.jobs {
-		switch j.Status {
+// tallyLocked adds the sweep's jobs, by state, to st's counters
+// without copying them. s.mu must be held.
+func (s *Sweep) tallyLocked(st *SweepStatus) {
+	for i := range s.jobs {
+		switch s.jobs[i].Status {
 		case JobQueued:
 			st.Queued++
 		case JobRunning:
@@ -144,6 +136,21 @@ func (s *Sweep) Status() SweepStatus {
 			st.Cancelled++
 		}
 	}
+}
+
+// Status returns a snapshot of the sweep.
+func (s *Sweep) Status() SweepStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := SweepStatus{
+		ID:        s.id,
+		Name:      s.name,
+		Created:   s.created,
+		Instances: s.instances,
+		Total:     len(s.jobs),
+		Jobs:      append([]JobView(nil), s.jobs...),
+	}
+	s.tallyLocked(&st)
 	finished := st.Finished()
 	switch {
 	case s.cancelled && finished:
@@ -300,6 +307,14 @@ func (d *Dispatcher) submit(name string, instances int, jobs []JobSpec, journalI
 	if instances < 0 {
 		return nil, fmt.Errorf("lab: sweep %q has negative instances %d", name, instances)
 	}
+	// Each cell's key is derived here, once, outside the dispatcher
+	// lock: runJob hands it to the cache layer instead of having the
+	// runner re-derive it.
+	views := make([]JobView, len(jobs))
+	for i, j := range jobs {
+		j = j.Normalize()
+		views[i] = JobView{Key: j.key(), Spec: j, Status: JobQueued}
+	}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -314,26 +329,26 @@ func (d *Dispatcher) submit(name string, instances int, jobs []JobSpec, journalI
 		ctx:       ctx,
 		cancel:    cancel,
 		instances: instances,
-		remaining: len(jobs),
+		jobs:      views,
+		remaining: len(views),
 		done:      make(chan struct{}),
-	}
-	normalized := make([]JobSpec, 0, len(jobs))
-	for _, j := range jobs {
-		j = j.Normalize()
-		normalized = append(normalized, j)
-		sw.jobs = append(sw.jobs, JobView{Key: j.Key(), Spec: j, Status: JobQueued})
 	}
 	if d.Journal != nil {
 		if journalID == "" {
 			// New sweep: journal the submission. A recovered sweep
 			// (journalID set by Resume) is already in the compacted
 			// journal; re-journaling it would double it on replay.
+			normalized := make([]JobSpec, len(sw.jobs))
+			for i := range sw.jobs {
+				normalized[i] = sw.jobs[i].Spec
+			}
 			journalID = d.Journal.BeginSweep(name, instances, normalized)
 		}
 		sw.journalID = journalID
 	}
 	d.sweeps[sw.id] = sw
 	d.order = append(d.order, sw.id)
+	d.queue = slices.Grow(d.queue, len(sw.jobs))
 	for i := range sw.jobs {
 		d.queue = append(d.queue, dispJob{sweep: sw, idx: i})
 	}
@@ -412,7 +427,10 @@ func (d *Dispatcher) Counts() Counts {
 	}
 	d.mu.Unlock()
 	for _, sw := range sweeps {
-		st := sw.Status()
+		var st SweepStatus
+		sw.mu.Lock()
+		sw.tallyLocked(&st)
+		sw.mu.Unlock()
 		c.Sweeps++
 		c.Queued += st.Queued
 		c.Running += st.Running
@@ -466,7 +484,18 @@ func (d *Dispatcher) worker() {
 					continue
 				}
 				job = q
-				d.queue = append(d.queue[:i], d.queue[i+1:]...)
+				// The head is the common case (no capped sweep ahead of
+				// it) and pops in O(1); the vacated slot is cleared so
+				// the backing array keeps no reference to a popped job.
+				if i == 0 {
+					d.queue[0] = dispJob{}
+					d.queue = d.queue[1:]
+				} else {
+					n := len(d.queue) - 1
+					copy(d.queue[i:], d.queue[i+1:])
+					d.queue[n] = dispJob{}
+					d.queue = d.queue[:n]
+				}
 				found = true
 				break
 			}
@@ -529,7 +558,7 @@ func (d *Dispatcher) runJob(j dispJob) {
 	sw := j.sweep
 	sw.mu.Lock()
 	attempt := sw.jobs[j.idx].Attempts + 1
-	spec := sw.jobs[j.idx].Spec
+	spec, key := sw.jobs[j.idx].Spec, sw.jobs[j.idx].Key
 	cancelled := sw.cancelled
 	sw.mu.Unlock()
 	if cancelled {
@@ -538,7 +567,12 @@ func (d *Dispatcher) runJob(j dispJob) {
 	}
 
 	d.setStatus(j, JobRunning, attempt, "")
-	_, err := RunWithContext(sw.ctx, d.runner, spec)
+	var err error
+	if c, ok := d.runner.(*CachedRunner); ok {
+		_, err = c.runKeyed(sw.ctx, spec, key)
+	} else {
+		_, err = RunWithContext(sw.ctx, d.runner, spec)
+	}
 	if err == nil {
 		d.setStatus(j, JobDone, attempt, "")
 		return

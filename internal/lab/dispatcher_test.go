@@ -1,6 +1,7 @@
 package lab_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -277,5 +278,45 @@ func TestDispatcherRejectsEmptySweep(t *testing.T) {
 	defer d.Close()
 	if _, err := d.SubmitJobs("empty", nil); err == nil {
 		t.Fatal("empty sweep should fail at submit")
+	}
+}
+
+// TestDispatcherCountsCostFlat checks that Counts tallies job states in
+// place: neither its allocations nor its allocated bytes grow with the
+// number of jobs a sweep holds. (It used to copy every JobView of every
+// sweep per call, and /metrics calls it six times per scrape.)
+func TestDispatcherCountsCostFlat(t *testing.T) {
+	cost := func(n int) (allocs float64, bytes uint64) {
+		d := lab.NewDispatcher(&fakeRunner{}, 4, 0)
+		defer d.Close()
+		jobs := make([]lab.JobSpec, n)
+		for i := range jobs {
+			jobs[i] = testSpec("fib", i+1)
+		}
+		sw, err := d.SubmitJobs("counts", jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitSweep(t, sw)
+		if c := d.Counts(); c.Done != n || c.Sweeps != 1 {
+			t.Fatalf("Counts() = %+v, want %d done in 1 sweep", c, n)
+		}
+		allocs = testing.AllocsPerRun(50, func() { d.Counts() })
+		const calls = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			d.Counts()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	smallAllocs, smallBytes := cost(20)
+	largeAllocs, largeBytes := cost(2000)
+	if largeAllocs != smallAllocs {
+		t.Errorf("Counts allocates %.0f times with 2000 jobs, %.0f with 20", largeAllocs, smallAllocs)
+	}
+	if largeBytes > smallBytes+256 {
+		t.Errorf("Counts allocates %d B with 2000 jobs, %d B with 20", largeBytes, smallBytes)
 	}
 }

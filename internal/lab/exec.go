@@ -187,7 +187,7 @@ func (e *Executor) Execute(spec JobSpec) (*Record, error) {
 	}
 
 	out := &Record{
-		Key:       spec.Key(),
+		Key:       spec.key(),
 		Spec:      spec,
 		Host:      CurrentHost(),
 		CreatedAt: time.Now().UTC(),

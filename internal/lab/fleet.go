@@ -202,12 +202,13 @@ type FleetTicket struct {
 // the job's identity.
 func (f *Fleet) Enqueue(spec JobSpec) *FleetTicket {
 	spec = spec.Normalize()
+	key := spec.key()
 	f.mu.Lock()
 	f.nextID++
 	job := &fleetJob{
 		id:     fmt.Sprintf("j%d", f.nextID),
 		spec:   spec,
-		key:    spec.Key(),
+		key:    key,
 		result: make(chan jobOutcome, 1),
 	}
 	f.queue = append(f.queue, job)

@@ -126,7 +126,12 @@ func (c *CachedRunner) Run(spec JobSpec) (*Record, error) {
 // executor sees the cancellation error and may simply retry.
 func (c *CachedRunner) RunContext(ctx context.Context, spec JobSpec) (*Record, error) {
 	spec = spec.Normalize()
-	key := spec.Key()
+	return c.runKeyed(ctx, spec, spec.key())
+}
+
+// runKeyed is RunContext for a normalized spec whose key the caller
+// already holds (the dispatcher derives it once per submission).
+func (c *CachedRunner) runKeyed(ctx context.Context, spec JobSpec, key string) (*Record, error) {
 	if r, ok := c.Store.Get(key); ok {
 		c.hits.Add(1)
 		return r, nil

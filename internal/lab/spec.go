@@ -19,6 +19,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"bots/internal/core"
 	"bots/internal/omp"
@@ -88,15 +91,11 @@ func (j JobSpec) Normalize() JobSpec {
 	if j.Simulate == 0 {
 		j.Simulate = j.Threads
 	}
-	if c, err := omp.NewCutoff(j.RuntimeCutoff); err == nil {
-		j.RuntimeCutoff = c.Name()
-	}
+	j.RuntimeCutoff = cutoffNames.canonical(j.RuntimeCutoff)
 	if j.RuntimeCutoff == "none" {
 		j.RuntimeCutoff = ""
 	}
-	if s, err := omp.NewScheduler(j.Policy); err == nil {
-		j.Policy = s.Name()
-	}
+	j.Policy = policyNames.canonical(j.Policy)
 	if j.Policy == omp.DefaultScheduler {
 		j.Policy = ""
 	}
@@ -112,31 +111,116 @@ func (j JobSpec) Normalize() JobSpec {
 	return j
 }
 
+// registryNames memoizes successful resolutions of scheduler or
+// cut-off spellings to their canonical names, so normalizing a spec
+// does not construct a scheduler and a cut-off policy just to read
+// their names. That is sound because both omp registries are
+// append-only and panic on duplicates: a spelling that resolved once
+// resolves to the same name forever. Failures are not memoized, so a
+// name registered later is still seen. The memo stops growing at
+// maxMemoNames entries (parameterized spellings are unbounded, and
+// manifests arrive over HTTP); past that, spellings resolve uncached.
+type registryNames struct {
+	resolve func(name string) (string, error)
+	names   sync.Map // spelling → canonical name
+	n       atomic.Int32
+}
+
+const maxMemoNames = 1024
+
+var (
+	cutoffNames = registryNames{resolve: func(name string) (string, error) {
+		c, err := omp.NewCutoff(name)
+		if err != nil {
+			return "", err
+		}
+		return c.Name(), nil
+	}}
+	policyNames = registryNames{resolve: func(name string) (string, error) {
+		s, err := omp.NewScheduler(name)
+		if err != nil {
+			return "", err
+		}
+		return s.Name(), nil
+	}}
+)
+
+// canonical returns the registry's rendering of name, or name itself
+// when it does not resolve.
+func (r *registryNames) canonical(name string) string {
+	if c, ok := r.names.Load(name); ok {
+		return c.(string)
+	}
+	c, err := r.resolve(name)
+	if err != nil {
+		return name
+	}
+	if r.n.Load() < maxMemoNames {
+		if _, loaded := r.names.LoadOrStore(name, c); !loaded {
+			r.n.Add(1)
+		}
+	}
+	return c
+}
+
 // Key returns the job's content address: a short hex digest of the
 // normalized spec's canonical serialization. Two specs that describe
 // the same cell always share a key.
-func (j JobSpec) Key() string {
-	n := j.Normalize()
-	var ts int
+func (j JobSpec) Key() string { return j.Normalize().key() }
+
+// key is Key for a spec that is already normalized. The dispatcher,
+// the cache and the executor hold normalized specs and call it
+// directly, so a cell is normalized once.
+func (j JobSpec) key() string {
+	var ts int64
 	var sw, qs float64
-	if n.Overheads != nil {
-		if n.Overheads.ThreadSwitch {
+	if j.Overheads != nil {
+		if j.Overheads.ThreadSwitch {
 			ts = 1
 		}
-		sw = n.Overheads.SwitchNS
-		qs = n.Overheads.QueueSerializeNS
+		sw = j.Overheads.SwitchNS
+		qs = j.Overheads.QueueSerializeNS
 	}
-	pin := 0
-	if n.Pin {
+	var pin int64
+	if j.Pin {
 		pin = 1
 	}
 	// v2 added the procs/pin execution axes; every field participates
 	// unconditionally so two specs differing only in a new axis can
-	// never alias (v1 records re-measure under v2 keys).
-	canon := fmt.Sprintf("bots-job-v2|bench=%s|version=%s|class=%s|threads=%d|cutoff=%d|rtcutoff=%s|policy=%s|sim=%d|procs=%d|pin=%d|ts=%d|switchns=%g|qserns=%g",
-		n.Bench, n.Version, n.Class, n.Threads, n.CutoffDepth, n.RuntimeCutoff, n.Policy, n.Simulate, n.Procs, pin, ts, sw, qs)
-	sum := sha256.Sum256([]byte(canon))
-	return hex.EncodeToString(sum[:8])
+	// never alias (v1 records re-measure under v2 keys). The bytes are
+	// exactly fmt's "%s", "%d" and "%g" renderings: every stored key
+	// was made that way (TestJobKeyGolden).
+	var buf [256]byte
+	b := append(buf[:0], "bots-job-v2|bench="...)
+	b = append(b, j.Bench...)
+	b = append(b, "|version="...)
+	b = append(b, j.Version...)
+	b = append(b, "|class="...)
+	b = append(b, j.Class...)
+	b = append(b, "|threads="...)
+	b = strconv.AppendInt(b, int64(j.Threads), 10)
+	b = append(b, "|cutoff="...)
+	b = strconv.AppendInt(b, int64(j.CutoffDepth), 10)
+	b = append(b, "|rtcutoff="...)
+	b = append(b, j.RuntimeCutoff...)
+	b = append(b, "|policy="...)
+	b = append(b, j.Policy...)
+	b = append(b, "|sim="...)
+	b = strconv.AppendInt(b, int64(j.Simulate), 10)
+	b = append(b, "|procs="...)
+	b = strconv.AppendInt(b, int64(j.Procs), 10)
+	b = append(b, "|pin="...)
+	b = strconv.AppendInt(b, pin, 10)
+	b = append(b, "|ts="...)
+	b = strconv.AppendInt(b, ts, 10)
+	b = append(b, "|switchns="...)
+	b = strconv.AppendFloat(b, sw, 'g', -1, 64)
+	b = append(b, "|qserns="...)
+	b = strconv.AppendFloat(b, qs, 'g', -1, 64)
+	sum := sha256.Sum256(b)
+	var hx [16]byte
+	hex.Encode(hx[:], sum[:8])
+	return string(hx[:])
 }
 
 // Validate checks the spec against the registry and the runtime's
@@ -316,7 +400,7 @@ func (s SweepSpec) Expand() ([]JobSpec, error) {
 											if err := j.Validate(); err != nil {
 												return nil, err
 											}
-											if k := j.Key(); !seen[k] {
+											if k := j.key(); !seen[k] {
 												seen[k] = true
 												jobs = append(jobs, j)
 											}
@@ -370,7 +454,7 @@ func (j JobSpec) less(o JobSpec) bool {
 	if j.Pin != o.Pin {
 		return !j.Pin
 	}
-	return j.Key() < o.Key()
+	return j.key() < o.key()
 }
 
 func (s SweepSpec) resolveBenches() ([]*core.Benchmark, error) {
