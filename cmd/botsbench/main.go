@@ -22,7 +22,8 @@
 // measured on a different host than CI) and never fail the gate;
 // scaling-efficiency metrics are gated but pin the measuring host's
 // CPU count in their params, so they only compare against baselines
-// from an equivalent host.
+// from an equivalent host. When two reports' hosts differ in CPU count
+// or Go version, neither the gate nor -compare reports timing deltas.
 //
 // Re-anchoring after a deliberate performance change:
 //

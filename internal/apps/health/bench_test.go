@@ -11,6 +11,7 @@ import (
 // steps on one tree would not be stationary: patient queues grow with
 // simulated time, so per-step cost rises across iterations.)
 func BenchmarkSimulation(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v := Build(classParams[core.Test])
 		for s := 0; s < 30; s++ {

@@ -1,11 +1,18 @@
 // Package health implements the BOTS Health benchmark, a simulation
 // of the Columbian health care system (from the Olden suite): a
 // multilevel hierarchy of villages, each with a list of potential
-// patients and one hospital holding double-linked queues for the
-// possible patient states (waiting, in assessment, in treatment,
-// waiting for reallocation). At each timestep a task is created per
-// village; once the lower levels have been simulated, synchronization
-// occurs (taskwait) and reallocated patients climb to the parent.
+// patients and one hospital holding a queue per patient state
+// (waiting, in assessment, in treatment, waiting for reallocation).
+// At each timestep a task is created per village; once the lower
+// levels have been simulated, synchronization occurs (taskwait) and
+// reallocated patients climb to the parent.
+//
+// Substitution: the C original keeps each queue as a doubly-linked
+// list of heap-allocated patients. Here a queue is a slice of patient
+// pointers compacted in place each step, and patients are handed out
+// from per-village chunks, so a step allocates only when a queue
+// outgrows its backing array or a chunk runs out. Queue order, and
+// with it every digest, is the list's.
 //
 // Indeterminism control follows §III-B exactly: instead of one global
 // random seed, every village derives its own deterministic stream, so
@@ -64,7 +71,10 @@ type Patient struct {
 	totalWait int64 // steps spent waiting
 }
 
-// Hospital holds the per-village patient queues.
+// Hospital holds the per-village patient queues. Each is a slice
+// standing in for the C original's doubly-linked list: a step compacts
+// it in place and clears the vacated tail, so the backing array is
+// reused from step to step and keeps no finished patient alive.
 type Hospital struct {
 	personnel     int
 	freePersonnel int
@@ -87,6 +97,8 @@ type Village struct {
 	population int
 	rng        *inputs.RNG
 	nextID     int64
+	// patients is the unused rest of the chunk new patients come from.
+	patients []Patient
 
 	// Aggregate statistics (the verification digest).
 	totalPatients  int64
@@ -140,7 +152,7 @@ func (v *Village) simStep() int64 {
 	var work int64
 
 	// Patients inside treatment.
-	var stillInside []*Patient
+	keep := h.inside[:0]
 	for _, p := range h.inside {
 		work++
 		p.timeLeft--
@@ -150,18 +162,18 @@ func (v *Village) simStep() int64 {
 			v.totalWaitTime += p.totalWait
 			v.totalHospitals += int64(p.hospitals)
 		} else {
-			stillInside = append(stillInside, p)
+			keep = append(keep, p)
 		}
 	}
-	h.inside = stillInside
+	h.inside = compacted(h.inside, keep)
 
 	// Patients in assessment.
-	var stillAssess []*Patient
+	keep = h.assess[:0]
 	for _, p := range h.assess {
 		work++
 		p.timeLeft--
 		if p.timeLeft > 0 {
-			stillAssess = append(stillAssess, p)
+			keep = append(keep, p)
 			continue
 		}
 		switch {
@@ -180,10 +192,10 @@ func (v *Village) simStep() int64 {
 			v.totalHospitals += int64(p.hospitals)
 		}
 	}
-	h.assess = stillAssess
+	h.assess = compacted(h.assess, keep)
 
 	// Waiting patients move to assessment while personnel is free.
-	var stillWaiting []*Patient
+	keep = h.waiting[:0]
 	for _, p := range h.waiting {
 		work++
 		if h.freePersonnel > 0 {
@@ -192,10 +204,10 @@ func (v *Village) simStep() int64 {
 			h.assess = append(h.assess, p)
 		} else {
 			p.totalWait++
-			stillWaiting = append(stillWaiting, p)
+			keep = append(keep, p)
 		}
 	}
-	h.waiting = stillWaiting
+	h.waiting = compacted(h.waiting, keep)
 
 	// New patients fall sick.
 	for i := 0; i < v.population; i++ {
@@ -203,13 +215,36 @@ func (v *Village) simStep() int64 {
 		if v.rng.Bernoulli(probSick) {
 			v.nextID++
 			v.totalPatients++
-			h.waiting = append(h.waiting, &Patient{
-				id:        int64(v.id)<<32 | v.nextID,
-				hospitals: 1,
-			})
+			p := v.newPatient()
+			p.id = int64(v.id)<<32 | v.nextID
+			p.hospitals = 1
+			h.waiting = append(h.waiting, p)
 		}
 	}
 	return work
+}
+
+// compacted returns keep, the survivors written over the front of q,
+// after clearing the slots of q it vacated so the backing array does
+// not keep finished patients alive.
+func compacted(q, keep []*Patient) []*Patient {
+	clear(q[len(keep):])
+	return keep
+}
+
+// patientChunk is how many patients a village allocates at a time.
+const patientChunk = 32
+
+// newPatient hands out the next zeroed patient of v's current chunk.
+// A chunk stays reachable while any of its patients is queued
+// anywhere in the tree.
+func (v *Village) newPatient() *Patient {
+	if len(v.patients) == 0 {
+		v.patients = make([]Patient, patientChunk)
+	}
+	p := &v.patients[0]
+	v.patients = v.patients[1:]
+	return p
 }
 
 // absorbChildren moves patients reallocated by the children into this
@@ -221,6 +256,7 @@ func (v *Village) absorbChildren() int64 {
 			work++
 			v.hospital.waiting = append(v.hospital.waiting, p)
 		}
+		clear(c.hospital.reallocUp)
 		c.hospital.reallocUp = c.hospital.reallocUp[:0]
 	}
 	return work

@@ -13,11 +13,17 @@ import (
 // `botsbench -compare a.json b.json`, used to annotate the
 // BENCH_<n>.json trajectory: unlike the baseline gate, it diffs any
 // two committed reports, so a PR can show exactly what moved between
-// trajectory points.
+// trajectory points. Between reports from different hosts (sameHost)
+// it says so in one line and diffs only gated metrics: a timing delta
+// across hosts measures the hosts.
 func FormatComparison(a, b *Report) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "old: %s (%s, %d cpus)\n", a.CreatedAt.Format("2006-01-02 15:04"), a.Host.OS, a.Host.CPUs)
-	fmt.Fprintf(&sb, "new: %s (%s, %d cpus)\n\n", b.CreatedAt.Format("2006-01-02 15:04"), b.Host.OS, b.Host.CPUs)
+	fmt.Fprintf(&sb, "old: %s (%s, %d cpus, %s)\n", a.CreatedAt.Format("2006-01-02 15:04"), a.Host.OS, a.Host.CPUs, a.Host.GoVersion)
+	fmt.Fprintf(&sb, "new: %s (%s, %d cpus, %s)\n\n", b.CreatedAt.Format("2006-01-02 15:04"), b.Host.OS, b.Host.CPUs, b.Host.GoVersion)
+	timings := sameHost(a.Host, b.Host)
+	if !timings {
+		sb.WriteString("hosts differ: ungated timing deltas omitted, gated metrics compared\n\n")
+	}
 	tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "METRIC\tPARAMS\tOLD\tNEW\tDELTA\t")
 	oldBy := map[string]Metric{}
@@ -32,6 +38,9 @@ func FormatComparison(a, b *Report) string {
 			continue
 		}
 		seen[m.key()] = true
+		if !m.Gate && !timings {
+			continue
+		}
 		note := "~"
 		if m.Value != o.Value {
 			improved := m.Value > o.Value

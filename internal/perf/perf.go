@@ -149,18 +149,27 @@ type Comparison struct {
 	Regressions int `json:"regressions"`
 }
 
+// sameHost reports whether timings taken on a and b compare: the same
+// CPU count and Go toolchain. Gated metrics (counts, host-pinned
+// efficiencies) and ceilings compare across any two hosts.
+func sameHost(a, b lab.HostInfo) bool {
+	return a.CPUs == b.CPUs && a.GoVersion == b.GoVersion
+}
+
 // Compare diffs cur against base: metrics match when Name and Params
 // both match, and gated metrics moving in the wrong direction by more
 // than maxRegression are flagged. A metric above its own Ceiling is
 // flagged without consulting the baseline (its delta is reported
-// against the ceiling). The returned comparison is also
-// attached to cur.
+// against the ceiling). Ungated metrics get no delta when the two
+// reports come from different hosts (sameHost). The returned
+// comparison is also attached to cur.
 func Compare(cur, base *Report, maxRegression float64) *Comparison {
 	cmp := &Comparison{
 		BaselineCreatedAt: base.CreatedAt,
 		BaselineHost:      base.Host,
 		MaxRegression:     maxRegression,
 	}
+	timings := sameHost(cur.Host, base.Host)
 	baseBy := map[string]Metric{}
 	for _, m := range base.Metrics {
 		baseBy[m.key()] = m
@@ -177,7 +186,7 @@ func Compare(cur, base *Report, maxRegression float64) *Comparison {
 			continue
 		}
 		b, ok := baseBy[m.key()]
-		if !ok {
+		if !ok || !m.Gate && !timings {
 			continue
 		}
 		d := Delta{

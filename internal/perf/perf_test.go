@@ -120,6 +120,52 @@ func TestCompareSkipsMismatchedParams(t *testing.T) {
 	}
 }
 
+// TestCompareAcrossHosts: two reports that differ only in the host's
+// CPU count compare their gated metrics and ceilings, and nothing else.
+func TestCompareAcrossHosts(t *testing.T) {
+	base, cur := sampleReport(), sampleReport()
+	cur.Host.CPUs = base.Host.CPUs + 1
+	cur.Metrics[0].Value = 6 // gated: +50%, a regression on any host
+	cur.Metrics[1].Value = 10
+	cur.Metrics[2].Value = 5000
+	cur.Metrics = append(cur.Metrics, Metric{
+		Name: "b/allocs", Value: 2, Unit: "allocs/task", Better: "lower", Gate: true, Ceiling: 1.2,
+	})
+	cmp := Compare(cur, base, 0.25)
+	if cmp.Regressions != 2 || len(cmp.Deltas) != 2 {
+		t.Fatalf("want the gated delta and the ceiling only, got %d regressions: %+v", cmp.Regressions, cmp.Deltas)
+	}
+	for _, d := range cmp.Deltas {
+		if d.Name != "a/allocs" && d.Name != "b/allocs" {
+			t.Errorf("ungated metric compared across hosts: %+v", d)
+		}
+	}
+
+	out := FormatComparison(base, cur)
+	if n := strings.Count(out, "hosts differ"); n != 1 {
+		t.Errorf("want one hosts-differ line, got %d:\n%s", n, out)
+	}
+	for _, want := range []string{"a/allocs", "+50.0%"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("comparison table lacks %q:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"a/rate", "a/elapsed"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("ungated %s diffed across hosts:\n%s", gone, out)
+		}
+	}
+
+	// Same host: the timings are back.
+	cur.Host.CPUs = base.Host.CPUs
+	if out := FormatComparison(base, cur); strings.Contains(out, "hosts differ") || !strings.Contains(out, "a/elapsed") {
+		t.Errorf("same-host comparison lost its timings:\n%s", out)
+	}
+	if cmp := Compare(cur, base, 0.25); len(cmp.Deltas) != 4 {
+		t.Errorf("same-host deltas = %d, want 4", len(cmp.Deltas))
+	}
+}
+
 func TestWriteReadReportAndNextBenchPath(t *testing.T) {
 	dir := t.TempDir()
 	p, err := NextBenchPath(dir)
