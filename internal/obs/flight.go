@@ -47,29 +47,60 @@ func (k EventKind) String() string {
 
 // Event is one recorded scheduler event.
 type Event struct {
-	TimeNS int64     // wall-clock nanoseconds (time.Now().UnixNano())
+	// TimeNS is wall-clock nanoseconds: the recorder's wall-clock base
+	// (time.Now at construction) plus the monotonic time elapsed since
+	// it. That is one clock read per event, and a wall-clock step after
+	// construction cannot reorder events.
+	TimeNS int64
 	Worker int       // team slot; -1 for external (submitter) events
 	Kind   EventKind //
 	Arg    int64     // kind-specific payload, see the kind constants
 }
 
-// evRing is one bounded drop-oldest event ring. Each team worker owns
-// one (single writer, so the mutex is uncontended — one CAS per
-// event); the external ring serializes non-worker writers (request
-// submitters) behind the same mutex. The mutex also makes Snapshot
-// race-free against writers, which is what lets a stall dump read the
-// rings while the team is live.
+// clock is a recorder's single time base; see Event.TimeNS.
+type clock struct {
+	base   time.Time // carries the monotonic reading
+	baseNS int64     // base.UnixNano()
+}
+
+func newClock() clock {
+	base := time.Now()
+	return clock{base: base, baseNS: base.UnixNano()}
+}
+
+// now reads the monotonic clock once (time.Since on a monotonic base)
+// instead of time.Now's wall plus monotonic pair.
+func (c *clock) now() int64 { return c.baseNS + int64(time.Since(c.base)) }
+
+// evRing is one bounded drop-oldest event ring. A worker's Writer
+// publishes into it once per batch; the external ring takes every
+// Record from non-worker writers (request submitters) one event at a
+// time. The mutex serializes both, and makes Snapshot race-free
+// against writers, which is what lets a stall dump read the rings
+// while the team is live. The pad rounds the ring to one cache line
+// (TestRingLayout), so the external ring's per-event writes never
+// invalidate a neighbouring ring's mutex.
 type evRing struct {
 	mu  sync.Mutex
 	buf []Event
 	n   uint64 // total events ever recorded on this ring
-	_   [40]byte
+	_   [24]byte
 }
 
-func (r *evRing) record(ev Event) {
+// publish appends a batch in order. A batch longer than the ring
+// keeps only its newest len(buf) events, as recording them one by one
+// would.
+func (r *evRing) publish(evs []Event) {
 	r.mu.Lock()
-	r.buf[r.n%uint64(len(r.buf))] = ev
-	r.n++
+	c := uint64(len(r.buf))
+	start := r.n
+	r.n += uint64(len(evs))
+	if extra := uint64(len(evs)); extra > c {
+		start += extra - c
+		evs = evs[extra-c:]
+	}
+	k := copy(r.buf[start%c:], evs)
+	copy(r.buf, evs[k:])
 	r.mu.Unlock()
 }
 
@@ -91,12 +122,14 @@ func (r *evRing) snapshot(out []Event) []Event {
 // FlightRecorder is a bounded ring-buffer recorder of scheduler
 // events: one drop-oldest ring per team worker plus one external ring
 // for submitter-side events. Recording is allocation-free (the rings
-// are sized at construction) and costs one uncontended mutex
-// round-trip plus a clock read per event; it is off unless a team was
-// built with omp.WithFlightRecorder, so the default hot path pays
-// only a nil check.
+// are sized at construction). A worker records through its own Writer
+// (one monotonic clock read per event, no lock); Record, for everyone
+// else, adds a mutex round-trip per event. It is off unless a team was
+// built with omp.WithFlightRecorder, so the default hot path pays only
+// a nil check.
 type FlightRecorder struct {
 	rings []evRing // workers rings, then one external ring
+	clock
 }
 
 // NewFlightRecorder sizes a recorder for a team of `workers`, keeping
@@ -109,7 +142,7 @@ func NewFlightRecorder(workers, perWorker int) *FlightRecorder {
 	if perWorker < 16 {
 		perWorker = 16
 	}
-	fr := &FlightRecorder{rings: make([]evRing, workers+1)}
+	fr := &FlightRecorder{rings: make([]evRing, workers+1), clock: newClock()}
 	for i := range fr.rings {
 		fr.rings[i].buf = make([]Event, perWorker)
 	}
@@ -120,16 +153,67 @@ func NewFlightRecorder(workers, perWorker int) *FlightRecorder {
 // ring).
 func (fr *FlightRecorder) Workers() int { return len(fr.rings) - 1 }
 
+// ring maps a worker id to its ring, folding out-of-range ids onto
+// the external ring as worker -1.
+func (fr *FlightRecorder) ring(worker int) (*evRing, int) {
+	ext := len(fr.rings) - 1
+	if worker >= 0 && worker < ext {
+		return &fr.rings[worker], worker
+	}
+	return &fr.rings[ext], -1
+}
+
 // Record appends one event. worker < 0 (or >= the team size) lands on
 // the external ring.
 func (fr *FlightRecorder) Record(worker int, kind EventKind, arg int64) {
-	idx := len(fr.rings) - 1
-	if worker >= 0 && worker < idx {
-		idx = worker
-	} else {
-		worker = -1
+	r, worker := fr.ring(worker)
+	r.publish([]Event{{TimeNS: fr.now(), Worker: worker, Kind: kind, Arg: arg}})
+}
+
+// writerStage is how many events a Writer holds before it publishes
+// them in one batch, so a live dump lags a running worker by fewer.
+const writerStage = 32
+
+// Writer is a single-writer handle on one worker's ring. Record
+// stages an event inside the handle with one monotonic clock read and
+// no synchronization; staged events reach the ring — and Snapshot —
+// in one batch under the ring's mutex when the stage fills or the
+// owner calls Flush. An owner that is about to block or exit must
+// Flush first, so a dump taken while it waits shows everything it did.
+//
+// A Writer must not be used by two goroutines at once. Separate
+// Writers on one ring are safe (each batch is published under the
+// mutex); their batches interleave, and Snapshot's sort restores time
+// order.
+type Writer struct {
+	ring   *evRing
+	clock  clock
+	worker int
+	n      int // staged events
+	stage  [writerStage]Event
+}
+
+// Writer returns a new handle recording on worker's ring (the
+// external ring for an out-of-range id, as for Record).
+func (fr *FlightRecorder) Writer(worker int) *Writer {
+	r, worker := fr.ring(worker)
+	return &Writer{ring: r, clock: fr.clock, worker: worker}
+}
+
+// Record stages one event, publishing the stage when it fills.
+func (w *Writer) Record(kind EventKind, arg int64) {
+	w.stage[w.n] = Event{TimeNS: w.clock.now(), Worker: w.worker, Kind: kind, Arg: arg}
+	if w.n++; w.n == len(w.stage) {
+		w.Flush()
 	}
-	fr.rings[idx].record(Event{TimeNS: time.Now().UnixNano(), Worker: worker, Kind: kind, Arg: arg})
+}
+
+// Flush publishes the staged events into the ring.
+func (w *Writer) Flush() {
+	if w.n > 0 {
+		w.ring.publish(w.stage[:w.n])
+		w.n = 0
+	}
 }
 
 // Snapshot returns the retained events of every ring, merged and

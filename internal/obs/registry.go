@@ -13,8 +13,10 @@
 // Design constraints, in order:
 //
 //   - recording on the hot path is allocation-free: Counter.Inc/Add
-//     and Histogram.Record are a few atomic adds, nothing more (the
-//     perf suite gates this as obs/record-allocs ≈ 0);
+//     and Histogram.Record are a few atomic adds, and a flight-recorder
+//     Writer.Record is a clock read and a store into the worker's own
+//     stage, nothing more (the perf suite gates this as
+//     obs/record-allocs ≈ 0);
 //   - sampling is pull-based: gauges and sampled counters are
 //     closures evaluated only when a scrape renders the registry, so
 //     an instrumented-but-unscraped program pays nothing per event;

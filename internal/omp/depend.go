@@ -253,8 +253,8 @@ func (t *task) releaseSuccessors(w *worker) {
 func (w *worker) enqueue(t *task) {
 	t.mustBeLive()
 	w.team.sched.Push(w.id, t)
-	if fr := w.team.fr; fr != nil {
-		fr.Record(w.id, obs.EvSpawn, int64(t.depth))
+	if ev := w.events; ev != nil {
+		ev.Record(obs.EvSpawn, int64(t.depth))
 	}
 	w.team.ring()
 	w.team.wakeWaiters()

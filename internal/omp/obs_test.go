@@ -103,6 +103,37 @@ func TestFlightRecorderPersistentTeam(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderPublishOnPark: the publish contract the stall
+// detector relies on. With the TestFlightRecorderPersistentTeam load
+// and no Close, once ParkedWorkers reports every worker, a snapshot
+// already holds every finish event: workers publish what they staged
+// before registering as parked.
+func TestFlightRecorderPublishOnPark(t *testing.T) {
+	const workers = 2
+	fr := obs.NewFlightRecorder(workers, 1024)
+	pt := NewPersistentTeam(workers, WithFlightRecorder(fr))
+	defer pt.Close()
+	for i := 0; i < 4; i++ {
+		pt.SubmitWait(spawnTree(8))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pt.ParkedWorkers() != workers {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers never all parked (%d of %d)", pt.ParkedWorkers(), workers)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	var finishes int
+	for _, ev := range fr.Snapshot() {
+		if ev.Kind == obs.EvFinish {
+			finishes++
+		}
+	}
+	if finishes != 4*9 {
+		t.Errorf("finishes visible with every worker parked = %d, want 36", finishes)
+	}
+}
+
 // TestFlightRecorderParallel: WithFlightRecorder also works on plain
 // Parallel regions.
 func TestFlightRecorderParallel(t *testing.T) {

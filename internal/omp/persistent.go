@@ -341,6 +341,7 @@ func (pt *PersistentTeam) runSubmission(w *worker, it *task) bool {
 // and Close (ringAll).
 func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 	defer pt.wg.Done()
+	defer w.flushEvents()
 	tm := pt.tm
 	if tm.pinWorkers {
 		runtime.LockOSThread()
@@ -381,10 +382,16 @@ func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 		// concurrent ring can be missed (same protocol as barrier).
 		// Token wakes are absorption-safe here: once closed is set no
 		// worker re-parks (the re-check above sees it), so Close's
-		// ringAll tokens cannot be drained away from a parked peer.
+		// ringAll tokens cannot be drained away from a parked peer. As
+		// at the barrier, a task found by the re-check runs after
+		// deregistering.
+		w.flushEvents()
 		tm.idleWaiters.Add(1)
-		if pt.inboxLen.Load() > 0 || w.runOne(nil) || pt.closed.Load() {
+		if t := w.pick(nil); t != nil || pt.inboxLen.Load() > 0 || pt.closed.Load() {
 			tm.idleWaiters.Add(-1)
+			if t != nil {
+				w.execute(t)
+			}
 			idle = 0
 			continue
 		}

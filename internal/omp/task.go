@@ -240,8 +240,8 @@ func (t *task) mustBeLive() {
 // it (a double decrement would also double-recycle a task).
 func (t *task) finish(w *worker) {
 	tm := t.team
-	if fr := tm.fr; fr != nil {
-		fr.Record(w.id, obs.EvFinish, int64(t.depth))
+	if ev := w.events; ev != nil {
+		ev.Record(obs.EvFinish, int64(t.depth))
 	}
 	t.releaseSuccessors(w)
 	if t.depTab != nil {

@@ -24,8 +24,8 @@ type Team struct {
 	adv workAdvertiser
 	rec *trace.Recorder
 	// fr, when non-nil, receives spawn/steal/park/wake/submit/finish
-	// events (WithFlightRecorder). Every event site nil-checks it, so
-	// the default configuration pays one predictable branch.
+	// events (WithFlightRecorder): workers record through their own
+	// worker.events handle, submitters through fr itself.
 	fr *obs.FlightRecorder
 	// pinWorkers makes every worker goroutine wire itself to an OS
 	// thread (runtime.LockOSThread) for the region's lifetime — the
@@ -189,6 +189,13 @@ type worker struct {
 	// heap allocation of the config.
 	taskCfg taskConfig
 
+	// events is this worker's flight-recorder handle, nil when the team
+	// has no recorder; owner-only. Every event site nil-checks it, so
+	// the default configuration pays one predictable branch. Events
+	// stage in the handle and are published before every block
+	// (flushEvents) and when the worker exits.
+	events *obs.Writer
+
 	// Reusable constraint predicate: runOne installs the suspended
 	// tied task in predConstraint and hands schedulers predFn, so a
 	// constrained pick allocates no closure. predFn is built once per
@@ -252,6 +259,7 @@ func Parallel(n int, body func(*Context), opts ...TeamOpt) *Stats {
 			// Join the final barrier even if the body panicked, so
 			// the rest of the team is not wedged waiting for us.
 			tm.barrier(w)
+			w.flushEvents()
 		}()
 	}
 	wg.Wait()
@@ -299,6 +307,9 @@ func newTeam(n int, opts []TeamOpt) (*Team, []*task) {
 		w := &worker{id: i, team: tm, wakeCh: make(chan struct{}, 1)}
 		w.freeTasks, w.limbo, w.graced = w.freeBuf[:0], w.limboBuf[0][:0], w.limboBuf[1][:0]
 		w.predFn = func(c *task) bool { return c.isDescendantOf(w.predConstraint) }
+		if cfg.fr != nil {
+			w.events = cfg.fr.Writer(i)
+		}
 		tm.workers[i] = w
 		it := w.newTask()
 		it.team = tm
@@ -397,11 +408,17 @@ func (tm *Team) barrier(w *worker) {
 		// Spin budget exhausted: park until an enqueue rings or the
 		// barrier completion closes the bell. Register first, then
 		// re-check every wake condition (runnable task, completable or
-		// completed barrier) so no concurrent wake can be missed.
+		// completed barrier) so no concurrent wake can be missed. A
+		// task found by the re-check runs after deregistering, so a
+		// registered worker never executes (see flushEvents).
+		w.flushEvents()
 		tm.idleWaiters.Add(1)
-		if w.runOne(nil) || tm.barGen.Load() != gen ||
+		if t := w.pick(nil); t != nil || tm.barGen.Load() != gen ||
 			(tm.barArrived.Load() == n && tm.liveTasks.Load() == 0) {
 			tm.idleWaiters.Add(-1)
+			if t != nil {
+				w.execute(t)
+			}
 			idle = 0
 			continue
 		}
@@ -417,23 +434,36 @@ func (tm *Team) barrier(w *worker) {
 // completion broadcast; pass nil when no barrier bell applies, e.g.
 // the persistent team's serve loop). Wrapped in flight-recorder
 // park/wake events when a recorder is attached (park carries the
-// live-task count, wake the park duration in ns).
+// live-task count, wake the park duration in ns); the park is
+// published before blocking, so a stall dump ends in it.
 func (tm *Team) parkOnDoorbell(w *worker, bell chan struct{}) {
-	fr := tm.fr
-	if fr == nil {
+	ev := w.events
+	if ev == nil {
 		select {
 		case <-tm.doorbell:
 		case <-bell:
 		}
 		return
 	}
-	fr.Record(w.id, obs.EvPark, tm.liveTasks.Load())
+	ev.Record(obs.EvPark, tm.liveTasks.Load())
+	ev.Flush()
 	t0 := time.Now()
 	select {
 	case <-tm.doorbell:
 	case <-bell:
 	}
-	fr.Record(w.id, obs.EvWake, int64(time.Since(t0)))
+	ev.Record(obs.EvWake, int64(time.Since(t0)))
+}
+
+// flushEvents publishes w's staged flight-recorder events. Workers
+// call it before registering as parked (idleWaiters, waitParkers) and
+// when they exit. A registered worker only re-probes and blocks, never
+// executes, so every task a worker counted by ParkedWorkers has run is
+// already visible to Snapshot.
+func (w *worker) flushEvents() {
+	if ev := w.events; ev != nil {
+		ev.Flush()
+	}
 }
 
 // ring wakes one idle-parked worker, if any. Called after every task
@@ -529,6 +559,7 @@ func (w *worker) waitPark(key, constraint *task, cond func() bool) {
 	case <-w.wakeCh:
 	default:
 	}
+	w.flushEvents()
 	w.waitTask.Store(key)
 	tm.waitParkers.Add(1)
 	var t *task
@@ -599,8 +630,8 @@ func (w *worker) pick(constraint *task) *task {
 			}
 			if t == nil {
 				w.stats.stealFails.Add(1)
-			} else if fr := w.team.fr; fr != nil {
-				fr.Record(w.id, obs.EvSteal, int64(t.depth))
+			} else if ev := w.events; ev != nil {
+				ev.Record(obs.EvSteal, int64(t.depth))
 			}
 		}
 	}

@@ -5,7 +5,8 @@ import "testing"
 // TestObsGates enforces the observability-layer bound the baseline
 // comparison cannot (Compare skips gating when the baseline value is
 // 0, and this one must be exactly 0): the record path — counter
-// increments and histogram records — allocates nothing, so teams can
+// increments, histogram records, and flight-recorder Writer events —
+// allocates nothing, so teams can
 // stay instrumented without disturbing the allocation gates on the
 // paths they observe.
 func TestObsGates(t *testing.T) {
