@@ -17,8 +17,8 @@ type deque struct {
 	// push (and vice versa) even though they touch different words —
 	// the classic Chase–Lev false-sharing hazard. The pad keeps the
 	// thief-side and owner-side words on separate lines; the layout is
-	// pinned by TestPaddedLayout, the cost it removes is measured by
-	// the internal/perf padding microbench.
+	// pinned by TestPaddedLayout, and DESIGN §12.1 records what the
+	// shared line measured.
 	top    atomic.Int64 // next index to steal from
 	_      [56]byte
 	bottom atomic.Int64 // next index to push at (owner-private writes)

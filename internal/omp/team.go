@@ -37,10 +37,9 @@ type Team struct {
 	// without separation a write to one (liveTasks, touched by every
 	// spawn and finish on every core) would keep invalidating the line
 	// under the read-mostly words next to it (idleWaiters and
-	// waitParkers, loaded on every enqueue). The
-	// padding microbench in internal/perf (pad.go) measures the
-	// cross-core invalidation cost these pads remove; the separations
-	// are pinned by TestPaddedLayout. The Team is allocated once per
+	// waitParkers, loaded on every enqueue). The separations are
+	// pinned by TestPaddedLayout; DESIGN §12.1 records the cross-core
+	// invalidation cost they remove. The Team is allocated once per
 	// region, so the size cost is irrelevant.
 	_ [64]byte
 

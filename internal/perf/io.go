@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 )
 
@@ -36,35 +35,6 @@ func NextBenchPath(dir string) (string, error) {
 		}
 	}
 	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", next)), nil
-}
-
-// LatestBenchPaths returns the n highest-indexed BENCH_<i>.json paths
-// in dir, oldest first. It errors when fewer than n trajectory points
-// exist — the caller asked to compare history that is not there.
-func LatestBenchPaths(dir string, n int) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("perf: scanning %s: %w", dir, err)
-	}
-	var idx []int
-	for _, e := range entries {
-		m := benchName.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		if i, err := strconv.Atoi(m[1]); err == nil {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) < n {
-		return nil, fmt.Errorf("perf: %s holds %d BENCH_*.json file(s), need %d", dir, len(idx), n)
-	}
-	sort.Ints(idx)
-	out := make([]string, 0, n)
-	for _, i := range idx[len(idx)-n:] {
-		out = append(out, filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", i)))
-	}
-	return out, nil
 }
 
 // WriteReport writes the report to path, then reads it back and

@@ -9,24 +9,18 @@ import (
 	"bots/internal/serve"
 )
 
-// serviceMetrics measures the service-mode subsystem (internal/serve
-// on a persistent team). Two kinds of metric come out:
-//
-//   - Host-independent, gated: steady-state allocations per
-//     persistent-team submission (the serve hot path — pooled
-//     Submission, pooled task, reused queues — should not allocate),
-//     and the shed rate at a calibrated load far below capacity
-//     (must be exactly 0: shedding at low load means the admission
-//     accounting leaks). Zero-valued baselines cannot regress through
-//     Compare, so TestServiceGates and CI's service-smoke job assert
-//     the same bounds directly.
-//
-//   - Host-dependent, informational: tail-latency percentiles of a
-//     short calibrated health run, recorded so the BENCH_<n>.json
-//     trajectory tracks how scheduler/runtime changes move the tail.
-func serviceMetrics(o Options) ([]Metric, error) {
-	metrics := []Metric{submitAllocMetric()}
+// shedWorkers is the persistent-team size of the calibrated shed run.
+const shedWorkers = 4
 
+// serviceMetrics measures the service-mode subsystem (internal/serve
+// on a persistent team) through two gated counts: steady-state
+// allocations per persistent-team submission (the serve hot path —
+// pooled Submission, pooled task, reused queues — must not allocate),
+// and the shed rate at a calibrated load far below capacity (must be
+// exactly 0: shedding at low load means the admission accounting
+// leaks). Latency belongs to the repository benchmark's serve.open
+// workload.
+func serviceMetrics(o Options) ([]Metric, error) {
 	requests := 400
 	if o.Quick {
 		requests = 120
@@ -39,7 +33,7 @@ func serviceMetrics(o Options) ([]Metric, error) {
 		Class:     core.Test,
 		Scheduler: omp.DefaultScheduler,
 		Cutoff:    -1,
-		Workers:   o.Threads,
+		Workers:   shedWorkers,
 		Rate:      200,
 		Requests:  requests,
 		Seed:      1,
@@ -50,55 +44,27 @@ func serviceMetrics(o Options) ([]Metric, error) {
 	if err := rep.Validate(); err != nil {
 		return nil, fmt.Errorf("perf: service report: %w", err)
 	}
-	params := fmt.Sprintf("bench=health/class=test/rate=200/requests=%d/threads=%d", requests, o.Threads)
-	metrics = append(metrics,
-		Metric{
-			Name:   "serve/shed-rate",
-			Value:  float64(rep.Shed) / float64(rep.Submitted+rep.Shed),
-			Unit:   "fraction",
-			Better: "lower",
-			Gate:   true,
-			Params: params,
-			Extra: map[string]float64{
-				"shed":            float64(rep.Shed),
-				"verify_failures": float64(rep.VerifyFailures),
-			},
+	shed := Metric{
+		Name:    "serve/shed-rate",
+		Value:   float64(rep.Shed) / float64(rep.Submitted+rep.Shed),
+		Unit:    "fraction",
+		Better:  "lower",
+		Gate:    true,
+		Ceiling: shedRateCeiling,
+		Params:  fmt.Sprintf("bench=health/class=test/rate=200/requests=%d/threads=%d", requests, shedWorkers),
+		Extra: map[string]float64{
+			"shed":            float64(rep.Shed),
+			"verify_failures": float64(rep.VerifyFailures),
 		},
-		Metric{
-			Name:   "serve/health/total-p50",
-			Value:  float64(rep.Total.P50),
-			Unit:   "ns",
-			Better: "lower",
-			Params: params,
-		},
-		Metric{
-			Name:   "serve/health/total-p99",
-			Value:  float64(rep.Total.P99),
-			Unit:   "ns",
-			Better: "lower",
-			Params: params,
-		},
-		Metric{
-			Name:   "serve/health/total-p999",
-			Value:  float64(rep.Total.P999),
-			Unit:   "ns",
-			Better: "lower",
-			Params: params,
-			Extra: map[string]float64{
-				"queueing_p99_ns": float64(rep.Queueing.P99),
-				"service_p99_ns":  float64(rep.Service.P99),
-				"throughput_hz":   rep.ThroughputHz,
-			},
-		},
-	)
-	return metrics, nil
+	}
+	return []Metric{submitAllocMetric(), shed}, nil
 }
 
 // submitAllocMetric measures steady-state allocations per
 // persistent-team submission with a small task DAG per request, on a
 // one-worker team so the counts are deterministic. The submission
 // path recycles the Submission struct, its done channel, and every
-// task, so steady state is ~0.
+// task, so steady state is 0.
 func submitAllocMetric() Metric {
 	pt := omp.NewPersistentTeam(1)
 	noop := func(c *omp.Context) {}
@@ -114,11 +80,12 @@ func submitAllocMetric() Metric {
 	allocs := testing.AllocsPerRun(300, func() { pt.SubmitWait(body) })
 	pt.Close()
 	return Metric{
-		Name:   "serve/submit-allocs",
-		Value:  allocs,
-		Unit:   "allocs/request",
-		Better: "lower",
-		Gate:   true,
-		Params: "workers=1/tasks=16",
+		Name:    "serve/submit-allocs",
+		Value:   allocs,
+		Unit:    "allocs/request",
+		Better:  "lower",
+		Gate:    true,
+		Ceiling: submitAllocCeiling,
+		Params:  "workers=1/tasks=16",
 	}
 }
