@@ -2,14 +2,13 @@ package perf
 
 import "testing"
 
-// TestServiceGates enforces the service-mode bounds that the
-// baseline comparison cannot (Compare skips gating when the baseline
-// value is 0, and both of these must be ~0): steady-state allocations
-// per persistent-team submission, and the shed rate at calibrated
-// load. CI's service-smoke job asserts the same properties from the
-// botserve JSON side.
+// TestServiceGates enforces the service-mode bounds on their own:
+// steady-state allocations per persistent-team submission, and the shed
+// rate at calibrated load, both gated at a ceiling of 0. CI's
+// service-smoke job asserts the same properties from the botserve JSON
+// side.
 func TestServiceGates(t *testing.T) {
-	metrics, err := serviceMetrics(Options{Quick: true, Threads: 2})
+	metrics, err := serviceMetrics(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +24,8 @@ func TestServiceGates(t *testing.T) {
 	if alloc.Value > 0.5 {
 		t.Errorf("serve/submit-allocs = %.2f allocs/request, want ~0 steady state", alloc.Value)
 	}
-	if !alloc.Gate {
-		t.Errorf("serve/submit-allocs must be a gated metric")
+	if !alloc.Gate || alloc.Ceiling != 0 {
+		t.Errorf("serve/submit-allocs must be gated at ceiling 0: gate=%v ceiling=%v", alloc.Gate, alloc.Ceiling)
 	}
 
 	shed, ok := byName["serve/shed-rate"]
@@ -36,20 +35,10 @@ func TestServiceGates(t *testing.T) {
 	if shed.Value != 0 {
 		t.Errorf("serve/shed-rate = %v at calibrated load, want exactly 0", shed.Value)
 	}
+	if !shed.Gate || shed.Ceiling != 0 {
+		t.Errorf("serve/shed-rate must be gated at ceiling 0: gate=%v ceiling=%v", shed.Gate, shed.Ceiling)
+	}
 	if shed.Extra["verify_failures"] != 0 {
 		t.Errorf("service run had %v verification failures", shed.Extra["verify_failures"])
-	}
-
-	for _, name := range []string{"serve/health/total-p50", "serve/health/total-p99", "serve/health/total-p999"} {
-		m, ok := byName[name]
-		if !ok {
-			t.Fatalf("%s metric missing", name)
-		}
-		if m.Gate {
-			t.Errorf("%s is host-dependent timing and must stay informational", name)
-		}
-		if m.Value <= 0 {
-			t.Errorf("%s = %v, want positive", name, m.Value)
-		}
 	}
 }
