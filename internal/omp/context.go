@@ -87,7 +87,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 		// parent.pending (or to the taskgroup); its own children do
 		// their own bookkeeping. A panic in the body is recorded and
 		// re-raised when the parallel region returns.
-		tm.liveTasks.Add(1)
+		w.stats.liveCreated.Add(1)
 		prev := w.cur
 		w.cur = t
 		func() {
@@ -113,7 +113,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 	if t.group != nil {
 		t.group.enter()
 	}
-	tm.liveTasks.Add(1)
+	w.stats.liveCreated.Add(1)
 	if hasDeps {
 		// Hold the creation guard while edges are wired so a
 		// concurrently finishing predecessor cannot release the task
@@ -125,7 +125,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 		parent.depTab.resolve(t, cfg.deps, w)
 		if t.depsLeft.Add(-1) > 0 {
 			// Deferred on its dependences: counted everywhere
-			// (pending, taskgroup, liveTasks) but not enqueued; the
+			// (pending, taskgroup, live count) but not enqueued; the
 			// last predecessor to finish will enqueue it.
 			w.stats.tasksDepDeferred.Add(1)
 			return
@@ -135,7 +135,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 }
 
 // finishInline is finish for undeferred tasks: they were never added
-// to parent.pending, so only the team live count is released. A
+// to parent.pending, so only the live count is released. A
 // never-shared task (no deferred descendant ever existed) is recycled
 // immediately; a visible one takes the shared tiers like a deferred
 // task (pool.go) and passes visibility to its parent — the parent is
@@ -147,7 +147,7 @@ func (t *task) finishInline(w *worker) {
 		recycleDepTab(t.depTab)
 		t.depTab = nil
 	}
-	t.team.liveTasks.Add(-1)
+	w.stats.liveFinished.Add(1)
 	if !t.visible {
 		w.recycle(t)
 		return

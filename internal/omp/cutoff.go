@@ -59,7 +59,7 @@ func (p MaxTasks) Defer(tm *Team, _ *worker, _ int32) bool {
 	if lim <= 0 {
 		lim = defaultMaxTasksPerThread
 	}
-	return tm.liveTasks.Load() < lim*int64(len(tm.workers))
+	return tm.live() < lim*int64(len(tm.workers))
 }
 
 // Name implements CutoffPolicy.
@@ -139,7 +139,7 @@ func (p Adaptive) Defer(tm *Team, w *worker, _ int32) bool {
 		return false
 	}
 	// Mid-band: defer only if some worker looks starved.
-	return tm.liveTasks.Load() < int64(len(tm.workers))*low*2
+	return tm.live() < int64(len(tm.workers))*low*2
 }
 
 // Name implements CutoffPolicy. Partially or degenerately

@@ -44,18 +44,36 @@ func TestPaddedLayout(t *testing.T) {
 		t.Errorf("sizeof(workerStats) = %d, want a multiple of %d", sz, line)
 	}
 
+	// worker: the live-task counters sit in workerStats, written by the
+	// owner on every spawn and finish, and must not share a line with
+	// the words other workers read (the quiesce counter of every limbo
+	// batch, the waitTask and wakeCh of every wake). Words are 8-byte
+	// aligned, so a line apart start to start is a different line.
+	var w worker
+	stats := unsafe.Offsetof(w.stats)
+	for _, c := range []struct {
+		name string
+		off  uintptr
+	}{
+		{"liveCreated", stats + unsafe.Offsetof(w.stats.liveCreated)},
+		{"liveFinished", stats + unsafe.Offsetof(w.stats.liveFinished)},
+	} {
+		gap("worker.quiesce vs worker.stats."+c.name, unsafe.Offsetof(w.quiesce), c.off)
+		gap("worker.waitTask vs worker.stats."+c.name, unsafe.Offsetof(w.waitTask), c.off)
+		gap("worker.wakeCh vs worker.stats."+c.name, unsafe.Offsetof(w.wakeCh), c.off)
+	}
+
 	// mpmcSlot: one slot per line (mpmc.go's documented invariant).
 	if sz := unsafe.Sizeof(mpmcSlot{}); sz != line {
 		t.Errorf("sizeof(mpmcSlot) = %d, want %d", sz, line)
 	}
 
-	// Team: the four hot atomic clusters — liveTasks (written by every
-	// spawn/finish), the barrier generation words, the read-mostly
-	// idleWaiters, and the read-mostly waitParkers — each get their own
-	// line, and the worksharing mutex that follows does not share the
-	// last one.
+	// Team: the configuration words (loaded on every pick), the
+	// barrier generation words, the read-mostly idleWaiters, and the
+	// read-mostly waitParkers each get their own line, and the
+	// worksharing mutex that follows does not share the last one.
 	var tm Team
-	gap("Team.liveTasks vs Team.barGen", unsafe.Offsetof(tm.liveTasks), unsafe.Offsetof(tm.barGen))
+	gap("Team.pinWorkers vs Team.barGen", unsafe.Offsetof(tm.pinWorkers), unsafe.Offsetof(tm.barGen))
 	gap("Team.barGen vs Team.idleWaiters", unsafe.Offsetof(tm.barGen), unsafe.Offsetof(tm.idleWaiters))
 	gap("Team.idleWaiters vs Team.waitParkers", unsafe.Offsetof(tm.idleWaiters), unsafe.Offsetof(tm.waitParkers))
 	gap("Team.waitParkers vs Team.wsMu", unsafe.Offsetof(tm.waitParkers), unsafe.Offsetof(tm.wsMu))

@@ -1,26 +1,28 @@
 package omp
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestLiveTasksReturnToZero is the regression net over the live-task
-// accounting audit: liveTasks is incremented once per task (deferred
-// or undeferred) and decremented in exactly one of finish (deferred,
-// via execute's deferred call — which runs once even when the body
-// panics) or finishInline (undeferred). The counter must read zero
-// after every region, whatever mix of paths ran — a double decrement
-// on the undeferred/panic paths would both wedge the accounting and,
-// since recycling keys off the same completion points, double-free a
-// pooled task.
+// accounting audit: every task (deferred or undeferred) is counted
+// created once, and counted finished in exactly one of finish
+// (deferred, via execute's deferred call — which runs once even when
+// the body panics) or finishInline (undeferred). The live count must
+// read zero after every region, whatever mix of paths ran — a double
+// finish on the undeferred/panic paths would both wedge the accounting
+// and, since recycling keys off the same completion points, double-free
+// a pooled task.
 func TestLiveTasksReturnToZero(t *testing.T) {
 	var checked atomic.Int64
 	prev := regionEndHook
 	regionEndHook = func(tm *Team) {
 		checked.Add(1)
-		if live := tm.liveTasks.Load(); live != 0 {
-			t.Errorf("liveTasks = %d after region end, want 0", live)
+		if live := tm.live(); live != 0 {
+			t.Errorf("live() = %d after region end, want 0", live)
 		}
 	}
 	defer func() { regionEndHook = prev }()
@@ -137,5 +139,66 @@ func TestLiveTasksReturnToZero(t *testing.T) {
 	}
 	if got := checked.Load(); got != int64(runs) {
 		t.Fatalf("region-end hook observed %d regions, want %d", got, runs)
+	}
+}
+
+// TestLiveCountNoFalseZero pins the order in which Team.live reads the
+// per-worker counters. An untied chain in which each task spawns its
+// successor before it returns keeps at least one task live from the
+// first spawn until the last task finishes, while both workers' counts
+// keep moving. A goroutine outside the team samples live() throughout:
+// reading the finished counts first can only overstate, so every
+// sample must be at least 1. Reading the created counts first lets the
+// chain advance between the two passes and reads 0 or less.
+func TestLiveCountNoFalseZero(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// Each round takes a few hundred thousand samples on a 2-CPU host;
+	// the wrong read order shows a handful of false zeros per round.
+	const links = 20000
+	rounds := 5
+	if testing.Short() {
+		rounds = 2
+	}
+	var samples, falseZeros atomic.Int64
+	for round := 0; round < rounds; round++ {
+		var done atomic.Bool
+		var chain func(c *Context, n int)
+		chain = func(c *Context, n int) {
+			if n == 0 {
+				done.Store(true) // before this last link finishes
+				return
+			}
+			c.Task(func(c *Context) { chain(c, n-1) }, Untied())
+		}
+		var sampler sync.WaitGroup
+		Parallel(2, func(c *Context) {
+			c.Single(func(c *Context) {
+				tm := c.w.team
+				c.Task(func(c *Context) { chain(c, links) }, Untied())
+				sampler.Add(1)
+				go func() {
+					defer sampler.Done()
+					for {
+						v := tm.live()
+						// done still false after the read: the last link
+						// had not finished at any point of it.
+						if done.Load() {
+							return
+						}
+						samples.Add(1)
+						if v < 1 {
+							falseZeros.Add(1)
+						}
+					}
+				}()
+			})
+		})
+		sampler.Wait()
+	}
+	if n := falseZeros.Load(); n > 0 {
+		t.Fatalf("live() read < 1 in %d of %d samples taken while a chain task was live", n, samples.Load())
+	}
+	if samples.Load() == 0 {
+		t.Fatal("the sampler never ran while the chain was live")
 	}
 }

@@ -29,15 +29,17 @@ func WithFlightRecorder(fr *obs.FlightRecorder) TeamOpt {
 // was built without WithFlightRecorder.
 func (pt *PersistentTeam) FlightRecorder() *obs.FlightRecorder { return pt.tm.fr }
 
-// LiveTasks returns the team's current deferred-task count (created,
-// not yet finished). Zero after Close.
+// LiveTasks returns the team's current live-task count (created, not
+// yet finished). While workers run it may overstate the count, never
+// understate it; on a team whose workers are all parked it is exact.
+// Zero after Close.
 func (pt *PersistentTeam) LiveTasks() int64 {
 	pt.obsMu.RLock()
 	defer pt.obsMu.RUnlock()
 	if pt.finalized {
 		return 0
 	}
-	return pt.tm.liveTasks.Load()
+	return pt.tm.live()
 }
 
 // InflightSubmissions returns submissions accepted and not yet
@@ -85,7 +87,7 @@ func (pt *PersistentTeam) Queued(w int) int64 {
 func (pt *PersistentTeam) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("bots_team_workers", "Team size (worker goroutines).",
 		func() float64 { return float64(pt.NumWorkers()) }, labels...)
-	reg.GaugeFunc("bots_team_live_tasks", "Deferred tasks created and not yet finished.",
+	reg.GaugeFunc("bots_team_live_tasks", "Tasks created and not yet finished.",
 		func() float64 { return float64(pt.LiveTasks()) }, labels...)
 	reg.GaugeFunc("bots_team_inflight_submissions", "Submissions accepted and not yet completed.",
 		func() float64 { return float64(pt.InflightSubmissions()) }, labels...)

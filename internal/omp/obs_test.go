@@ -157,8 +157,8 @@ func TestFlightRecorderParallel(t *testing.T) {
 	}
 }
 
-// TestStallDetector wedges a team artificially — inflating liveTasks
-// so the workers park with "work outstanding" that never arrives —
+// TestStallDetector wedges a team artificially — inflating the live
+// count so the workers park with "work outstanding" that never arrives —
 // and checks the detector fires and the flight-recorder dump ends in
 // the parked workers' park events.
 func TestStallDetector(t *testing.T) {
@@ -171,9 +171,10 @@ func TestStallDetector(t *testing.T) {
 
 	// Wedge: claim a live task exists, then wake the (already idle)
 	// workers so they re-check, find nothing runnable, and park again
-	// observing the wedge. liveTasks>0 with all workers parked is
-	// exactly the stall signature.
-	pt.tm.liveTasks.Add(1)
+	// observing the wedge. A live count > 0 with all workers parked is
+	// exactly the stall signature; holding one worker's created count
+	// up is a task that never finishes.
+	pt.tm.workers[0].stats.liveCreated.Add(1)
 	pt.tm.ringAll()
 	wedgedPark := func() bool {
 		if pt.ParkedWorkers() != workers {
@@ -235,8 +236,8 @@ func TestStallDetector(t *testing.T) {
 		}
 	}
 
-	// Unwedge and shut down cleanly.
-	pt.tm.liveTasks.Add(-1)
+	// Unwedge (the phantom task finishes) and shut down cleanly.
+	pt.tm.workers[0].stats.liveFinished.Add(1)
 	pt.Close()
 }
 

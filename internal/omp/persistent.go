@@ -327,7 +327,7 @@ func (pt *PersistentTeam) runSubmission(w *worker, it *task) bool {
 	}
 	s.tg.enter() // the root itself holds the group until its finish
 	it.pending.Add(1)
-	tm.liveTasks.Add(1)
+	w.stats.liveCreated.Add(1)
 	w.execute(t)
 	return true
 }
@@ -364,10 +364,10 @@ func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 		// cells, and the tasks in-region reclamation had to leave
 		// behind) instead of waiting for Close. This is what keeps a
 		// sequential submit loop at zero steady-state allocations.
-		if len(tm.workers) == 1 && (len(w.grave) > 0 || len(w.futGrave) > 0) && tm.liveTasks.Load() == 0 {
+		if len(tm.workers) == 1 && (len(w.grave) > 0 || len(w.futGrave) > 0) && tm.live() == 0 {
 			w.flushGraves(w.free)
 		}
-		if pt.closed.Load() && pt.inflight.Load() == 0 && tm.liveTasks.Load() == 0 {
+		if pt.closed.Load() && pt.inflight.Load() == 0 && tm.live() == 0 {
 			return
 		}
 		idle++
@@ -423,7 +423,7 @@ func (pt *PersistentTeam) tryFlushGraves() {
 	}
 	pt.inboxMu.Lock()
 	defer pt.inboxMu.Unlock()
-	if pt.inflight.Load() != 0 || tm.liveTasks.Load() != 0 {
+	if pt.inflight.Load() != 0 || tm.live() != 0 {
 		return
 	}
 	if int(tm.idleWaiters.Load()) != len(tm.workers) {

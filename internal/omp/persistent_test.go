@@ -65,8 +65,8 @@ func TestPersistentTeamConformance(t *testing.T) {
 					// every worker's ready backlog must be empty — a
 					// leaked (queued but never run) task would violate
 					// both.
-					if lt := pt.tm.liveTasks.Load(); lt != 0 {
-						t.Fatalf("round %d: liveTasks = %d after SubmitWait, want 0", i, lt)
+					if lt := pt.tm.live(); lt != 0 {
+						t.Fatalf("round %d: live() = %d after SubmitWait, want 0", i, lt)
 					}
 					for id := range pt.tm.workers {
 						if q := pt.tm.sched.Queued(id); q != 0 {
@@ -202,8 +202,8 @@ func TestPersistentTeamConcurrentSubmitters(t *testing.T) {
 		t.Fatalf("total = %d, want %d", got, 8*10*21)
 	}
 	st := pt.Close()
-	if lt := pt.tm.liveTasks.Load(); lt != 0 {
-		t.Errorf("liveTasks = %d after Close, want 0", lt)
+	if lt := pt.tm.live(); lt != 0 {
+		t.Errorf("live() = %d after Close, want 0", lt)
 	}
 	if st.TotalTasks() == 0 {
 		t.Errorf("no tasks recorded")

@@ -270,8 +270,14 @@ func (w *worker) releaseTasks() {
 }
 
 // reset zeroes a task for reuse. Atomics are stored through, so the
-// struct is never copied. A finished task's succHead holds the closed
-// sentinel; storing nil re-opens the list for the next life.
+// struct is never copied, and only when they are not already zero: an
+// atomic store is a locked instruction, and reset runs once per task.
+// A strict task — every task that reaches limbo — has pending 0 and
+// leaky false. Only a task with depend clauses ever touches depsLeft
+// and succHead (releaseSuccessors returns early for the others, and
+// resolve only links predecessors that have deps); a finished one
+// holds the closed sentinel, and storing nil re-opens the list for the
+// next life. TestResetLeavesNoState pins the result.
 func (t *task) reset() {
 	t.body = nil
 	t.fut = nil
@@ -282,14 +288,20 @@ func (t *task) reset() {
 	t.untied = false
 	t.final = false
 	t.visible = false
-	t.leaky.Store(false)
+	if t.leaky.Load() {
+		t.leaky.Store(false)
+	}
 	t.priority = 0
-	t.pending.Store(0)
+	if t.pending.Load() != 0 {
+		t.pending.Store(0)
+	}
 	t.group = nil
 	t.node = nil
-	t.hasDeps = false
-	t.depsLeft.Store(0)
-	t.succHead.Store(nil)
+	if t.hasDeps {
+		t.hasDeps = false
+		t.depsLeft.Store(0)
+		t.succHead.Store(nil)
+	}
 	t.depTab = nil
 	t.ctx = Context{}
 }

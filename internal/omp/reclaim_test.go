@@ -386,3 +386,79 @@ func TestPersistentTeamReclaimsInRegion(t *testing.T) {
 		t.Errorf("%d task-pool misses over %d tasks", st.TaskPoolMisses, st.TasksCreated)
 	}
 }
+
+// TestResetLeavesNoState: reset skips the atomic stores of fields that
+// are already zero and clears the dependence fields only for tasks
+// that declared depend clauses. Regions with dependence chains and
+// readers, non-strict subtrees and leaky parents must still leave
+// every task they reset fully clean. The region-end hook collects
+// every struct still held in the workers' tiers: the free list (reset
+// in-region by tiers 1 and 2) and limbo and grave, which shutdown
+// resets right after the hook; all are checked once Parallel returns.
+func TestResetLeavesNoState(t *testing.T) {
+	var held []*task
+	var withDeps, leaky int
+	prev := regionEndHook
+	regionEndHook = func(tm *Team) {
+		for _, w := range tm.workers {
+			for _, tier := range [][]*task{w.freeTasks, w.limbo, w.graced, w.grave} {
+				for _, tk := range tier {
+					if tk.hasDeps {
+						withDeps++
+					}
+					if tk.leaky.Load() {
+						leaky++
+					}
+					held = append(held, tk)
+				}
+			}
+		}
+	}
+	defer func() { regionEndHook = prev }()
+
+	body := func(c *Context) {
+		c.Single(func(c *Context) {
+			// A dependence chain with readers between the writers, so
+			// tasks finish holding successors and the closed sentinel.
+			a, b := new(int), new(int)
+			for i := 0; i < 2*limboBatch; i++ {
+				c.Task(func(c *Context) { *a++ }, InOut(a))
+				c.Task(func(c *Context) { _ = *a; *b++ }, In(a), InOut(b))
+				c.Task(func(c *Context) { _ = *a }, In(a))
+			}
+			for i := 0; i < 32; i++ {
+				// A leaky parent: its child returns with its own children
+				// outstanding, and the parent's taskwait then sees pending 0.
+				c.Task(func(c *Context) {
+					c.Task(func(c *Context) {
+						for k := 0; k < 3; k++ {
+							c.Task(func(c *Context) {})
+						}
+					})
+					c.Taskwait()
+				})
+				// A strict subtree (limbo) and undeferred tasks (free list).
+				c.Task(func(c *Context) {
+					c.Task(func(c *Context) {})
+					c.Task(func(c *Context) {}, If(false))
+					c.Taskwait()
+				})
+			}
+			c.Taskwait()
+		})
+	}
+	for _, sched := range Schedulers() {
+		held, withDeps, leaky = held[:0], 0, 0
+		Parallel(2, body, WithScheduler(sched))
+		if len(held) == 0 || withDeps == 0 || leaky == 0 {
+			t.Fatalf("%s: hook saw %d tasks, %d with deps, %d leaky; want all nonzero", sched, len(held), withDeps, leaky)
+		}
+		for _, tk := range held {
+			if tk.depth != poisonDepth || tk.pending.Load() != 0 || tk.leaky.Load() ||
+				tk.hasDeps || tk.depsLeft.Load() != 0 || tk.succHead.Load() != nil {
+				t.Fatalf("%s: reset left depth %d, pending %d, leaky %v, hasDeps %v, depsLeft %d, succHead %p",
+					sched, tk.depth, tk.pending.Load(), tk.leaky.Load(), tk.hasDeps, tk.depsLeft.Load(), tk.succHead.Load())
+			}
+		}
+	}
+}

@@ -148,7 +148,14 @@ func (s Stats) Sub(prev Stats) Stats {
 // counter has a single writer (its worker), so the writes are
 // uncontended adds — the atomicity buys race-free remote reads, not
 // cross-worker aggregation.
+//
+// liveCreated and liveFinished are the team's live-task count, split
+// by writer: tasks this worker made live (deferred and undeferred
+// spawns, submission roots) and tasks it finished. Both only grow;
+// Team.live sums them. They are not surfaced in Stats.
 type workerStats struct {
+	liveCreated      atomic.Int64
+	liveFinished     atomic.Int64
 	tasksCreated     atomic.Int64
 	tasksUndeferred  atomic.Int64
 	tasksStolen      atomic.Int64
@@ -168,7 +175,28 @@ type workerStats struct {
 	workUnits        atomic.Int64
 	privateWrites    atomic.Int64
 	sharedWrites     atomic.Int64
-	_                [40]byte // pad to a multiple of 64 bytes
+	_                [24]byte // pad to a multiple of 64 bytes
+}
+
+// live returns the number of tasks made live and not yet finished, or
+// more. It sums every worker's finished count first and every worker's
+// created count second. Each count only grows, and a task's creation
+// is counted before its finish can be, so at every instant the team's
+// finished total is at most its created total. Call t the instant
+// between the two passes: the first pass read at most the finished
+// total at t, the second at least the created total at t, so the result
+// is at least the number of live tasks at t. A zero therefore proves an
+// instant with no live task; a positive result may overstate the count
+// while workers run, which every caller tolerates (DESIGN §9.5).
+func (tm *Team) live() int64 {
+	var finished, created int64
+	for _, w := range tm.workers {
+		finished += w.stats.liveFinished.Load()
+	}
+	for _, w := range tm.workers {
+		created += w.stats.liveCreated.Load()
+	}
+	return created - finished
 }
 
 // snapshot returns a point-in-time copy of the team's aggregated

@@ -224,20 +224,21 @@ func (t *task) mustBeLive() {
 
 // finish performs completion bookkeeping for t on worker w: release
 // dependent successor tasks, recycle the dependence table of t's
-// children, decrement the team's live-task count, the enclosing
-// taskgroup's live count, and the parent's pending count, waking the
-// worker parked in the parent's taskwait if this was the last
-// outstanding child. The task itself was shared (it was enqueued), so
-// it is retired for reuse after a grace period when its subtree was
-// fully strict, and buried until quiescence otherwise (pool.go).
+// children, count the task finished on w (the team's live count), and
+// decrement the enclosing taskgroup's live count and the parent's
+// pending count, waking the worker parked in the parent's taskwait if
+// this was the last outstanding child. The task itself was shared (it
+// was enqueued), so it is retired for reuse after a grace period when
+// its subtree was fully strict, and buried until quiescence otherwise
+// (pool.go).
 //
-// finish and finishInline are the only two places the team live-task
-// count is decremented, and every task goes through exactly one of
-// them exactly once — deferred tasks through execute's deferred
-// finish (which runs once even when the body panics), undeferred
-// tasks through the Task undeferred path's deferred finishInline.
-// TestLiveTasksReturnToZero pins this invariant; recycling depends on
-// it (a double decrement would also double-recycle a task).
+// finish and finishInline are the only two places a task is counted
+// finished, and every task goes through exactly one of them exactly
+// once — deferred tasks through execute's deferred finish (which runs
+// once even when the body panics), undeferred tasks through the Task
+// undeferred path's deferred finishInline. TestLiveTasksReturnToZero
+// pins this invariant; recycling depends on it (a double finish would
+// also double-recycle a task).
 func (t *task) finish(w *worker) {
 	tm := t.team
 	if ev := w.events; ev != nil {
@@ -248,13 +249,14 @@ func (t *task) finish(w *worker) {
 		recycleDepTab(t.depTab)
 		t.depTab = nil
 	}
-	// The live count drops before the completion signals below: anyone
-	// released by this task's completion (a taskwait in the parent, a
-	// persistent-team SubmitWait) must observe the team already drained
-	// of this task. Unreleased dependent successors hold their own live
-	// counts, so the early decrement cannot let a barrier (or a
-	// persistent team's quiescence check) pass while work remains.
-	tm.liveTasks.Add(-1)
+	// The finished count rises before the completion signals below:
+	// anyone released by this task's completion (a taskwait in the
+	// parent, a persistent-team SubmitWait) must observe the team
+	// already drained of this task. Unreleased dependent successors were
+	// counted live at their creation, so the early count cannot let a
+	// barrier (or a persistent team's quiescence check) pass while work
+	// remains.
+	w.stats.liveFinished.Add(1)
 	strict := t.strict()
 	if p := t.parent; p != nil {
 		if !strict {

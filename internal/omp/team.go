@@ -32,23 +32,21 @@ type Team struct {
 	// oversubscription/pinning lab axis (WithPinning).
 	pinWorkers bool
 
-	// Cache-line padding between the hot atomic clusters below: each
+	// Cache-line padding between the atomic clusters below: each
 	// cluster has a distinct writer population and write rate, and
-	// without separation a write to one (liveTasks, touched by every
-	// spawn and finish on every core) would keep invalidating the line
-	// under the read-mostly words next to it (idleWaiters and
-	// waitParkers, loaded on every enqueue). The separations are
-	// pinned by TestPaddedLayout; DESIGN §12.1 records the cross-core
+	// without separation a barrier arrival would invalidate the line
+	// under the configuration words above (loaded on every pick), or
+	// under the read-mostly words below it (idleWaiters and
+	// waitParkers, loaded on every enqueue). The separations are pinned
+	// by TestPaddedLayout; DESIGN §12.1 records the cross-core
 	// invalidation cost they remove. The Team is allocated once per
 	// region, so the size cost is irrelevant.
+	//
+	// No word here is written per task. The live-task count, which
+	// barriers and the quiescence checks wait on, is kept per worker
+	// in workerStats and summed by live: a task nobody steals writes
+	// only its own worker's lines.
 	_ [64]byte
-
-	// liveTasks counts deferred tasks created and not yet finished;
-	// barriers wait for it to reach zero. The hottest shared word of a
-	// region: every task creation and completion writes it from
-	// whichever core runs the task, so it gets a line of its own.
-	liveTasks atomic.Int64
-	_         [56]byte
 
 	// Barrier state (sense-reversing, task-executing). barBells holds
 	// one completion bell per barrier-generation parity: workers parked
@@ -204,8 +202,11 @@ type worker struct {
 	predFn         func(*task) bool
 
 	// The words other workers read, on a line of their own so the
-	// owner's per-task writes above never invalidate it; the owner
-	// writes them only at the edges of a constrained steal or a park.
+	// owner's per-task writes above and in stats below never invalidate
+	// it; the owner writes them only at the edges of a constrained steal
+	// or a park. Across each pad the next word starts at least 64 bytes
+	// after the previous one, so the two never share a line whatever
+	// the worker's alignment.
 	_ [64]byte
 	// quiesce is odd while w is inside a constrained Steal, the one
 	// section in which a task read from a stale queue slot is
@@ -217,7 +218,7 @@ type worker struct {
 	// blocks on; see waitPark.
 	waitTask atomic.Pointer[task]
 	wakeCh   chan struct{}
-	_        [40]byte
+	_        [56]byte
 
 	stats workerStats
 }
@@ -384,7 +385,7 @@ func (tm *Team) barrier(w *worker) {
 			idle = 0
 			continue
 		}
-		if tm.barArrived.Load() == n && tm.liveTasks.Load() == 0 {
+		if tm.barArrived.Load() == n && tm.live() == 0 {
 			if tm.barArrived.CompareAndSwap(n, 0) {
 				// Re-arm the next generation's bell before publishing the
 				// generation change: a worker parks on barBells[g&1] only
@@ -413,7 +414,7 @@ func (tm *Team) barrier(w *worker) {
 		w.flushEvents()
 		tm.idleWaiters.Add(1)
 		if t := w.pick(nil); t != nil || tm.barGen.Load() != gen ||
-			(tm.barArrived.Load() == n && tm.liveTasks.Load() == 0) {
+			(tm.barArrived.Load() == n && tm.live() == 0) {
 			tm.idleWaiters.Add(-1)
 			if t != nil {
 				w.execute(t)
@@ -444,7 +445,7 @@ func (tm *Team) parkOnDoorbell(w *worker, bell chan struct{}) {
 		}
 		return
 	}
-	ev.Record(obs.EvPark, tm.liveTasks.Load())
+	ev.Record(obs.EvPark, tm.live())
 	ev.Flush()
 	t0 := time.Now()
 	select {
