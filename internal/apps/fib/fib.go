@@ -59,6 +59,10 @@ func Iterative(n int) uint64 {
 type run struct {
 	cutoff  int
 	variant core.Variant
+	// opts is the clause list of every deferred spawn and cutOpts that
+	// of an if version's spawn at or past the cut-off, built once per
+	// run so no spawn rebuilds and copies them.
+	opts, cutOpts []omp.TaskOpt
 	// cells hands out result slots. BOTS's C version returns each
 	// child's value through a variable on the parent's stack; in Go a
 	// variable a task body points to must live on the heap, and one
@@ -102,22 +106,21 @@ func (r *run) par(c *omp.Context, n, depth int, res *uint64) {
 // spawn computes fib(m) into dst from a task at the given depth: as a
 // child task, or under the manual cut-off by plain recursion.
 func (r *run) spawn(c *omp.Context, m, depth int, dst *uint64) {
-	var cut omp.TaskOpt
-	switch r.variant.Cutoff {
-	case "manual":
-		if depth >= r.cutoff {
+	opts := r.opts
+	if depth >= r.cutoff {
+		switch r.variant.Cutoff {
+		case "manual":
 			// Manual cut-off: plain recursion, no task at all.
 			v, calls := Seq(m)
 			c.AddWork(calls)
 			c.AddWrites(0, calls)
 			*dst = v
 			return
+		case "if":
+			opts = r.cutOpts
 		}
-	case "if":
-		cut = omp.If(depth < r.cutoff)
 	}
-	opts := core.TaskOpts(capturedBytes, r.variant.Untied, cut)
-	c.Task(func(c *omp.Context) { r.par(c, m, depth+1, dst) }, opts[:]...)
+	c.Task(func(c *omp.Context) { r.par(c, m, depth+1, dst) }, opts...)
 }
 
 func digest(n int, v uint64) string { return fmt.Sprintf("fib(%d)=%d", n, v) }
@@ -149,12 +152,19 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 		cutoff = DefaultCutoffDepth
 	}
 	var res uint64
-	r := &run{cutoff: cutoff, variant: variant, cells: omp.NewThreadPrivate[[]uint64](cfg.Threads)}
 	opts := core.TaskOpts(capturedBytes, variant.Untied, omp.TaskOpt{})
+	cutOpts := core.TaskOpts(capturedBytes, variant.Untied, omp.If(false))
+	r := &run{
+		cutoff:  cutoff,
+		variant: variant,
+		opts:    opts[:],
+		cutOpts: cutOpts[:],
+		cells:   omp.NewThreadPrivate[[]uint64](cfg.Threads),
+	}
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			c.Task(func(c *omp.Context) { r.par(c, n, 0, &res) }, opts[:]...)
+			c.Task(func(c *omp.Context) { r.par(c, n, 0, &res) }, r.opts...)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

@@ -94,6 +94,10 @@ type run struct {
 	n, cutoff int
 	variant   core.Variant
 	counts    *omp.ThreadPrivate[int64]
+	// opts is the clause list of every deferred spawn and cutOpts that
+	// of an if version's spawn at or past the cut-off, built once per
+	// run so no spawn rebuilds and copies them.
+	opts, cutOpts []omp.TaskOpt
 }
 
 // par explores one node of the search tree. Each viable placement in
@@ -113,22 +117,21 @@ func (r *run) par(c *omp.Context, b board, row int) {
 			continue
 		}
 		child := b.with(row, col) // never reassigned or addressed: captured by value
-		var cut omp.TaskOpt
-		switch r.variant.Cutoff {
-		case "manual":
-			if row >= r.cutoff {
+		opts := r.opts
+		if row >= r.cutoff {
+			switch r.variant.Cutoff {
+			case "manual":
 				// Manual cut-off: continue on this thread without any
 				// task, searching the whole subtree in one buffer.
 				buf, w := child, int64(0)
 				*r.counts.Get(c) += seqCount(buf[:n], row+1, &w)
 				c.AddWork(w)
 				continue
+			case "if":
+				opts = r.cutOpts
 			}
-		case "if":
-			cut = omp.If(row < r.cutoff)
 		}
-		opts := core.TaskOpts(n+16, r.variant.Untied, cut)
-		c.Task(func(c *omp.Context) { r.par(c, child, row+1) }, opts[:]...)
+		c.Task(func(c *omp.Context) { r.par(c, child, row+1) }, opts...)
 	}
 	c.Taskwait()
 }
@@ -165,13 +168,14 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 		cutoff = DefaultCutoffDepth
 	}
 	counts := omp.NewThreadPrivate[int64](cfg.Threads)
-	r := &run{n: n, cutoff: cutoff, variant: variant, counts: counts}
 	opts := core.TaskOpts(n+16, variant.Untied, omp.TaskOpt{})
+	cutOpts := core.TaskOpts(n+16, variant.Untied, omp.If(false))
+	r := &run{n: n, cutoff: cutoff, variant: variant, counts: counts, opts: opts[:], cutOpts: cutOpts[:]}
 	var total int64
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.SingleNowait(func(c *omp.Context) {
-			c.Task(func(c *omp.Context) { r.par(c, board{}, 0) }, opts[:]...)
+			c.Task(func(c *omp.Context) { r.par(c, board{}, 0) }, r.opts...)
 		})
 		c.Barrier()
 		// Each thread folds its threadprivate count into the global

@@ -60,9 +60,11 @@ func BenchmarkFibTaskThroughput(b *testing.B) {
 	// At two threads both workers spawn and finish tasks on their own,
 	// which is where a word every task writes turns into cross-core
 	// traffic; ns/task is wall time over every task of every region.
+	// parks/region counts taskwait parks: tied waiters idling behind a
+	// steal show up there first.
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(benchName("threads", threads), func(b *testing.B) {
-			var tasks int64
+			var tasks, parks int64
 			for i := 0; i < b.N; i++ {
 				var res int64
 				st := Parallel(threads, func(c *Context) {
@@ -71,8 +73,10 @@ func BenchmarkFibTaskThroughput(b *testing.B) {
 					})
 				})
 				tasks += st.TotalTasks()
+				parks += st.TaskwaitParks
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tasks), "ns/task")
+			b.ReportMetric(float64(parks)/float64(b.N), "parks/region")
 		})
 	}
 }

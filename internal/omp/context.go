@@ -78,10 +78,10 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 			t.node.SetPriority(cfg.priority)
 		}
 	}
-	w.stats.capturedBytes.Add(int64(cfg.captured))
+	w.counts.capturedBytes += int64(cfg.captured)
 
 	if !deferred {
-		w.stats.tasksUndeferred.Add(1)
+		w.counts.tasksUndeferred++
 		// Undeferred: execute immediately on this thread. The child
 		// completes before Task returns, so it never contributes to
 		// parent.pending (or to the taskgroup); its own children do
@@ -108,7 +108,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 	// immediate recycling tier (finishInline propagates the mark
 	// upward; see pool.go).
 	parent.visible = true
-	w.stats.tasksCreated.Add(1)
+	w.counts.tasksCreated++
 	parent.pending.Add(1)
 	if t.group != nil {
 		t.group.enter()
@@ -169,7 +169,7 @@ func (t *task) finishInline(w *worker) {
 // that task; suspended in an untied task it may run anything.
 func (c *Context) Taskwait() {
 	w, t := c.w, c.task
-	w.stats.taskwaits.Add(1)
+	w.counts.taskwaits++
 	if t.node != nil {
 		t.node.Taskwait()
 	}
@@ -244,7 +244,7 @@ func (c *Context) Critical(name string, body func()) {
 // feeds the runtime statistics and, when tracing is enabled, the
 // task-graph recorder used by the performance-model simulator.
 func (c *Context) AddWork(n int64) {
-	c.w.stats.workUnits.Add(n)
+	c.w.counts.workUnits += n
 	if c.task.node != nil {
 		c.task.node.AddWork(n)
 	}
@@ -255,8 +255,8 @@ func (c *Context) AddWork(n int64) {
 // touch non-private data (Table II's "% of writes to non-private
 // data" accounting; also the bandwidth-model input).
 func (c *Context) AddWrites(private, shared int64) {
-	c.w.stats.privateWrites.Add(private)
-	c.w.stats.sharedWrites.Add(shared)
+	c.w.counts.privateWrites += private
+	c.w.counts.sharedWrites += shared
 	if c.task.node != nil {
 		c.task.node.AddWrites(private, shared)
 	}

@@ -162,7 +162,10 @@ func (d *deque) steal() *task {
 // stealBatchInto steals up to len(buf) of the oldest tasks into buf
 // and returns the count taken, stopping at the first empty
 // observation or lost CAS (a lost CAS means another thief is raiding
-// the same victim; backing off beats fighting over the same line).
+// the same victim; backing off beats fighting over the same line). It
+// also stops after the first claimed task whose parent is tied: that
+// task is already the thief's and travels as the last one (the raid
+// rule at takeFrom).
 //
 // Each task is taken with its own top CAS. A single multi-slot
 // CAS(top, top+k) would NOT be linearizable here: the owner's
@@ -192,6 +195,9 @@ func (d *deque) stealBatchInto(buf []*task) int {
 		}
 		buf[n] = t
 		n++
+		if !t.raidable() {
+			break
+		}
 	}
 	return n
 }

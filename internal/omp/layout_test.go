@@ -63,6 +63,18 @@ func TestPaddedLayout(t *testing.T) {
 		gap("worker.wakeCh vs worker.stats."+c.name, unsafe.Offsetof(w.wakeCh), c.off)
 	}
 
+	// The plain task counters are written on every task and read by no
+	// other goroutine: they belong in the owner-only part, before the
+	// pad, off the line of the words other workers read.
+	counts := unsafe.Offsetof(w.counts)
+	if counts > unsafe.Offsetof(w.quiesce) {
+		t.Errorf("worker.counts at %d lies past worker.quiesce at %d, outside the owner-only part", counts, unsafe.Offsetof(w.quiesce))
+	}
+	last := counts + unsafe.Sizeof(w.counts) - 8
+	gap("worker.counts (last word) vs worker.quiesce", last, unsafe.Offsetof(w.quiesce))
+	gap("worker.counts (last word) vs worker.waitTask", last, unsafe.Offsetof(w.waitTask))
+	gap("worker.counts (last word) vs worker.wakeCh", last, unsafe.Offsetof(w.wakeCh))
+
 	// mpmcSlot: one slot per line (mpmc.go's documented invariant).
 	if sz := unsafe.Sizeof(mpmcSlot{}); sz != line {
 		t.Errorf("sizeof(mpmcSlot) = %d, want %d", sz, line)

@@ -117,7 +117,13 @@ func (pt *PersistentTeam) NumWorkers() int { return len(pt.tm.workers) }
 
 // Stats returns a point-in-time snapshot of the team's cumulative
 // counters. Safe to call from any goroutine at any time, including
-// while submissions run (the counters are atomic; see stats.go).
+// while submissions run (the counters it reads are atomic; see
+// workerStats). The per-task counts — TasksCreated, TasksUndeferred,
+// Taskwaits, CapturedBytes, WorkUnits, PrivateWrites, SharedWrites —
+// are copied there by each worker whenever it finishes a deferred task
+// or parks, so while submissions run a snapshot lags by what the tasks
+// still running or suspended have counted so far; once the team is
+// idle it is exact.
 func (pt *PersistentTeam) Stats() Stats { return pt.tm.snapshot() }
 
 // Submit enqueues body as one task region and returns its handle.
@@ -341,7 +347,7 @@ func (pt *PersistentTeam) runSubmission(w *worker, it *task) bool {
 // and Close (ringAll).
 func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 	defer pt.wg.Done()
-	defer w.flushEvents()
+	defer w.publish()
 	tm := pt.tm
 	if tm.pinWorkers {
 		runtime.LockOSThread()
@@ -385,7 +391,7 @@ func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 		// ringAll tokens cannot be drained away from a parked peer. As
 		// at the barrier, a task found by the re-check runs after
 		// deregistering.
-		w.flushEvents()
+		w.publish()
 		tm.idleWaiters.Add(1)
 		if t := w.pick(nil); t != nil || pt.inboxLen.Load() > 0 || pt.closed.Load() {
 			tm.idleWaiters.Add(-1)

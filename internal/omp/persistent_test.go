@@ -155,6 +155,42 @@ func TestPersistentTeamStatsRace(t *testing.T) {
 	}
 }
 
+// TestSubmitWaitStatsExact pins the per-task counters of serialized
+// SubmitWait deltas to closed-form counts. Workers copy those counters
+// into the shared stats only at park, exit and the group leave in
+// finish; a delta that missed a copy would read short.
+func TestSubmitWaitStatsExact(t *testing.T) {
+	const n = 12
+	var node func(c *Context, n int)
+	node = func(c *Context, n int) {
+		c.AddWork(1)
+		if n < 2 {
+			return
+		}
+		c.Task(func(c *Context) { node(c, n-1) }, Captured(16))
+		c.Task(func(c *Context) { node(c, n-2) }, Captured(16))
+		c.Taskwait()
+	}
+	calls := 2*fibSeq(n+1) - 1 // nodes of the fib(n) call tree; the root is the submission
+	want := Stats{
+		TasksCreated:  calls - 1,
+		Taskwaits:     (calls - 1) / 2,
+		WorkUnits:     calls,
+		CapturedBytes: 16 * (calls - 1),
+	}
+	for _, workers := range []int{1, 2, 4} {
+		pt := NewPersistentTeam(workers)
+		for i := 0; i < 30; i++ {
+			st := pt.SubmitWait(func(c *Context) { node(c, n) })
+			got := Stats{TasksCreated: st.TasksCreated, Taskwaits: st.Taskwaits, WorkUnits: st.WorkUnits, CapturedBytes: st.CapturedBytes}
+			if got != want {
+				t.Fatalf("workers=%d submission %d: delta %+v, want %+v", workers, i, got, want)
+			}
+		}
+		pt.Close()
+	}
+}
+
 // TestPersistentTeamDetached exercises the callback completion path
 // used by internal/serve's open-loop generator.
 func TestPersistentTeamDetached(t *testing.T) {

@@ -547,18 +547,36 @@ func (d *dequeScheduler) Steal(self int, pred func(*task) bool) *task {
 // A constrained thief takes a single admissible task — bulk-moving
 // tasks it may not be allowed to run would only bury them.
 //
-// Relocation can bury a tied waiter's unstarted child mid-deque on
-// another worker, where neither the waiter's constrained PopLocal
-// (own bottom only) nor Steal (victims' tops only) reaches it. This
-// weakens the progress rule's premise ("a waiter's children are its
-// own most recent pushes") but not liveness: the park/wake protocol
-// guarantees every parked waiter is woken by every enqueue, dependence
-// release included (worker.enqueue), and by the completion of its own
-// last child (task.finish), and the holder's own progress — its
-// newest pushes are its own children, whose completion wakes it in
-// turn — eventually pops or exposes buried tasks at an accessible
-// end. A future scheduler that relocates tasks *and* parks without
-// those wakes would deadlock; keep both halves of the protocol.
+// The raid rule: a raid moves only tasks whose parent is untied
+// (raidable). A stolen task with a tied parent is taken alone, and a
+// raid ends at the first claimed task whose parent is tied, which
+// travels as its last task. The reason is the tied waiter. In a
+// recursive kernel the victim's backlog is its pending children at
+// every depth of its spine, and the tied tasks waiting on them stay on
+// the victim. Once those children sit mid-deque on the thief, neither
+// the waiter's constrained PopLocal (its own bottom) nor its
+// constrained Steal (victims' tops, where the thief's shallowest moved
+// task sits) reaches them, so the waiter parks until the thief has
+// finished its whole subtree — woken for nothing by each of the
+// thief's spawns (DESIGN §12.2 has the numbers). An untied waiter may
+// run anything, so untied kernels keep steal-half.
+//
+// The rule reads t.parent.untied only after the top CAS has claimed t,
+// so no quiesce bracket is needed: the thief owns an unstarted t, whose
+// parent therefore still counts it in pending. That parent is either
+// unfinished or finished non-strict, and a non-strict task is buried
+// until quiescence (pool.go), so its struct is not reused under the
+// read.
+//
+// Liveness does not rest on the rule. A relocated task can still be a
+// descendant that a tied ancestor waits for (a Taskgroup drain waits on
+// all of them, through untied parents too). The park/wake protocol
+// wakes every parked waiter on every enqueue, dependence release
+// included (worker.enqueue), and on the completion of its own last
+// child (task.finish), and the holder's own progress eventually pops
+// or exposes buried tasks at an accessible end. A future scheduler
+// that relocates tasks *and* parks without those wakes would
+// deadlock; keep both halves of the protocol.
 func (d *dequeScheduler) takeFrom(self, victim int, pred func(*task) bool) *task {
 	vs := &d.ws[victim]
 	if t := vs.pq.take(pred); t != nil {
@@ -577,7 +595,7 @@ func (d *dequeScheduler) takeFrom(self, victim int, pred func(*task) bool) *task
 		}
 		return nil
 	}
-	if d.stealBatch > 1 && pred == nil {
+	if d.stealBatch > 1 && pred == nil && t.raidable() {
 		me := &d.ws[self]
 		k := int(vs.dq.size() / 2)
 		if k > d.stealBatch-1 {

@@ -145,9 +145,21 @@ func (s Stats) Sub(prev Stats) Stats {
 // run: a persistent team serves submissions from long-parked workers
 // and its observers (latency monitors, the serve report) read stats
 // mid-flight, which with plain fields would be a data race. Each
-// counter has a single writer (its worker), so the writes are
-// uncontended adds — the atomicity buys race-free remote reads, not
-// cross-worker aggregation.
+// counter has a single writer (its worker) — the atomicity buys
+// race-free remote reads, not cross-worker aggregation.
+//
+// Rare counters (steals, parks, barriers, dependence and future
+// events, pool counts) are bumped here with an uncontended add. The
+// seven that every task bumps are plain fields in the worker
+// (taskCounts), and this block holds copies the owner stores
+// (publishCounts) before every park registration, at worker exit, and
+// in finish before a grouped task leaves its group. Region-end stats
+// are therefore exact, and so is a serialized SubmitWait delta: every
+// member of the submission's group published before the leave that
+// completed it. A snapshot taken while workers run lags each worker by
+// what it counted since its last copy — on a persistent team, the
+// counts of the tasks it is running or has suspended; in a Parallel
+// region, everything since it last parked.
 //
 // liveCreated and liveFinished are the team's live-task count, split
 // by writer: tasks this worker made live (deferred and undeferred
@@ -176,6 +188,38 @@ type workerStats struct {
 	privateWrites    atomic.Int64
 	sharedWrites     atomic.Int64
 	_                [24]byte // pad to a multiple of 64 bytes
+}
+
+// taskCounts are the counters every task bumps, as plain fields of the
+// worker that only its owner reads or writes: a fine-grained task
+// bumped up to seven of them, and an uncontended locked add costs
+// about 7 ns where the store buffer hides a plain one (DESIGN §12.1).
+// workerStats holds their published copies.
+type taskCounts struct {
+	tasksCreated, tasksUndeferred, taskwaits int64
+	capturedBytes, workUnits                 int64
+	privateWrites, sharedWrites              int64
+}
+
+// publishCounts stores w's plain task counters into their workerStats
+// copies. Owner only. A copy that already holds its value is not
+// stored again: a sequentially consistent store is itself a locked
+// instruction on amd64, and on a persistent team this runs per task.
+func (w *worker) publishCounts() {
+	c, s := &w.counts, &w.stats
+	storeIfChanged(&s.tasksCreated, c.tasksCreated)
+	storeIfChanged(&s.tasksUndeferred, c.tasksUndeferred)
+	storeIfChanged(&s.taskwaits, c.taskwaits)
+	storeIfChanged(&s.capturedBytes, c.capturedBytes)
+	storeIfChanged(&s.workUnits, c.workUnits)
+	storeIfChanged(&s.privateWrites, c.privateWrites)
+	storeIfChanged(&s.sharedWrites, c.sharedWrites)
+}
+
+func storeIfChanged(dst *atomic.Int64, v int64) {
+	if dst.Load() != v {
+		dst.Store(v)
+	}
 }
 
 // live returns the number of tasks made live and not yet finished, or

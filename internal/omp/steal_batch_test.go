@@ -3,6 +3,7 @@ package omp
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,6 +104,91 @@ func TestStealBatchMovesHalf(t *testing.T) {
 				t.Fatalf("drained %d distinct tasks, want %d", len(seen), B)
 			}
 		})
+	}
+}
+
+// TestStealBatchKeepsTiedChildren pins the raid rule: a raid moves
+// only tasks whose parent is untied, a nil parent counting as untied.
+// A stolen task with a tied parent is taken alone, and a raid ends at
+// the first claimed task whose parent is tied, which travels last.
+func TestStealBatchKeepsTiedChildren(t *testing.T) {
+	const B = 40
+	tied, untied := &task{}, &task{untied: true}
+	for _, tc := range []struct {
+		name    string
+		parent  func(i int) *task // parent of the i-th task from the top
+		stolen  *task             // parent of the task Steal must return
+		wantMov int64             // tasks relocated onto the thief
+	}{
+		{"tied", func(int) *task { return tied }, tied, 0},
+		{"untied", func(int) *task { return untied }, untied, 15},
+		{"nil", func(int) *task { return nil }, nil, 15},
+		// Untied tasks at the top, tied behind them: the raid claims
+		// the two untied ones after the first, then the first tied one,
+		// and stops there.
+		{"mixed", func(i int) *task {
+			if i < 3 {
+				return untied
+			}
+			return tied
+		}, untied, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewScheduler("workfirst(16)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := s.(*dequeScheduler)
+			d.Init(2)
+			defer d.Fini()
+			for i := 0; i < B; i++ {
+				d.Push(0, &task{parent: tc.parent(i), depth: int32(i)})
+			}
+			got := d.Steal(1, nil)
+			if got == nil {
+				t.Fatal("steal from a 40-task victim returned nil")
+			}
+			if got.parent != tc.stolen || got.depth != 0 {
+				t.Errorf("stole task %d, want the victim's oldest (0)", got.depth)
+			}
+			if q := d.Queued(1); q != tc.wantMov {
+				t.Errorf("thief backlog after one raid = %d, want %d", q, tc.wantMov)
+			}
+			if q := d.Queued(0); q != B-1-tc.wantMov {
+				t.Errorf("victim backlog after one raid = %d, want %d", q, B-1-tc.wantMov)
+			}
+		})
+	}
+}
+
+// TestStealBatchTiedFibParks is the region-level face of the raid
+// rule. When a raid could carry a victim's pending children from every
+// depth of its spine, the tied tasks waiting on them stayed on the
+// victim, could not reach them (a constrained steal reads only the
+// thief's top, which holds the shallowest moved task) and parked until
+// the thief had finished its whole subtree: 200–500 taskwait parks
+// against about 12 steals per tied fib(23) region at 2 workers. With
+// the rule a park needs a steal behind it; a few per steal remain (the
+// waiter of a stolen child parks when its own work runs out).
+func TestStealBatchTiedFibParks(t *testing.T) {
+	const regions = 5
+	var slack []int64 // 4·(stolen+1) − parks, per region
+	for i := 0; i < regions; i++ {
+		var res int64
+		st := Parallel(2, func(c *Context) {
+			c.Single(func(c *Context) {
+				c.Task(func(c *Context) { parFib(c, 23, &res) })
+			})
+		})
+		if want := fibSeq(23); res != want {
+			t.Fatalf("fib(23) = %d, want %d", res, want)
+		}
+		slack = append(slack, 4*(st.TasksStolen+1)-st.TaskwaitParks)
+		t.Logf("region %d: %d taskwait parks, %d stolen", i, st.TaskwaitParks, st.TasksStolen)
+	}
+	sort.Slice(slack, func(i, j int) bool { return slack[i] < slack[j] })
+	if med := slack[regions/2]; med < 0 {
+		t.Errorf("median region parks %d more than 4×(stolen+1): tied waiters idle behind raids", -med)
 	}
 }
 

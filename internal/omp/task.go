@@ -214,6 +214,14 @@ func (t *task) isDescendantOf(anc *task) bool {
 	return false
 }
 
+// raidable reports whether a batch steal may carry t along with other
+// tasks: only when t's parent is untied. A nil parent (the direct
+// scheduler harnesses) counts as untied. Call it only on a task the
+// caller has claimed; takeFrom says why the parent is then safe to read.
+func (t *task) raidable() bool {
+	return t.parent == nil || t.parent.untied
+}
+
 // mustBeLive panics if t has been reset for reuse: the schedulers and
 // the constraint walk call it on every task they are handed.
 func (t *task) mustBeLive() {
@@ -271,14 +279,20 @@ func (t *task) finish(w *worker) {
 			t.creator.wake()
 		}
 	}
-	if t.group != nil && t.group.leave() {
-		if s := t.group.sub; s != nil {
-			// The group is a persistent-team submission and this was
-			// its last live task: complete the submission (signal its
-			// waiter or run its callback; see persistent.go).
-			s.complete()
+	if g := t.group; g != nil {
+		// Publish w's plain counters before leaving: the leave that
+		// empties a submission's group completes it, and Wait's stats
+		// delta must already see every member's counts (workerStats).
+		w.publishCounts()
+		if g.leave() {
+			if s := g.sub; s != nil {
+				// The group is a persistent-team submission and this was
+				// its last live task: complete the submission (signal its
+				// waiter or run its callback; see persistent.go).
+				s.complete()
+			}
+			tm.wakeWaiters() // a Taskgroup drain may be parked on the group
 		}
-		tm.wakeWaiters() // a Taskgroup drain may be parked on the group
 	}
 	if strict && !t.hasDeps {
 		w.retire(t)

@@ -186,11 +186,16 @@ type worker struct {
 	// heap allocation of the config.
 	taskCfg taskConfig
 
+	// counts are the counters every task bumps, plain and owner-only;
+	// stats below holds the copies other goroutines read (see
+	// workerStats for when they are published).
+	counts taskCounts
+
 	// events is this worker's flight-recorder handle, nil when the team
 	// has no recorder; owner-only. Every event site nil-checks it, so
 	// the default configuration pays one predictable branch. Events
 	// stage in the handle and are published before every block
-	// (flushEvents) and when the worker exits.
+	// (publish) and when the worker exits.
 	events *obs.Writer
 
 	// Reusable constraint predicate: runOne installs the suspended
@@ -259,7 +264,7 @@ func Parallel(n int, body func(*Context), opts ...TeamOpt) *Stats {
 			// Join the final barrier even if the body panicked, so
 			// the rest of the team is not wedged waiting for us.
 			tm.barrier(w)
-			w.flushEvents()
+			w.publish()
 		}()
 	}
 	wg.Wait()
@@ -410,8 +415,8 @@ func (tm *Team) barrier(w *worker) {
 		// re-check every wake condition (runnable task, completable or
 		// completed barrier) so no concurrent wake can be missed. A
 		// task found by the re-check runs after deregistering, so a
-		// registered worker never executes (see flushEvents).
-		w.flushEvents()
+		// registered worker never executes (see publish).
+		w.publish()
 		tm.idleWaiters.Add(1)
 		if t := w.pick(nil); t != nil || tm.barGen.Load() != gen ||
 			(tm.barArrived.Load() == n && tm.live() == 0) {
@@ -455,12 +460,15 @@ func (tm *Team) parkOnDoorbell(w *worker, bell chan struct{}) {
 	ev.Record(obs.EvWake, int64(time.Since(t0)))
 }
 
-// flushEvents publishes w's staged flight-recorder events. Workers
-// call it before registering as parked (idleWaiters, waitParkers) and
-// when they exit. A registered worker only re-probes and blocks, never
-// executes, so every task a worker counted by ParkedWorkers has run is
-// already visible to Snapshot.
-func (w *worker) flushEvents() {
+// publish makes w's owner-only records visible to other goroutines:
+// its plain task counters (publishCounts) and its staged
+// flight-recorder events. Workers call it before registering as
+// parked (idleWaiters, waitParkers) and when they exit. A registered
+// worker only re-probes and blocks, never executes, so every task a
+// worker counted by ParkedWorkers has run is already visible to
+// Snapshot and counted in Stats.
+func (w *worker) publish() {
+	w.publishCounts()
 	if ev := w.events; ev != nil {
 		ev.Flush()
 	}
@@ -559,7 +567,7 @@ func (w *worker) waitPark(key, constraint *task, cond func() bool) {
 	case <-w.wakeCh:
 	default:
 	}
-	w.flushEvents()
+	w.publish()
 	w.waitTask.Store(key)
 	tm.waitParkers.Add(1)
 	var t *task
