@@ -155,7 +155,7 @@ func ms(ns int64) string {
 // refusal) and serves it for the life of the process:
 //
 //	GET /metrics           Prometheus text exposition of reg
-//	GET /debug/flightrec   bots-flightrec/v1 JSON dump (404 until the
+//	GET /debug/flightrec   bots-flightrec/v2 JSON dump (404 until the
 //	                       run attaches its recorder)
 //	GET /debug/pprof/...   net/http/pprof profiles
 func startMetricsListener(addr string, reg *obs.Registry, getFR func() *obs.FlightRecorder) {

@@ -117,8 +117,10 @@ func fwd(diag, b []float64, bs int) int64 {
 			if lik == 0 {
 				continue
 			}
-			for j := 0; j < bs; j++ {
-				b[i*bs+j] -= lik * b[k*bs+j]
+			bi := b[i*bs : i*bs+bs]
+			bk := b[k*bs : k*bs+len(bi)]
+			for j := range bi {
+				bi[j] -= lik * bk[j]
 			}
 		}
 	}
@@ -143,13 +145,15 @@ func bdiv(diag, b []float64, bs int) int64 {
 // bmod computes inner -= row·col (the trailing update).
 func bmod(row, col, inner []float64, bs int) int64 {
 	for i := 0; i < bs; i++ {
+		in := inner[i*bs : i*bs+bs]
 		for k := 0; k < bs; k++ {
 			rik := row[i*bs+k]
 			if rik == 0 {
 				continue
 			}
-			for j := 0; j < bs; j++ {
-				inner[i*bs+j] -= rik * col[k*bs+j]
+			ck := col[k*bs : k*bs+len(in)]
+			for j := range in {
+				in[j] -= rik * ck[j]
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // FlightRecorderSchema identifies the JSON dump layout.
-const FlightRecorderSchema = "bots-flightrec/v1"
+const FlightRecorderSchema = "bots-flightrec/v2"
 
 // EventKind classifies one scheduler event in the flight recorder.
 type EventKind uint8
@@ -49,9 +49,18 @@ func (k EventKind) String() string {
 type Event struct {
 	// TimeNS is wall-clock nanoseconds: the recorder's wall-clock base
 	// (time.Now at construction) plus the monotonic time elapsed since
-	// it. That is one clock read per event, and a wall-clock step after
-	// construction cannot reorder events.
+	// it, so a wall-clock step after construction cannot reorder
+	// events. FlightRecorder.Record reads the clock per event. A
+	// Writer times a batch instead: one read when the first event of
+	// an empty stage is recorded (open), one when the stage is
+	// published (publish), and event i of n gets
+	// open + (publish-open)·i/(n-1). Each ring's times never decrease.
 	TimeNS int64
+	// SpanNS bounds TimeNS's error: the event happened within
+	// [TimeNS-SpanNS, TimeNS+SpanNS]. It is the batch's publish-open
+	// for a Writer batch of two or more events, and 0 for a one-event
+	// batch and for FlightRecorder.Record.
+	SpanNS int64
 	Worker int       // team slot; -1 for external (submitter) events
 	Kind   EventKind //
 	Arg    int64     // kind-specific payload, see the kind constants
@@ -123,10 +132,11 @@ func (r *evRing) snapshot(out []Event) []Event {
 // events: one drop-oldest ring per team worker plus one external ring
 // for submitter-side events. Recording is allocation-free (the rings
 // are sized at construction). A worker records through its own Writer
-// (one monotonic clock read per event, no lock); Record, for everyone
-// else, adds a mutex round-trip per event. It is off unless a team was
-// built with omp.WithFlightRecorder, so the default hot path pays only
-// a nil check.
+// (two monotonic clock reads per batch, no lock per event); Record,
+// for everyone else, takes a clock read and a mutex round-trip per
+// event. It is off unless a team was built with
+// omp.WithFlightRecorder, so the default hot path pays only a nil
+// check.
 type FlightRecorder struct {
 	rings []evRing // workers rings, then one external ring
 	clock
@@ -175,11 +185,14 @@ func (fr *FlightRecorder) Record(worker int, kind EventKind, arg int64) {
 const writerStage = 32
 
 // Writer is a single-writer handle on one worker's ring. Record
-// stages an event inside the handle with one monotonic clock read and
-// no synchronization; staged events reach the ring — and Snapshot —
-// in one batch under the ring's mutex when the stage fills or the
-// owner calls Flush. An owner that is about to block or exit must
-// Flush first, so a dump taken while it waits shows everything it did.
+// stages an event's kind and arg inside the handle with no
+// synchronization, reading the clock only for the first event of an
+// empty stage; staged events reach the ring — and Snapshot — in one
+// batch under the ring's mutex when the stage fills or the owner calls
+// Flush, which times them (see Event.TimeNS). An owner that is about
+// to block or exit must Flush first, so a dump taken while it waits
+// shows everything it did, and its last event's time is close to the
+// block.
 //
 // A Writer must not be used by two goroutines at once. Separate
 // Writers on one ring are safe (each batch is published under the
@@ -187,9 +200,10 @@ const writerStage = 32
 // order.
 type Writer struct {
 	ring   *evRing
-	clock  clock
+	now    func() int64 // the recorder's clock; tests wrap it to count reads
 	worker int
-	n      int // staged events
+	open   int64 // clock read at the stage's first Record
+	n      int   // staged events
 	stage  [writerStage]Event
 }
 
@@ -197,23 +211,47 @@ type Writer struct {
 // external ring for an out-of-range id, as for Record).
 func (fr *FlightRecorder) Writer(worker int) *Writer {
 	r, worker := fr.ring(worker)
-	return &Writer{ring: r, clock: fr.clock, worker: worker}
+	return &Writer{ring: r, now: fr.now, worker: worker}
 }
 
 // Record stages one event, publishing the stage when it fills.
 func (w *Writer) Record(kind EventKind, arg int64) {
-	w.stage[w.n] = Event{TimeNS: w.clock.now(), Worker: w.worker, Kind: kind, Arg: arg}
+	if w.n == 0 {
+		w.open = w.now()
+	}
+	ev := &w.stage[w.n]
+	ev.Kind, ev.Arg = kind, arg
 	if w.n++; w.n == len(w.stage) {
 		w.Flush()
 	}
 }
 
-// Flush publishes the staged events into the ring.
+// Flush times the staged events and publishes them into the ring.
+// Event i of n gets open + span·i/(n-1), span = publish-open, computed
+// as a whole step plus a carried remainder: one division per batch
+// instead of one per event.
 func (w *Writer) Flush() {
-	if w.n > 0 {
-		w.ring.publish(w.stage[:w.n])
-		w.n = 0
+	n := int64(w.n)
+	if n == 0 {
+		return
 	}
+	var span, step, rem int64
+	if n > 1 {
+		span = w.now() - w.open
+		step, rem = span/(n-1), span%(n-1)
+	}
+	t, carry := w.open, int64(0)
+	for i := range w.stage[:n] {
+		ev := &w.stage[i]
+		ev.TimeNS, ev.SpanNS, ev.Worker = t, span, w.worker
+		t += step
+		if carry += rem; carry >= n-1 {
+			carry -= n - 1
+			t++
+		}
+	}
+	w.ring.publish(w.stage[:n])
+	w.n = 0
 }
 
 // Snapshot returns the retained events of every ring, merged and
@@ -245,12 +283,13 @@ func (fr *FlightRecorder) Dropped() int64 {
 // eventJSON is the dump form of one event.
 type eventJSON struct {
 	TimeNS int64  `json:"t_ns"`
+	SpanNS int64  `json:"span_ns"`
 	Worker int    `json:"worker"`
 	Kind   string `json:"kind"`
 	Arg    int64  `json:"arg"`
 }
 
-// dumpJSON is the bots-flightrec/v1 document.
+// dumpJSON is the bots-flightrec/v2 document.
 type dumpJSON struct {
 	Schema  string      `json:"schema"`
 	Workers int         `json:"workers"`
@@ -259,8 +298,10 @@ type dumpJSON struct {
 }
 
 // WriteJSON dumps the recorder's current timeline as a
-// bots-flightrec/v1 JSON document: schema, worker count, drop-oldest
-// eviction count, and the merged time-sorted event list.
+// bots-flightrec/v2 JSON document: schema, worker count, drop-oldest
+// eviction count, and the merged time-sorted event list, each event
+// with its time and that time's error bound (t_ns, span_ns; see
+// Event).
 func (fr *FlightRecorder) WriteJSON(w io.Writer) error {
 	evs := fr.Snapshot()
 	d := dumpJSON{
@@ -270,7 +311,7 @@ func (fr *FlightRecorder) WriteJSON(w io.Writer) error {
 		Events:  make([]eventJSON, len(evs)),
 	}
 	for i, ev := range evs {
-		d.Events[i] = eventJSON{TimeNS: ev.TimeNS, Worker: ev.Worker, Kind: ev.Kind.String(), Arg: ev.Arg}
+		d.Events[i] = eventJSON{TimeNS: ev.TimeNS, SpanNS: ev.SpanNS, Worker: ev.Worker, Kind: ev.Kind.String(), Arg: ev.Arg}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

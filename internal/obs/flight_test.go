@@ -100,6 +100,99 @@ func TestFlightWriterStage(t *testing.T) {
 	}
 }
 
+// TestFlightWriterBatchTimes pins how a Writer times a batch: the
+// first event at the clock read its Record takes (open), the last at
+// the read its publish takes, event i of n at open + span·i/(n-1),
+// every event with SpanNS = publish-open (0 for a one-event batch),
+// and times that never decrease across batches.
+func TestFlightWriterBatchTimes(t *testing.T) {
+	fr := NewFlightRecorder(1, 1024)
+	w := fr.Writer(0)
+	var reads []int64 // what the writer's clock returned
+	now := w.now
+	w.now = func() int64 {
+		v := now()
+		reads = append(reads, v)
+		return v
+	}
+	var prev int64
+	seen := 0
+	for _, n := range []int{1, 2, 5, writerStage, 3, 1} {
+		reads = reads[:0]
+		before := fr.now()
+		w.Record(EvSpawn, 0)
+		after := fr.now()
+		for i := 1; i < n; i++ {
+			w.Record(EvFinish, int64(i))
+		}
+		w.Flush()
+		all := fr.Snapshot()
+		if len(all) != seen+n {
+			t.Fatalf("batch of %d: %d events visible, want %d", n, len(all), seen+n)
+		}
+		evs := all[seen:]
+		seen += n
+		if evs[0].TimeNS < before || evs[0].TimeNS > after {
+			t.Errorf("batch of %d: first event at %d, outside its Record's [%d, %d]", n, evs[0].TimeNS, before, after)
+		}
+		open, publish := reads[0], reads[len(reads)-1]
+		if open < prev {
+			t.Errorf("batch of %d opens at %d, before the previous batch's %d", n, open, prev)
+		}
+		span := publish - open
+		for i, ev := range evs {
+			want := open
+			if n > 1 {
+				want += span * int64(i) / int64(n-1)
+			}
+			if ev.TimeNS != want || ev.SpanNS != span || ev.Worker != 0 {
+				t.Errorf("batch of %d, event %d = %+v, want TimeNS %d SpanNS %d worker 0 (open %d, publish %d)",
+					n, i, ev, want, span, open, publish)
+			}
+			if ev.TimeNS < prev {
+				t.Errorf("batch of %d, event %d at %d, before the previous %d", n, i, ev.TimeNS, prev)
+			}
+			prev = ev.TimeNS
+		}
+		if n == 1 && evs[0].SpanNS != 0 {
+			t.Errorf("one-event batch span = %d, want 0", evs[0].SpanNS)
+		}
+	}
+}
+
+// TestFlightWriterClockReads: a Writer reads the clock at most twice
+// per batch — once when an empty stage takes its first event, once at
+// publish — however many events the batch holds.
+func TestFlightWriterClockReads(t *testing.T) {
+	fr := NewFlightRecorder(1, 1024)
+	w := fr.Writer(0)
+	reads := 0
+	now := w.now
+	w.now = func() int64 {
+		reads++
+		return now()
+	}
+	for batch := 0; batch < 3; batch++ {
+		reads = 0
+		for i := 0; i < writerStage; i++ {
+			w.Record(EvSpawn, int64(i)) // the last one publishes
+		}
+		if reads > 2 {
+			t.Fatalf("full stage %d: %d clock reads, want at most 2", batch, reads)
+		}
+	}
+	for _, tc := range []struct{ events, want int }{{0, 0}, {1, 1}, {7, 2}} {
+		reads = 0
+		for i := 0; i < tc.events; i++ {
+			w.Record(EvFinish, int64(i))
+		}
+		w.Flush()
+		if reads != tc.want {
+			t.Errorf("%d events then Flush: %d clock reads, want %d", tc.events, reads, tc.want)
+		}
+	}
+}
+
 // TestFlightWriterWrap: batches that wrap the ring — including one
 // longer than the ring — keep drop-oldest order and an exact Dropped
 // count, as recording the same events one by one does.
@@ -227,13 +320,17 @@ func BenchmarkFlightRecord(b *testing.B) {
 	})
 }
 
-// TestFlightWriteJSON: the dump is valid bots-flightrec/v1 JSON with
-// string event kinds and sorted timestamps.
+// TestFlightWriteJSON: the dump is valid bots-flightrec/v2 JSON with
+// string event kinds, sorted timestamps and a span_ns error bound on
+// every event: 0 on the external ring, never negative.
 func TestFlightWriteJSON(t *testing.T) {
 	fr := NewFlightRecorder(2, 16)
 	fr.Record(0, EvPark, 0)
-	fr.Record(1, EvSteal, 2)
 	fr.Record(-1, EvSubmit, 1)
+	w := fr.Writer(1)
+	w.Record(EvSteal, 2)
+	w.Record(EvFinish, 2)
+	w.Flush()
 	var b strings.Builder
 	if err := fr.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -244,6 +341,7 @@ func TestFlightWriteJSON(t *testing.T) {
 		Dropped int64  `json:"dropped"`
 		Events  []struct {
 			TimeNS int64  `json:"t_ns"`
+			SpanNS *int64 `json:"span_ns"`
 			Worker int    `json:"worker"`
 			Kind   string `json:"kind"`
 			Arg    int64  `json:"arg"`
@@ -252,10 +350,10 @@ func TestFlightWriteJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &d); err != nil {
 		t.Fatalf("dump not valid JSON: %v\n%s", err, b.String())
 	}
-	if d.Schema != FlightRecorderSchema || d.Workers != 2 || d.Dropped != 0 {
+	if d.Schema != "bots-flightrec/v2" || d.Workers != 2 || d.Dropped != 0 {
 		t.Fatalf("header = %+v", d)
 	}
-	if len(d.Events) != 3 {
+	if len(d.Events) != 4 {
 		t.Fatalf("events = %d", len(d.Events))
 	}
 	kinds := map[string]bool{}
@@ -266,8 +364,16 @@ func TestFlightWriteJSON(t *testing.T) {
 			t.Fatalf("events not time-sorted")
 		}
 		prev = ev.TimeNS
+		switch {
+		case ev.SpanNS == nil:
+			t.Fatalf("%s event has no span_ns", ev.Kind)
+		case *ev.SpanNS < 0:
+			t.Errorf("%s event span_ns = %d, want >= 0", ev.Kind, *ev.SpanNS)
+		case ev.Worker == -1 && *ev.SpanNS != 0:
+			t.Errorf("external %s event span_ns = %d, want 0", ev.Kind, *ev.SpanNS)
+		}
 	}
-	for _, k := range []string{"park", "steal", "submit"} {
+	for _, k := range []string{"park", "steal", "submit", "finish"} {
 		if !kinds[k] {
 			t.Fatalf("missing kind %q in %v", k, kinds)
 		}

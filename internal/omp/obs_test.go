@@ -1,7 +1,9 @@
 package omp
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,6 +133,76 @@ func TestFlightRecorderPublishOnPark(t *testing.T) {
 	}
 	if finishes != 4*9 {
 		t.Errorf("finishes visible with every worker parked = %d, want 36", finishes)
+	}
+}
+
+// TestFlightRecorderTaskwaitPark: a worker blocked in a taskwait is
+// parked on the recorder too. On a 2-worker region the spawner's only
+// child blocks on release on the other worker, so the spawner's
+// Taskwait parks on its wake channel; its park must be visible before
+// release is closed, and its wake after.
+func TestFlightRecorderTaskwaitPark(t *testing.T) {
+	fr := obs.NewFlightRecorder(2, 256)
+	release, done := make(chan struct{}), make(chan struct{})
+	var started atomic.Bool
+	var spawner atomic.Int64
+	spawner.Store(-1)
+	go func() {
+		defer close(done)
+		Parallel(2, func(c *Context) {
+			c.Single(func(c *Context) {
+				spawner.Store(int64(c.ThreadNum()))
+				c.Task(func(c *Context) {
+					started.Store(true)
+					<-release
+				})
+				// No scheduling point until the child runs elsewhere,
+				// so the Taskwait cannot run it here.
+				for !started.Load() {
+					runtime.Gosched()
+				}
+				c.Taskwait()
+			})
+		}, WithFlightRecorder(fr))
+	}()
+	// last returns the spawner's newest published event.
+	last := func() (obs.Event, bool) {
+		w := int(spawner.Load())
+		var ev obs.Event
+		found := false
+		for _, e := range fr.Snapshot() {
+			if w >= 0 && e.Worker == w {
+				ev, found = e, true
+			}
+		}
+		return ev, found
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if ev, ok := last(); ok && ev.Kind == obs.EvPark {
+			if ev.Arg <= 0 {
+				t.Errorf("taskwait park live-task arg = %d, want > 0", ev.Arg)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			<-done
+			t.Fatal("spawner's taskwait park never published")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	<-done
+	var kinds []string
+	w := int(spawner.Load())
+	for _, ev := range fr.Snapshot() {
+		if ev.Worker == w && (ev.Kind == obs.EvPark || ev.Kind == obs.EvWake) {
+			kinds = append(kinds, ev.Kind.String())
+		}
+	}
+	if got := strings.Join(kinds, " "); !strings.HasPrefix(got, "park wake") {
+		t.Errorf("spawner's park/wake events = %q, want the taskwait park then its wake first", got)
 	}
 }
 

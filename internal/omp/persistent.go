@@ -402,7 +402,7 @@ func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 			continue
 		}
 		w.stats.idleParks.Add(1)
-		tm.parkOnDoorbell(w, nil)
+		w.park(tm.doorbell, nil)
 		tm.idleWaiters.Add(-1)
 		idle = 0
 	}

@@ -428,33 +428,34 @@ func (tm *Team) barrier(w *worker) {
 			continue
 		}
 		w.stats.idleParks.Add(1) // counted only when the worker truly blocks
-		tm.parkOnDoorbell(w, bell)
+		w.park(tm.doorbell, bell)
 		tm.idleWaiters.Add(-1)
 		idle = 0
 	}
 }
 
-// parkOnDoorbell blocks w until a doorbell token arrives (task
-// enqueue, submission, shutdown) or bell is closed (barrier
-// completion broadcast; pass nil when no barrier bell applies, e.g.
-// the persistent team's serve loop). Wrapped in flight-recorder
-// park/wake events when a recorder is attached (park carries the
-// live-task count, wake the park duration in ns); the park is
-// published before blocking, so a stall dump ends in it.
-func (tm *Team) parkOnDoorbell(w *worker, bell chan struct{}) {
+// park blocks w until a token arrives on ch or bell is closed. The
+// idle protocol parks on the team doorbell (task enqueue, submission,
+// shutdown) and a barrier bell (completion broadcast; nil when none
+// applies, e.g. the persistent team's serve loop); a condition wait
+// parks on w's wake channel with a nil bell. Wrapped in
+// flight-recorder park/wake events when a recorder is attached (park
+// carries the live-task count, wake the park duration in ns); the
+// park is published before blocking, so a stall dump ends in it.
+func (w *worker) park(ch, bell chan struct{}) {
 	ev := w.events
 	if ev == nil {
 		select {
-		case <-tm.doorbell:
+		case <-ch:
 		case <-bell:
 		}
 		return
 	}
-	ev.Record(obs.EvPark, tm.live())
+	ev.Record(obs.EvPark, w.team.live())
 	ev.Flush()
 	t0 := time.Now()
 	select {
-	case <-tm.doorbell:
+	case <-ch:
 	case <-bell:
 	}
 	ev.Record(obs.EvWake, int64(time.Since(t0)))
@@ -573,7 +574,7 @@ func (w *worker) waitPark(key, constraint *task, cond func() bool) {
 	var t *task
 	if !cond() {
 		if t = w.pick(constraint); t == nil {
-			<-w.wakeCh
+			w.park(w.wakeCh, nil)
 		}
 	}
 	tm.waitParkers.Add(-1)
