@@ -28,33 +28,28 @@ func hitCells(n int) []lab.JobSpec {
 	return out[:n]
 }
 
-// BenchmarkDispatchAllHit submits sweeps whose every cell is already
-// stored through Dispatcher(1) → CachedRunner over an in-memory store:
-// the all-hit half of the lab.sweep workload without its executions.
-// It reports ns per cell, the in-package owner of lab.cached.hit_us and
-// lab.sweep's rate_per_s. Each iteration builds and closes its own
-// dispatcher (a few µs, so a sweep's views do not pile up across
-// iterations). ns/cell at 2080 cells staying within ~1.2× of the
-// 260-cell figure shows the dispatcher's queue pops are O(1).
+// BenchmarkDispatchAllHit resubmits a sweep whose every cell is
+// already stored to one long-lived Dispatcher(1) → CachedRunner over an
+// in-memory store: the all-hit half of the lab.sweep workload without
+// its executions, including what the dispatcher keeps of each finished
+// sweep. It reports ns per cell, the in-package owner of
+// lab.cached.hit_us and lab.sweep's rate_per_s, and live-B/cell: the
+// live heap left after the run per cell submitted, which tends to zero
+// when finished sweeps retire and stays near ~200 B (a JobView) when
+// the dispatcher keeps them all. ns/cell at 2080 cells staying within
+// ~1.2× of the 260-cell figure shows the dispatcher's queue pops are
+// O(1).
 func BenchmarkDispatchAllHit(b *testing.B) {
 	for _, n := range []int{260, 2080} {
 		b.Run(fmt.Sprintf("cells=%d", n), func(b *testing.B) {
 			cells := hitCells(n)
-			store, err := lab.OpenStore("")
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, c := range cells {
-				if err := store.Put(&lab.Record{Key: c.Key(), Spec: c, Verified: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			exec := &fakeRunner{}
-			runner := lab.NewCachedRunner(store, exec)
+			runner, exec := allHitRunner(b, cells)
+			d := lab.NewDispatcher(runner, 1, 0)
+			defer d.Close()
+			before := liveHeap()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := lab.NewDispatcher(runner, 1, 0)
 				sw, err := d.SubmitJobs("warm", cells)
 				if err != nil {
 					b.Fatal(err)
@@ -62,9 +57,11 @@ func BenchmarkDispatchAllHit(b *testing.B) {
 				if st := sw.Wait(); st.Done != n {
 					b.Fatalf("%d of %d cells done", st.Done, n)
 				}
-				d.Close()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cell")
+			b.StopTimer()
+			cellsRun := float64(b.N * n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cellsRun, "ns/cell")
+			b.ReportMetric(float64(int64(liveHeap())-int64(before))/cellsRun, "live-B/cell")
 			if calls := exec.calls.Load(); calls != 0 {
 				b.Fatalf("an all-hit sweep executed %d cells", calls)
 			}

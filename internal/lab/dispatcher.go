@@ -42,7 +42,9 @@ const (
 	SweepCancelled  = "cancelled"
 )
 
-// SweepStatus is a point-in-time snapshot of a sweep.
+// SweepStatus is a point-in-time snapshot of a sweep. A retired sweep
+// (see retainTerminal) reports its final counts with Retired set and
+// no Jobs.
 type SweepStatus struct {
 	ID      string    `json:"id"`
 	Name    string    `json:"name,omitempty"`
@@ -58,7 +60,8 @@ type SweepStatus struct {
 	Done      int       `json:"done"`
 	Failed    int       `json:"failed"`
 	Cancelled int       `json:"cancelled"`
-	Jobs      []JobView `json:"jobs"`
+	Retired   bool      `json:"retired,omitempty"`
+	Jobs      []JobView `json:"jobs,omitempty"`
 }
 
 // Finished reports whether every job has reached a terminal state.
@@ -95,11 +98,16 @@ type Sweep struct {
 	inflight  int
 
 	mu        sync.Mutex
-	jobs      []JobView
+	jobs      []JobView // nil once retired
 	remaining int
 	cancelled bool
+	retired   bool
+	final     tally // the retired sweep's counts
 	done      chan struct{}
 }
+
+// tally is a sweep's jobs counted by state.
+type tally struct{ total, queued, running, done, failed, cancelled int }
 
 // ID returns the sweep's dispatcher-assigned identifier.
 func (s *Sweep) ID() string { return s.id }
@@ -107,7 +115,8 @@ func (s *Sweep) ID() string { return s.id }
 // Done returns a channel closed when every job has finished.
 func (s *Sweep) Done() <-chan struct{} { return s.done }
 
-// Wait blocks until the sweep finishes and returns its final status.
+// Wait blocks until the sweep finishes and returns its final status:
+// the retired summary, without jobs, once the sweep has retired.
 func (s *Sweep) Wait() SweepStatus {
 	<-s.done
 	return s.Status()
@@ -119,38 +128,51 @@ func (s *Sweep) isCancelled() bool {
 	return s.cancelled
 }
 
-// tallyLocked adds the sweep's jobs, by state, to st's counters
-// without copying them. s.mu must be held.
-func (s *Sweep) tallyLocked(st *SweepStatus) {
+// tallyLocked counts the sweep's jobs by state without copying them;
+// a retired sweep answers from its final counts. s.mu must be held.
+func (s *Sweep) tallyLocked() tally {
+	if s.retired {
+		return s.final
+	}
+	t := tally{total: len(s.jobs)}
 	for i := range s.jobs {
 		switch s.jobs[i].Status {
 		case JobQueued:
-			st.Queued++
+			t.queued++
 		case JobRunning:
-			st.Running++
+			t.running++
 		case JobDone:
-			st.Done++
+			t.done++
 		case JobFailed:
-			st.Failed++
+			t.failed++
 		case JobCancelled:
-			st.Cancelled++
+			t.cancelled++
 		}
 	}
+	return t
 }
 
 // Status returns a snapshot of the sweep.
 func (s *Sweep) Status() SweepStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t := s.tallyLocked()
 	st := SweepStatus{
 		ID:        s.id,
 		Name:      s.name,
 		Created:   s.created,
 		Instances: s.instances,
-		Total:     len(s.jobs),
-		Jobs:      append([]JobView(nil), s.jobs...),
+		Total:     t.total,
+		Queued:    t.queued,
+		Running:   t.running,
+		Done:      t.done,
+		Failed:    t.failed,
+		Cancelled: t.cancelled,
+		Retired:   s.retired,
 	}
-	s.tallyLocked(&st)
+	if !s.retired {
+		st.Jobs = append([]JobView(nil), s.jobs...)
+	}
 	finished := st.Finished()
 	switch {
 	case s.cancelled && finished:
@@ -196,7 +218,22 @@ type Dispatcher struct {
 	nextID int
 	closed bool
 	wg     sync.WaitGroup
+
+	// unretired holds, in no order, the sweeps that still keep their
+	// job views: every unfinished sweep plus terminal, the newest
+	// retainTerminal finished ones, oldest first. retired sums the
+	// final counts of every sweep retired so far.
+	unretired []*Sweep
+	terminal  []*Sweep
+	retired   Counts
 }
+
+// retainTerminal is how many finished sweeps keep their per-job views.
+// Past it the oldest finished sweep retires to a fixed-size summary
+// (its final counts, no jobs), so a long-lived dispatcher holds
+// O(retainTerminal × sweep size) of views instead of every view it
+// ever made.
+const retainTerminal = 64
 
 // NewDispatcher starts a pool of `workers` goroutines executing jobs
 // on runner. Each failed job is retried up to `retries` more times
@@ -348,6 +385,7 @@ func (d *Dispatcher) submit(name string, instances int, jobs []JobSpec, journalI
 	}
 	d.sweeps[sw.id] = sw
 	d.order = append(d.order, sw.id)
+	d.unretired = append(d.unretired, sw)
 	d.queue = slices.Grow(d.queue, len(sw.jobs))
 	for i := range sw.jobs {
 		d.queue = append(d.queue, dispJob{sweep: sw, idx: i})
@@ -416,29 +454,60 @@ type Counts struct {
 	Cancelled int  `json:"cancelled"`
 }
 
-// Counts aggregates the job states of all sweeps. Like Sweep.Status
-// it is a point-in-time snapshot, consistent per sweep.
+func (c *Counts) add(t tally) {
+	c.Queued += t.queued
+	c.Running += t.running
+	c.Done += t.done
+	c.Failed += t.failed
+	c.Cancelled += t.cancelled
+}
+
+// Counts aggregates the job states of all sweeps: retired sweeps'
+// final counts from one running sum, the rest by tallying their jobs.
+// Like Sweep.Status it is a point-in-time snapshot, consistent per
+// sweep.
 func (d *Dispatcher) Counts() Counts {
 	d.mu.Lock()
-	c := Counts{Accepting: !d.closed}
-	sweeps := make([]*Sweep, 0, len(d.order))
-	for _, id := range d.order {
-		sweeps = append(sweeps, d.sweeps[id])
-	}
+	c := d.retired
+	c.Accepting = !d.closed
+	c.Sweeps = len(d.order)
+	sweeps := slices.Clone(d.unretired)
 	d.mu.Unlock()
+	// A sweep that retires after the snapshot is not in c yet and
+	// tallies from its final counts, so it is counted exactly once.
 	for _, sw := range sweeps {
-		var st SweepStatus
 		sw.mu.Lock()
-		sw.tallyLocked(&st)
+		t := sw.tallyLocked()
 		sw.mu.Unlock()
-		c.Sweeps++
-		c.Queued += st.Queued
-		c.Running += st.Running
-		c.Done += st.Done
-		c.Failed += st.Failed
-		c.Cancelled += st.Cancelled
+		c.add(t)
 	}
 	return c
+}
+
+// finish records that sw reached a terminal state and retires the
+// oldest finished sweep past retainTerminal: its views go, its final
+// counts move into d.retired under both locks, so Counts never sees it
+// twice or not at all.
+func (d *Dispatcher) finish(sw *Sweep) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.terminal = append(d.terminal, sw)
+	if len(d.terminal) <= retainTerminal {
+		return
+	}
+	old := d.terminal[0]
+	d.terminal[0] = nil
+	d.terminal = d.terminal[1:]
+	i := slices.Index(d.unretired, old)
+	d.unretired[i] = d.unretired[len(d.unretired)-1]
+	d.unretired[len(d.unretired)-1] = nil
+	d.unretired = d.unretired[:len(d.unretired)-1]
+	old.mu.Lock()
+	old.final = old.tallyLocked()
+	old.retired = true
+	old.jobs = nil
+	old.mu.Unlock()
+	d.retired.add(old.final)
 }
 
 // Sweeps returns all sweeps in submission order.
@@ -547,6 +616,7 @@ func (d *Dispatcher) setStatusAt(j dispJob, status JobStatus, attempts int, errM
 		cb(ProgressEvent{SweepID: sw.id, Job: view})
 	}
 	if finished {
+		d.finish(sw)
 		close(sw.done)
 	}
 }

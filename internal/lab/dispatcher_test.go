@@ -1,7 +1,9 @@
 package lab_test
 
 import (
+	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -318,5 +320,176 @@ func TestDispatcherCountsCostFlat(t *testing.T) {
 	}
 	if largeBytes > smallBytes+256 {
 		t.Errorf("Counts allocates %d B with 2000 jobs, %d B with 20", largeBytes, smallBytes)
+	}
+}
+
+// liveHeap is the live heap after a full collection: the value the
+// bots_go_heap_live_bytes gauge reads.
+func liveHeap() uint64 {
+	runtime.GC()
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
+
+// allHitRunner is a CachedRunner over an in-memory store holding every
+// cell, in front of a fake executor that must never run.
+func allHitRunner(t testing.TB, cells []lab.JobSpec) (*lab.CachedRunner, *fakeRunner) {
+	store, err := lab.OpenStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if err := store.Put(&lab.Record{Key: c.Key(), Spec: c, Verified: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec := &fakeRunner{}
+	return lab.NewCachedRunner(store, exec), exec
+}
+
+// TestDispatcherSoakHeapBounded resubmits one all-hit sweep to a
+// long-lived Dispatcher(1) → CachedRunner until it has run 100 k cells
+// and three times the retention cap in sweeps. The live heap it leaves
+// must stay under a fixed ceiling: finished sweeps past the cap retire,
+// so only the newest RetainTerminal sweeps' views (~3 MB here) stay. A
+// dispatcher that keeps every sweep's views holds ~200 B per cell, over
+// 20 MB here, and grows with every sweep.
+func TestDispatcherSoakHeapBounded(t *testing.T) {
+	const ceiling = 8 << 20
+	cells := hitCells(260)
+	runner, exec := allHitRunner(t, cells)
+	before := liveHeap()
+	d := lab.NewDispatcher(runner, 1, 0)
+	defer d.Close()
+	sweeps, ran := 0, 0
+	for ran < 100_000 || sweeps < 3*lab.RetainTerminal {
+		sw, err := d.SubmitJobs("soak", cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := sw.Wait(); st.Done != len(cells) {
+			t.Fatalf("sweep %d: %d of %d cells done", sweeps, st.Done, len(cells))
+		}
+		sweeps++
+		ran += len(cells)
+	}
+	grown := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(runner)
+	if c := d.Counts(); c.Done != ran || c.Sweeps != sweeps {
+		t.Errorf("Counts() = %+v after %d cells in %d sweeps", c, ran, sweeps)
+	}
+	if n := exec.calls.Load(); n != 0 {
+		t.Fatalf("an all-hit sweep executed %d cells", n)
+	}
+	t.Logf("%d sweeps, %d cells: live heap grew %.1f MB (%.1f B/cell)", sweeps, ran, float64(grown)/(1<<20), float64(grown)/float64(ran))
+	if grown > ceiling {
+		t.Fatalf("live heap grew %.1f MB over %d sweeps, ceiling %d MB", float64(grown)/(1<<20), sweeps, ceiling>>20)
+	}
+}
+
+// TestDispatcherRetiresFinishedSweeps runs RetainTerminal+1 sweeps to
+// completion. The oldest retires: Wait and Status return its final
+// summary (counts and state unchanged, Retired set, no jobs), and
+// Counts reads the same across every retirement as it did before.
+func TestDispatcherRetiresFinishedSweeps(t *testing.T) {
+	fake := &fakeRunner{}
+	fake.failN.Store(1) // the first sweep ends with one failed cell
+	d := lab.NewDispatcher(fake, 1, 0)
+	defer d.Close()
+	jobs := []lab.JobSpec{testSpec("fib", 1), testSpec("fib", 2)}
+	var sweeps []*lab.Sweep
+	var finals []lab.SweepStatus
+	for k := 0; k <= lab.RetainTerminal; k++ {
+		before := d.Counts()
+		sw, err := d.SubmitJobs("retire", jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sw.Wait()
+		want := before
+		want.Sweeps++
+		want.Done += st.Done
+		want.Failed += st.Failed
+		if got := d.Counts(); got != want {
+			t.Fatalf("sweep %d: Counts() = %+v, want %+v", k, got, want)
+		}
+		sweeps = append(sweeps, sw)
+		finals = append(finals, st)
+	}
+	if f := finals[0]; f.Failed != 1 || f.Done != 1 || f.Retired || len(f.Jobs) != 2 {
+		t.Fatalf("oldest sweep's final status = %+v", f)
+	}
+	want := finals[0]
+	want.Retired, want.Jobs = true, nil
+	for name, got := range map[string]lab.SweepStatus{"Wait": sweeps[0].Wait(), "Status": sweeps[0].Status()} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("retired sweep's %s() = %+v, want %+v", name, got, want)
+		}
+	}
+	if st := sweeps[1].Status(); st.Retired || len(st.Jobs) != 2 {
+		t.Errorf("sweep among the newest %d finished retired: %+v", lab.RetainTerminal, st)
+	}
+}
+
+// TestDispatcherRetireConcurrent finishes sweeps on several workers
+// while other goroutines submit and read Counts, so the race detector
+// sees retirement race the readers; each Counts snapshot must stay
+// consistent (no cell counted twice or lost) and the last must match
+// what ran.
+func TestDispatcherRetireConcurrent(t *testing.T) {
+	d := lab.NewDispatcher(&fakeRunner{}, 4, 0)
+	defer d.Close()
+	jobs := []lab.JobSpec{testSpec("fib", 1), testSpec("fib", 2), testSpec("fib", 4)}
+	const submitters, perSubmitter = 4, 3 * lab.RetainTerminal / 4
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c := d.Counts()
+			if cells := c.Queued + c.Running + c.Done + c.Failed + c.Cancelled; cells != len(jobs)*c.Sweeps {
+				t.Errorf("Counts() = %+v: %d cells in %d sweeps of %d", c, cells, c.Sweeps, len(jobs))
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				sw, err := d.SubmitJobs("concurrent", jobs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sw.Status()
+				sw.Wait()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-read
+	c := d.Counts()
+	if want := submitters * perSubmitter; c.Sweeps != want || c.Done != want*len(jobs) {
+		t.Fatalf("Counts() = %+v, want %d sweeps, %d done", c, want, want*len(jobs))
+	}
+	retired := 0
+	for _, sw := range d.Sweeps() {
+		if sw.Status().Retired {
+			retired++
+		}
+	}
+	if want := submitters*perSubmitter - lab.RetainTerminal; retired != want {
+		t.Fatalf("%d sweeps retired, want %d", retired, want)
 	}
 }

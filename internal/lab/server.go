@@ -74,6 +74,10 @@ type Server struct {
 //	                          → {renewed, lost}
 //	POST /results             {lease_id, record, error}
 //	GET  /workers             FleetStatus snapshot
+//
+// A finished sweep older than the dispatcher's newest 64 finished ones
+// is retired: the sweep routes answer for it from a summary with its
+// final counts, "retired": true and no "jobs".
 func (s *Server) Handler() http.Handler {
 	s.obsOnce.Do(func() {
 		if s.Obs == nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -391,4 +392,83 @@ func findSweep(ts *httptest.Server, t *testing.T, id string) (lab.SweepStatus, b
 	var st lab.SweepStatus
 	resp := getJSON(t, ts.URL+"/sweeps/"+id, &st)
 	return st, resp.StatusCode == http.StatusOK
+}
+
+// TestServerRetiredSweep finishes RetainTerminal+1 sweeps so the oldest
+// retires, then checks the routes answer for it from its summary:
+// GET /sweeps/{id} with its final counts, "retired": true and no
+// "jobs"; GET /sweeps still lists it; DELETE answers as it does for a
+// finished sweep that has not retired, and changes no count.
+func TestServerRetiredSweep(t *testing.T) {
+	disp := lab.NewDispatcher(&fakeRunner{}, 1, 0)
+	srv := &lab.Server{Disp: disp}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		disp.Close()
+	})
+	var finals []lab.SweepStatus
+	for k := 0; k <= lab.RetainTerminal; k++ {
+		sw, err := disp.SubmitJobs(fmt.Sprint("sweep ", k), []lab.JobSpec{testSpec("fib", 1), testSpec("fib", 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		finals = append(finals, sw.Wait())
+	}
+	oldest, newest := finals[0], finals[len(finals)-1]
+
+	var raw map[string]json.RawMessage
+	if resp := getJSON(t, ts.URL+"/sweeps/"+oldest.ID, &raw); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET retired sweep: status %d", resp.StatusCode)
+	}
+	if _, ok := raw["jobs"]; ok {
+		t.Errorf("retired sweep's status carries jobs: %s", raw["jobs"])
+	}
+	st, ok := findSweep(ts, t, oldest.ID)
+	want := oldest
+	want.Retired, want.Jobs = true, nil
+	if !ok || !reflect.DeepEqual(st, want) {
+		t.Errorf("GET retired sweep = %+v, want %+v", st, want)
+	}
+
+	var list []lab.SweepStatus
+	getJSON(t, ts.URL+"/sweeps", &list)
+	if len(list) != len(finals) || list[0].ID != oldest.ID || !list[0].Retired || list[0].Done != 2 {
+		t.Errorf("GET /sweeps lists %d sweeps, first %+v; want %d with the retired one first", len(list), list[0], len(finals))
+	}
+	if list[1].Retired || len(list[1].Jobs) != 2 {
+		t.Errorf("second sweep retired early: %+v", list[1])
+	}
+
+	counts := disp.Counts()
+	cancel := func(id string) lab.SweepStatus {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sweeps/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("DELETE %s: status %d", id, resp.StatusCode)
+		}
+		var st lab.SweepStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	live, retired := cancel(newest.ID), cancel(oldest.ID)
+	if live.State != lab.SweepCancelled || live.Done != 2 || live.Cancelled != 0 || live.Retired {
+		t.Fatalf("DELETE of a finished sweep = %+v", live)
+	}
+	live.ID, live.Name, live.Created, live.Jobs, live.Retired = oldest.ID, oldest.Name, oldest.Created, nil, true
+	if !reflect.DeepEqual(retired, live) {
+		t.Errorf("DELETE of a retired sweep = %+v, want %+v", retired, live)
+	}
+	if st, _ := findSweep(ts, t, oldest.ID); st.State != lab.SweepCancelled || !st.Retired {
+		t.Errorf("retired sweep after DELETE = %+v", st)
+	}
+	if got := disp.Counts(); got != counts {
+		t.Errorf("Counts() = %+v after DELETE of finished sweeps, want %+v", got, counts)
+	}
 }

@@ -217,11 +217,38 @@ func (j JobSpec) key() string {
 	b = strconv.AppendFloat(b, sw, 'g', -1, 64)
 	b = append(b, "|qserns="...)
 	b = strconv.AppendFloat(b, qs, 'g', -1, 64)
+	keyMemo.mu.RLock()
+	k, ok := keyMemo.m[string(b)]
+	keyMemo.mu.RUnlock()
+	if ok {
+		return k
+	}
 	sum := sha256.Sum256(b)
 	var hx [16]byte
 	hex.Encode(hx[:], sum[:8])
-	return string(hx[:])
+	k = string(hx[:])
+	keyMemo.mu.Lock()
+	if len(keyMemo.m) >= maxMemoKeys {
+		clear(keyMemo.m)
+	}
+	keyMemo.m[string(b)] = k
+	keyMemo.mu.Unlock()
+	return k
 }
+
+// keyMemo maps the exact bytes key hashes to the key they hash to, so
+// a cell the process has keyed before (Expand's dedup, Dispatcher
+// submission, CachedRunner.Run, the fleet, every warm resubmission)
+// costs a map lookup instead of a SHA-256. Keys stay byte-identical:
+// the table is keyed by the hash input itself. It is process-wide and
+// emptied when it reaches maxMemoKeys entries, so it never holds more
+// than a few MB however many distinct cells pass through.
+var keyMemo = struct {
+	mu sync.RWMutex
+	m  map[string]string
+}{m: map[string]string{}}
+
+const maxMemoKeys = 16384
 
 // Validate checks the spec against the registry and the runtime's
 // option vocabulary.

@@ -8,9 +8,19 @@
 // Table II) and the tracer records, for every task, the sequence of
 // scheduling-relevant events (child spawns, taskwaits, completion)
 // together with the cumulative work executed when each event occurs.
-// This makes traces deterministic, portable, and independent of timer
-// resolution, which matters on a single-core host where individual
-// tasks execute in nanoseconds.
+// This makes a trace's costs deterministic, portable, and independent
+// of timer resolution, which matters on a single-core host where
+// individual tasks execute in nanoseconds: a task's work units do not
+// depend on when or where it ran.
+//
+// A recording as a whole is not deterministic. Roots are numbered in
+// the order team workers start, so which root is the spawning implicit
+// task varies from run to run, and two processes recording the same
+// cell can replay to different results (sort/untied/medium has
+// replayed to 661 vs 536 workfirst×8 steals). The simulator is a pure
+// function of the trace it replays; compare replays on saved traces.
+// Numbering roots canonically in Recorder.Finish would remove that
+// variation; it is not done yet.
 package trace
 
 import "fmt"
