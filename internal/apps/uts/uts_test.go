@@ -43,8 +43,6 @@ func TestChildHashAvalanche(t *testing.T) {
 func TestTreeIsUnbalanced(t *testing.T) {
 	// The defining property: sibling subtree sizes vary wildly.
 	p := classParams[core.Small]
-	root := uint64(12345)
-	_ = root
 	rootHash := uint64(99)
 	var min, max int64 = 1 << 62, 0
 	n := numChildren(rootHash, p, true)

@@ -201,8 +201,11 @@ type Dispatcher struct {
 	RetryBase time.Duration
 	RetryCap  time.Duration
 
-	// OnProgress, when non-nil, is called (from worker goroutines,
-	// without internal locks held) on every job state transition.
+	// OnProgress, when non-nil, is called without internal locks held
+	// on every job state transition: from worker goroutines, except
+	// for the done events of cells a CachedRunner's store already
+	// held, which fire from the submitting goroutine before Submit
+	// returns.
 	OnProgress func(ProgressEvent)
 
 	// Journal, when non-nil, receives sweep submissions, cancellations,
@@ -287,7 +290,9 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 }
 
 // Submit expands the manifest and enqueues every cell. It returns
-// the tracking Sweep immediately; jobs run in the background.
+// the tracking Sweep immediately; jobs run in the background. When
+// the runner is a CachedRunner, cells its store already holds are
+// done before Submit returns and never enter the queue.
 func (d *Dispatcher) Submit(spec SweepSpec) (*Sweep, error) {
 	if spec.Instances < 0 {
 		return nil, fmt.Errorf("lab: sweep %q has negative instances %d", spec.Name, spec.Instances)
@@ -316,9 +321,10 @@ func (d *Dispatcher) SubmitJobsN(name string, instances int, jobs []JobSpec) (*S
 // Resume resubmits the unfinished sweeps of a journal recovery. Each
 // recovered sweep keeps its journal ID — its new terminal events
 // append under the identity the compacted journal already re-wrote —
-// and only cells that never reached `done` are resubmitted; finished
-// cells resolve from the result store anyway. It returns how many
-// sweeps and cells went back into the queue.
+// and only cells that never reached `done` are resubmitted. In front
+// of a CachedRunner, resubmitted cells the store already holds settle
+// at submission and take no slot or lease. It returns how many sweeps
+// and cells were resubmitted.
 func (d *Dispatcher) Resume(rec *Recovery) (sweeps, cells int, err error) {
 	if rec == nil {
 		return 0, 0, nil
@@ -346,11 +352,33 @@ func (d *Dispatcher) submit(name string, instances int, jobs []JobSpec, journalI
 	}
 	// Each cell's key is derived here, once, outside the dispatcher
 	// lock: runJob hands it to the cache layer instead of having the
-	// runner re-derive it.
+	// runner re-derive it. In front of a CachedRunner the key is also
+	// looked up in the store: a stored cell is done at submission and
+	// never queues, so it spends no worker slot and no fleet lease.
+	cache, _ := d.runner.(*CachedRunner)
 	views := make([]JobView, len(jobs))
+	var hits []int // indices of stored cells
+	if cache != nil {
+		hits = make([]int, 0, len(jobs))
+	}
 	for i, j := range jobs {
 		j = j.Normalize()
 		views[i] = JobView{Key: j.key(), Spec: j, Status: JobQueued}
+		if cache == nil {
+			continue
+		}
+		if _, ok := cache.Store.Get(views[i].Key); ok {
+			views[i].Status, views[i].Attempts = JobDone, 1
+			hits = append(hits, i)
+		}
+	}
+	misses := len(views) - len(hits)
+	remaining := misses
+	if len(hits) > 0 {
+		cache.hits.Add(int64(len(hits)))
+		// The submitter holds one share of remaining until the hits
+		// are journaled and announced, so Done never closes first.
+		remaining++
 	}
 	d.mu.Lock()
 	if d.closed {
@@ -367,7 +395,7 @@ func (d *Dispatcher) submit(name string, instances int, jobs []JobSpec, journalI
 		cancel:    cancel,
 		instances: instances,
 		jobs:      views,
-		remaining: len(views),
+		remaining: remaining,
 		done:      make(chan struct{}),
 	}
 	if d.Journal != nil {
@@ -386,13 +414,43 @@ func (d *Dispatcher) submit(name string, instances int, jobs []JobSpec, journalI
 	d.sweeps[sw.id] = sw
 	d.order = append(d.order, sw.id)
 	d.unretired = append(d.unretired, sw)
-	d.queue = slices.Grow(d.queue, len(sw.jobs))
-	for i := range sw.jobs {
-		d.queue = append(d.queue, dispJob{sweep: sw, idx: i})
+	if misses > 0 {
+		d.queue = slices.Grow(d.queue, misses)
+		for i := range views {
+			if views[i].Status == JobQueued {
+				d.queue = append(d.queue, dispJob{sweep: sw, idx: i})
+			}
+		}
+		d.cond.Broadcast()
 	}
-	d.cond.Broadcast()
 	d.mu.Unlock()
+	if len(hits) > 0 {
+		d.settleHits(sw, views, hits)
+	}
 	return sw, nil
+}
+
+// settleHits journals and announces the cells submit found stored,
+// then gives back the submitter's share of sw.remaining. It reads
+// only the hits' views, which no worker writes: the misses' views,
+// in the same array, are the workers' from the moment submit
+// unlocked.
+func (d *Dispatcher) settleHits(sw *Sweep, views []JobView, hits []int) {
+	cb := d.OnProgress
+	for _, i := range hits {
+		d.Journal.JobDone(sw.journalID, views[i].Key, JobDone)
+		if cb != nil {
+			cb(ProgressEvent{SweepID: sw.id, Job: views[i]})
+		}
+	}
+	sw.mu.Lock()
+	sw.remaining--
+	finished := sw.remaining == 0
+	sw.mu.Unlock()
+	if finished {
+		d.finish(sw)
+		close(sw.done)
+	}
 }
 
 // Sweep returns a submitted sweep by ID.

@@ -493,3 +493,190 @@ func TestDispatcherRetireConcurrent(t *testing.T) {
 		t.Fatalf("%d sweeps retired, want %d", retired, want)
 	}
 }
+
+// progressLog collects a dispatcher's progress events.
+type progressLog struct {
+	mu     sync.Mutex
+	events []lab.ProgressEvent
+}
+
+func (p *progressLog) record(ev lab.ProgressEvent) {
+	p.mu.Lock()
+	p.events = append(p.events, ev)
+	p.mu.Unlock()
+}
+
+// byStatus counts the logged events per job status.
+func (p *progressLog) byStatus() map[lab.JobStatus]int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := map[lab.JobStatus]int{}
+	for _, ev := range p.events {
+		n[ev.Job.Status]++
+	}
+	return n
+}
+
+// TestDispatcherAllHitSettlesAtSubmit submits a journaled sweep whose
+// every cell is stored: it is done before SubmitJobs returns, the next
+// runner never runs, each cell counts one hit, one done event and one
+// attempt, and the journal holds one terminal event per cell, so a
+// reopen recovers nothing.
+func TestDispatcherAllHitSettlesAtSubmit(t *testing.T) {
+	const n = 16
+	cells := hitCells(n)
+	runner, exec := allHitRunner(t, cells)
+	path := journalPath(t)
+	j, _, err := lab.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := lab.NewDispatcher(runner, 2, 0)
+	defer d.Close()
+	d.Journal = j
+	var log progressLog
+	d.OnProgress = log.record
+	sw, err := d.SubmitJobs("all-hit", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sw.Done():
+	default:
+		t.Error("an all-hit sweep was not done when SubmitJobs returned")
+	}
+	st := waitSweep(t, sw)
+	if st.State != lab.SweepDone || st.Done != n {
+		t.Fatalf("final status = %+v", st)
+	}
+	for _, v := range st.Jobs {
+		if v.Status != lab.JobDone || v.Attempts != 1 {
+			t.Errorf("job %+v, want done after 1 attempt", v)
+		}
+	}
+	if calls := exec.calls.Load(); calls != 0 {
+		t.Errorf("next runner ran %d times", calls)
+	}
+	if hits := runner.Hits(); hits != n {
+		t.Errorf("Hits() = %d, want %d", hits, n)
+	}
+	if got := log.byStatus(); got[lab.JobDone] != n || len(got) != 1 {
+		t.Errorf("progress events by status = %v, want %d done and nothing else", got, n)
+	}
+	j.Close()
+	_, rec, err := lab.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Events != n+1 || len(rec.Sweeps) != 0 {
+		t.Fatalf("journal replayed %d events and %d unfinished sweeps, want %d and 0", rec.Events, len(rec.Sweeps), n+1)
+	}
+}
+
+// TestDispatcherMixedSweepRunsMissesOnce stores every other cell of a
+// sweep: each miss runs exactly once and alone among the cells goes
+// through running, while the stored cells count as hits.
+func TestDispatcherMixedSweepRunsMissesOnce(t *testing.T) {
+	const n = 12
+	cells := hitCells(n)
+	var stored []lab.JobSpec
+	for i := 0; i < n; i += 2 {
+		stored = append(stored, cells[i])
+	}
+	runner, exec := allHitRunner(t, stored)
+	d := lab.NewDispatcher(runner, 2, 0)
+	defer d.Close()
+	var log progressLog
+	d.OnProgress = log.record
+	sw, err := d.SubmitJobs("mixed", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitSweep(t, sw)
+	misses := n - len(stored)
+	if st.State != lab.SweepDone || st.Total != n || st.Done != n {
+		t.Fatalf("final status = %+v", st)
+	}
+	for _, v := range st.Jobs {
+		if v.Status != lab.JobDone || v.Attempts != 1 {
+			t.Errorf("job %+v, want done after 1 attempt", v)
+		}
+	}
+	if calls := exec.calls.Load(); calls != int64(misses) {
+		t.Errorf("next runner ran %d times, want %d", calls, misses)
+	}
+	if h, m := runner.Hits(), runner.Misses(); h != int64(len(stored)) || m != int64(misses) {
+		t.Errorf("hits/misses = %d/%d, want %d/%d", h, m, len(stored), misses)
+	}
+	want := map[lab.JobStatus]int{lab.JobRunning: misses, lab.JobDone: n}
+	if got := log.byStatus(); !reflect.DeepEqual(got, want) {
+		t.Errorf("progress events by status = %v, want %v", got, want)
+	}
+	if c := d.Counts(); c.Done != n || c.Queued != 0 || c.Running != 0 {
+		t.Errorf("Counts() = %+v", c)
+	}
+}
+
+// TestDispatcherResumeStoredRequeuesNothing recovers a journaled sweep
+// none of whose cells reached done, though the store holds them all.
+// Resumed onto a dispatcher whose only worker is busy, the sweep is
+// done when Resume returns: no cell waited for a slot or ran again.
+func TestDispatcherResumeStoredRequeuesNothing(t *testing.T) {
+	cells := hitCells(6)
+	path := journalPath(t)
+	j, _, err := lab.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.BeginSweep("crashed", 0, cells)
+	j.Close()
+	j2, rec, err := lab.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(rec.Sweeps) != 1 || len(rec.Sweeps[0].Pending()) != len(cells) {
+		t.Fatalf("recovery = %+v", rec.Sweeps)
+	}
+
+	runner, exec := allHitRunner(t, cells)
+	exec.block = make(chan struct{})
+	d := lab.NewDispatcher(runner, 1, 0)
+	defer d.Close()
+	defer close(exec.block)
+	d.Journal = j2
+	var log progressLog
+	d.OnProgress = log.record
+	busy, err := d.SubmitJobs("busy", []lab.JobSpec{testSpec("fib", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for busy.Status().Running != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	sweeps, resumed, err := d.Resume(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweeps != 1 || resumed != len(cells) {
+		t.Fatalf("resumed %d sweeps / %d cells, want 1 / %d", sweeps, resumed, len(cells))
+	}
+	sw := d.Sweeps()[1]
+	select {
+	case <-sw.Done():
+	default:
+		t.Fatalf("resumed all-stored sweep not done when Resume returned: %d queued", sw.Status().Queued)
+	}
+	if st := sw.Status(); st.Done != len(cells) {
+		t.Errorf("resumed sweep = %+v", st)
+	}
+	if c := d.Counts(); c.Queued != 0 || c.Running != 1 {
+		t.Errorf("Counts() = %+v, want nothing queued and only the busy cell running", c)
+	}
+	if hits := runner.Hits(); hits != int64(len(cells)) {
+		t.Errorf("Hits() = %d, want %d", hits, len(cells))
+	}
+	if got := log.byStatus(); got[lab.JobDone] != len(cells) {
+		t.Errorf("progress events by status = %v, want %d done", got, len(cells))
+	}
+}
