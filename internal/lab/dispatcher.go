@@ -53,15 +53,18 @@ type SweepStatus struct {
 	// Instances is the manifest's requested worker count (0 = no
 	// per-sweep cap); the dispatcher degrades gracefully when the
 	// pool or fleet offers less.
-	Instances int       `json:"instances,omitempty"`
-	Total     int       `json:"total"`
-	Queued    int       `json:"queued"`
-	Running   int       `json:"running"`
-	Done      int       `json:"done"`
-	Failed    int       `json:"failed"`
-	Cancelled int       `json:"cancelled"`
-	Retired   bool      `json:"retired,omitempty"`
-	Jobs      []JobView `json:"jobs,omitempty"`
+	Instances int  `json:"instances,omitempty"`
+	Total     int  `json:"total"`
+	Queued    int  `json:"queued"`
+	Running   int  `json:"running"`
+	Done      int  `json:"done"`
+	Failed    int  `json:"failed"`
+	Cancelled int  `json:"cancelled"`
+	Retired   bool `json:"retired,omitempty"`
+	// Jobs is every cell's view in submission order. It is read-only:
+	// a finished sweep's Status and Wait all return the sweep's own
+	// views, which are no longer written, instead of a copy each.
+	Jobs []JobView `json:"jobs,omitempty"`
 }
 
 // Finished reports whether every job has reached a terminal state.
@@ -98,11 +101,11 @@ type Sweep struct {
 	inflight  int
 
 	mu        sync.Mutex
-	jobs      []JobView // nil once retired
+	jobs      []JobView // nil once retired; no longer written once remaining is 0
 	remaining int
 	cancelled bool
 	retired   bool
-	final     tally // the retired sweep's counts
+	final     tally // counts frozen when remaining reached 0
 	done      chan struct{}
 }
 
@@ -115,8 +118,9 @@ func (s *Sweep) ID() string { return s.id }
 // Done returns a channel closed when every job has finished.
 func (s *Sweep) Done() <-chan struct{} { return s.done }
 
-// Wait blocks until the sweep finishes and returns its final status:
-// the retired summary, without jobs, once the sweep has retired.
+// Wait blocks until the sweep finishes and returns its final status,
+// whose Jobs are the sweep's own read-only views: none, once the sweep
+// has retired.
 func (s *Sweep) Wait() SweepStatus {
 	<-s.done
 	return s.Status()
@@ -129,11 +133,15 @@ func (s *Sweep) isCancelled() bool {
 }
 
 // tallyLocked counts the sweep's jobs by state without copying them;
-// a retired sweep answers from its final counts. s.mu must be held.
+// a finished sweep answers from its final counts. s.mu must be held.
 func (s *Sweep) tallyLocked() tally {
-	if s.retired {
+	if s.remaining == 0 {
 		return s.final
 	}
+	return s.countLocked()
+}
+
+func (s *Sweep) countLocked() tally {
 	t := tally{total: len(s.jobs)}
 	for i := range s.jobs {
 		switch s.jobs[i].Status {
@@ -152,7 +160,19 @@ func (s *Sweep) tallyLocked() tally {
 	return t
 }
 
-// Status returns a snapshot of the sweep.
+// settleLocked counts one job out of remaining and reports whether it
+// was the last; the last freezes the final counts. s.mu must be held.
+func (s *Sweep) settleLocked() bool {
+	s.remaining--
+	if s.remaining > 0 {
+		return false
+	}
+	s.final = s.countLocked()
+	return true
+}
+
+// Status returns a snapshot of the sweep. A finished sweep's snapshot
+// shares its views (see SweepStatus.Jobs); a running one's copies them.
 func (s *Sweep) Status() SweepStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -169,8 +189,9 @@ func (s *Sweep) Status() SweepStatus {
 		Failed:    t.failed,
 		Cancelled: t.cancelled,
 		Retired:   s.retired,
+		Jobs:      s.jobs,
 	}
-	if !s.retired {
+	if s.remaining > 0 {
 		st.Jobs = append([]JobView(nil), s.jobs...)
 	}
 	finished := st.Finished()
@@ -362,8 +383,8 @@ func (d *Dispatcher) submit(name string, instances int, jobs []JobSpec, journalI
 		hits = make([]int, 0, len(jobs))
 	}
 	for i, j := range jobs {
-		j = j.Normalize()
-		views[i] = JobView{Key: j.key(), Spec: j, Status: JobQueued}
+		spec, key := j.identify()
+		views[i] = JobView{Key: key, Spec: spec, Status: JobQueued}
 		if cache == nil {
 			continue
 		}
@@ -444,8 +465,7 @@ func (d *Dispatcher) settleHits(sw *Sweep, views []JobView, hits []int) {
 		}
 	}
 	sw.mu.Lock()
-	sw.remaining--
-	finished := sw.remaining == 0
+	finished := sw.settleLocked()
 	sw.mu.Unlock()
 	if finished {
 		d.finish(sw)
@@ -561,7 +581,6 @@ func (d *Dispatcher) finish(sw *Sweep) {
 	d.unretired[len(d.unretired)-1] = nil
 	d.unretired = d.unretired[:len(d.unretired)-1]
 	old.mu.Lock()
-	old.final = old.tallyLocked()
 	old.retired = true
 	old.jobs = nil
 	old.mu.Unlock()
@@ -663,8 +682,7 @@ func (d *Dispatcher) setStatusAt(j dispJob, status JobStatus, attempts int, errM
 	finished := false
 	terminal := status == JobDone || status == JobFailed || status == JobCancelled
 	if terminal {
-		sw.remaining--
-		finished = sw.remaining == 0
+		finished = sw.settleLocked()
 	}
 	sw.mu.Unlock()
 	if terminal {

@@ -1,6 +1,7 @@
 package lab_test
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"runtime/metrics"
@@ -389,6 +390,82 @@ func TestDispatcherSoakHeapBounded(t *testing.T) {
 	}
 }
 
+// TestDispatchAllHitBytesPerCell is the allocation ceiling of an
+// all-hit sweep: SubmitJobs and Wait of 2 080 stored, already keyed
+// cells allocate at most 256 B per cell, about one JobView. A
+// dispatcher that re-derives each cell's identity or copies the views
+// on Wait allocates ~400.
+func TestDispatchAllHitBytesPerCell(t *testing.T) {
+	const ceiling = 256
+	cells := hitCells(2080)
+	runner, exec := allHitRunner(t, cells)
+	d := lab.NewDispatcher(runner, 1, 0)
+	defer d.Close()
+	run := func() {
+		sw, err := d.SubmitJobs("bytes", cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := sw.Wait(); st.Done != len(cells) {
+			t.Fatalf("%d of %d cells done", st.Done, len(cells))
+		}
+	}
+	run()
+	// The least of a few runs, so another goroutine's allocations
+	// cannot fail the test.
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if n := exec.calls.Load(); n != 0 {
+		t.Fatalf("an all-hit sweep executed %d cells", n)
+	}
+	perCell := float64(best) / float64(len(cells))
+	t.Logf("%.0f B per cell", perCell)
+	if perCell > ceiling {
+		t.Fatalf("an all-hit sweep allocates %.0f B per cell, ceiling %d", perCell, ceiling)
+	}
+}
+
+// TestDispatcherFinishedStatusSharesViews checks that the status of a
+// finished 2 080-cell sweep costs no allocation: Status and Wait hand
+// back the views as they were at finish, the same array every time,
+// with the counts frozen then.
+func TestDispatcherFinishedStatusSharesViews(t *testing.T) {
+	cells := hitCells(2080)
+	runner, _ := allHitRunner(t, cells)
+	d := lab.NewDispatcher(runner, 1, 0)
+	defer d.Close()
+	sw, err := d.SubmitJobs("finished", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := sw.Wait()
+	if final.State != lab.SweepDone || final.Total != len(cells) || final.Done != len(cells) || len(final.Jobs) != len(cells) {
+		t.Fatalf("final status = %+v", final)
+	}
+	for i, v := range final.Jobs {
+		if v.Key != cells[i].Key() || v.Status != lab.JobDone || v.Attempts != 1 {
+			t.Fatalf("job %d = %+v, want %s done after 1 attempt", i, v, cells[i].Key())
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sw.Status() }); allocs != 0 {
+		t.Errorf("Status of a finished sweep allocates %.0f times, want 0", allocs)
+	}
+	for name, st := range map[string]lab.SweepStatus{"Status": sw.Status(), "Wait": sw.Wait()} {
+		if !reflect.DeepEqual(st, final) {
+			t.Errorf("%s() = %+v, want the status at finish", name, st)
+		}
+		if &st.Jobs[0] != &final.Jobs[0] {
+			t.Errorf("%s() copied the views", name)
+		}
+	}
+}
+
 // TestDispatcherRetiresFinishedSweeps runs RetainTerminal+1 sweeps to
 // completion. The oldest retires: Wait and Status return its final
 // summary (counts and state unchanged, Retired set, no jobs), and
@@ -434,10 +511,11 @@ func TestDispatcherRetiresFinishedSweeps(t *testing.T) {
 }
 
 // TestDispatcherRetireConcurrent finishes sweeps on several workers
-// while other goroutines submit and read Counts, so the race detector
-// sees retirement race the readers; each Counts snapshot must stay
-// consistent (no cell counted twice or lost) and the last must match
-// what ran.
+// while other goroutines submit, read Counts, and read every sweep's
+// Status, Wait and (once it finished) Cancel, so the race detector
+// sees finishing and retirement race the readers of counts and views.
+// Each snapshot must stay consistent (no cell counted twice or lost)
+// and the last Counts must match what ran.
 func TestDispatcherRetireConcurrent(t *testing.T) {
 	d := lab.NewDispatcher(&fakeRunner{}, 4, 0)
 	defer d.Close()
@@ -460,6 +538,47 @@ func TestDispatcherRetireConcurrent(t *testing.T) {
 			}
 		}
 	}()
+	// check reads a snapshot's views as well as its counts: a finished
+	// sweep's views are shared with every other reader.
+	check := func(how string, st lab.SweepStatus) {
+		n := map[lab.JobStatus]int{}
+		for _, v := range st.Jobs {
+			n[v.Status]++
+		}
+		counts := st.Queued + st.Running + st.Done + st.Failed + st.Cancelled
+		if counts != len(jobs) || st.Total != len(jobs) ||
+			!st.Retired && (len(st.Jobs) != len(jobs) || n[lab.JobDone] != st.Done || n[lab.JobQueued] != st.Queued) ||
+			st.Retired && st.Jobs != nil {
+			t.Errorf("%s = %+v", how, st)
+		}
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, sw := range d.Sweeps() {
+					check("Status()", sw.Status())
+					select {
+					case <-sw.Done():
+						check("Wait()", sw.Wait())
+						st, err := d.Cancel(sw.ID())
+						if err != nil || !st.Finished() {
+							t.Errorf("Cancel of a finished sweep = %+v, %v", st, err)
+						}
+						check("Cancel()", st)
+					default:
+					}
+				}
+			}
+		}()
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < submitters; g++ {
 		wg.Add(1)
@@ -471,14 +590,15 @@ func TestDispatcherRetireConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				sw.Status()
-				sw.Wait()
+				check("Status()", sw.Status())
+				check("Wait()", sw.Wait())
 			}
 		}()
 	}
 	wg.Wait()
 	close(stop)
 	<-read
+	readers.Wait()
 	c := d.Counts()
 	if want := submitters * perSubmitter; c.Sweeps != want || c.Done != want*len(jobs) {
 		t.Fatalf("Counts() = %+v, want %d sweeps, %d done", c, want, want*len(jobs))

@@ -116,7 +116,7 @@ func (e *Executor) ExecuteContext(ctx context.Context, spec JobSpec) (*Record, e
 // back with Verified=false and no error, so sweeps surface bad cells
 // instead of aborting on them.
 func (e *Executor) Execute(spec JobSpec) (*Record, error) {
-	spec = spec.Normalize()
+	spec, key := spec.identify()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,7 +187,7 @@ func (e *Executor) Execute(spec JobSpec) (*Record, error) {
 	}
 
 	out := &Record{
-		Key:       spec.key(),
+		Key:       key,
 		Spec:      spec,
 		Host:      CurrentHost(),
 		CreatedAt: time.Now().UTC(),

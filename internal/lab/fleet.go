@@ -201,8 +201,7 @@ type FleetTicket struct {
 // wait on. The spec is normalized so the queue and the store agree on
 // the job's identity.
 func (f *Fleet) Enqueue(spec JobSpec) *FleetTicket {
-	spec = spec.Normalize()
-	key := spec.key()
+	spec, key := spec.identify()
 	f.mu.Lock()
 	f.nextID++
 	job := &fleetJob{

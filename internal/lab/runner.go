@@ -125,8 +125,8 @@ func (c *CachedRunner) Run(spec JobSpec) (*Record, error) {
 // everyone coalesced onto it; a waiter that outlives a cancelled
 // executor sees the cancellation error and may simply retry.
 func (c *CachedRunner) RunContext(ctx context.Context, spec JobSpec) (*Record, error) {
-	spec = spec.Normalize()
-	return c.runKeyed(ctx, spec, spec.key())
+	spec, key := spec.identify()
+	return c.runKeyed(ctx, spec, key)
 }
 
 // runKeyed is RunContext for a normalized spec whose key the caller

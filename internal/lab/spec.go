@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -88,14 +89,22 @@ type JobSpec struct {
 // strings collapsed to "", and zero-valued override structs dropped.
 // Unresolvable names are left as written for Validate to reject.
 func (j JobSpec) Normalize() JobSpec {
+	n, _ := j.normalize()
+	return n
+}
+
+// normalize is Normalize that also reports whether both the cut-off
+// and the scheduler name resolved.
+func (j JobSpec) normalize() (JobSpec, bool) {
 	if j.Simulate == 0 {
 		j.Simulate = j.Threads
 	}
-	j.RuntimeCutoff = cutoffNames.canonical(j.RuntimeCutoff)
+	var cutoffOK, policyOK bool
+	j.RuntimeCutoff, cutoffOK = cutoffNames.canonical(j.RuntimeCutoff)
 	if j.RuntimeCutoff == "none" {
 		j.RuntimeCutoff = ""
 	}
-	j.Policy = policyNames.canonical(j.Policy)
+	j.Policy, policyOK = policyNames.canonical(j.Policy)
 	if j.Policy == omp.DefaultScheduler {
 		j.Policy = ""
 	}
@@ -108,7 +117,7 @@ func (j JobSpec) Normalize() JobSpec {
 		}
 		j.Overheads = &o
 	}
-	return j
+	return j, cutoffOK && policyOK
 }
 
 // registryNames memoizes successful resolutions of scheduler or
@@ -145,33 +154,112 @@ var (
 	}}
 )
 
-// canonical returns the registry's rendering of name, or name itself
-// when it does not resolve.
-func (r *registryNames) canonical(name string) string {
+// canonical returns the registry's rendering of name and true, or name
+// itself and false when it does not resolve.
+func (r *registryNames) canonical(name string) (string, bool) {
 	if c, ok := r.names.Load(name); ok {
-		return c.(string)
+		return c.(string), true
 	}
 	c, err := r.resolve(name)
 	if err != nil {
-		return name
+		return name, false
 	}
 	if r.n.Load() < maxMemoNames {
 		if _, loaded := r.names.LoadOrStore(name, c); !loaded {
 			r.n.Add(1)
 		}
 	}
-	return c
+	return c, true
 }
 
 // Key returns the job's content address: a short hex digest of the
 // normalized spec's canonical serialization. Two specs that describe
 // the same cell always share a key.
-func (j JobSpec) Key() string { return j.Normalize().key() }
+func (j JobSpec) Key() string {
+	_, k := j.identify()
+	return k
+}
 
-// key is Key for a spec that is already normalized. The dispatcher,
-// the cache and the executor hold normalized specs and call it
-// directly, so a cell is normalized once.
-func (j JobSpec) key() string {
+// identify returns the normalized spec and its key: what a cell is.
+// Every layer that names a cell (Expand, the dispatcher, the cache,
+// the executor, the fleet) asks here, so a spec the process has seen
+// before costs one lookup in idMemo instead of a normalization, a
+// canonical rendering and a SHA-256. The normalized spec's overrides
+// are the caller's own copy.
+func (j JobSpec) identify() (JobSpec, string) {
+	id := j.id()
+	idMemo.mu.RLock()
+	e, ok := idMemo.m[id]
+	idMemo.mu.RUnlock()
+	if !ok {
+		var resolved bool
+		e.spec, resolved = j.normalize()
+		e.key = e.spec.digest()
+		if !resolved {
+			// Like registryNames: a name registered later must be seen.
+			return e.spec, e.key
+		}
+		idMemo.mu.Lock()
+		if len(idMemo.m) >= maxMemoKeys {
+			clear(idMemo.m)
+		}
+		idMemo.m[id] = e
+		idMemo.mu.Unlock()
+	}
+	if o := e.spec.Overheads; o != nil {
+		cp := *o
+		e.spec.Overheads = &cp
+	}
+	return e.spec, e.key
+}
+
+// specID is a JobSpec as submitted, flattened into a comparable value:
+// the overrides by value, their floats by bit pattern, so a NaN finds
+// itself and -0 stays apart from 0.
+type specID struct {
+	bench, version, class, runtimeCutoff, policy string
+	threads, cutoffDepth, simulate, procs        int
+	pin, overheads, threadSwitch                 bool
+	switchNS, queueSerializeNS                   uint64
+}
+
+func (j JobSpec) id() specID {
+	id := specID{
+		bench: j.Bench, version: j.Version, class: j.Class,
+		runtimeCutoff: j.RuntimeCutoff, policy: j.Policy,
+		threads: j.Threads, cutoffDepth: j.CutoffDepth,
+		simulate: j.Simulate, procs: j.Procs, pin: j.Pin,
+	}
+	if o := j.Overheads; o != nil {
+		id.overheads, id.threadSwitch = true, o.ThreadSwitch
+		id.switchNS = math.Float64bits(o.SwitchNS)
+		id.queueSerializeNS = math.Float64bits(o.QueueSerializeNS)
+	}
+	return id
+}
+
+// idMemo maps a spec as submitted to its identity. It is sound because
+// identity is a pure function of the spec's fields and the two omp
+// registries, which are append-only: only specs whose names both
+// resolved are stored, and those resolve the same way forever. It is
+// process-wide and emptied when it reaches maxMemoKeys entries, so it
+// never holds more than a few MB however many distinct cells pass
+// through.
+var idMemo = struct {
+	mu sync.RWMutex
+	m  map[specID]identity
+}{m: map[specID]identity{}}
+
+type identity struct {
+	spec JobSpec // normalized
+	key  string
+}
+
+const maxMemoKeys = 16384
+
+// digest hashes a normalized spec's canonical serialization; identify
+// calls it once per spec the process has not seen.
+func (j JobSpec) digest() string {
 	var ts int64
 	var sw, qs float64
 	if j.Overheads != nil {
@@ -217,38 +305,11 @@ func (j JobSpec) key() string {
 	b = strconv.AppendFloat(b, sw, 'g', -1, 64)
 	b = append(b, "|qserns="...)
 	b = strconv.AppendFloat(b, qs, 'g', -1, 64)
-	keyMemo.mu.RLock()
-	k, ok := keyMemo.m[string(b)]
-	keyMemo.mu.RUnlock()
-	if ok {
-		return k
-	}
 	sum := sha256.Sum256(b)
 	var hx [16]byte
 	hex.Encode(hx[:], sum[:8])
-	k = string(hx[:])
-	keyMemo.mu.Lock()
-	if len(keyMemo.m) >= maxMemoKeys {
-		clear(keyMemo.m)
-	}
-	keyMemo.m[string(b)] = k
-	keyMemo.mu.Unlock()
-	return k
+	return string(hx[:])
 }
-
-// keyMemo maps the exact bytes key hashes to the key they hash to, so
-// a cell the process has keyed before (Expand's dedup, Dispatcher
-// submission, CachedRunner.Run, the fleet, every warm resubmission)
-// costs a map lookup instead of a SHA-256. Keys stay byte-identical:
-// the table is keyed by the hash input itself. It is process-wide and
-// emptied when it reaches maxMemoKeys entries, so it never holds more
-// than a few MB however many distinct cells pass through.
-var keyMemo = struct {
-	mu sync.RWMutex
-	m  map[string]string
-}{m: map[string]string{}}
-
-const maxMemoKeys = 16384
 
 // Validate checks the spec against the registry and the runtime's
 // option vocabulary.
@@ -417,17 +478,17 @@ func (s SweepSpec) Expand() ([]JobSpec, error) {
 								for _, sim := range sims {
 									for _, pr := range procs {
 										for _, pin := range pins {
-											j := JobSpec{
+											j, k := JobSpec{
 												Bench: b.Name, Version: name, Class: class,
 												Threads: t, CutoffDepth: cd, RuntimeCutoff: rc,
 												Policy: pol, Simulate: sim,
 												Procs: pr, Pin: pin,
 												Overheads: s.Overheads,
-											}.Normalize()
+											}.identify()
 											if err := j.Validate(); err != nil {
 												return nil, err
 											}
-											if k := j.key(); !seen[k] {
+											if !seen[k] {
 												seen[k] = true
 												jobs = append(jobs, j)
 											}
@@ -481,7 +542,7 @@ func (j JobSpec) less(o JobSpec) bool {
 	if j.Pin != o.Pin {
 		return !j.Pin
 	}
-	return j.key() < o.key()
+	return j.Key() < o.Key()
 }
 
 func (s SweepSpec) resolveBenches() ([]*core.Benchmark, error) {
