@@ -1,6 +1,6 @@
 //go:build race
 
-package perf
+package all
 
 // See race_off_test.go.
 const raceEnabled = true

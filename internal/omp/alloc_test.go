@@ -10,11 +10,13 @@ import (
 // deferred or undeferred task costs no runtime allocation at all (the
 // task struct is recycled and the execution Context is embedded in
 // it), and a consumed Future spawn is likewise free (the cell comes
-// from a typed pool and recycles at region end; see future.go).
-// Thresholds leave headroom for a GC emptying the pool
-// mid-measurement; the pre-recycling runtime sat at ~4 (deferred),
-// ~3 (undeferred) and ~8 (future) allocations per task, so even the
-// loosest bound here pins a >50% reduction.
+// from a typed pool and recycles at region end; see future.go). What
+// is left is region set-up (team, queues), amortized over allocTasks.
+// Each ceiling is absolute, a property of the code and not of the
+// host, so it cannot creep with a re-recorded baseline; the comment
+// above a ceiling gives what a 2-CPU host read when it was set. The
+// pre-recycling runtime sat at ~4 (deferred), ~3 (undeferred) and ~8
+// (future) allocations per task.
 //
 // These measurements run on a one-thread team: AllocsPerRun pins
 // GOMAXPROCS to 1, and a single worker keeps the counts deterministic
@@ -40,8 +42,14 @@ func TestTaskAllocsDeferred(t *testing.T) {
 		}
 		c.Taskwait()
 	})
-	if got > 1.0 {
-		t.Errorf("deferred spawn path: %.3f allocs/task, want <= 1.0 (steady state is ~0)", got)
+	// 0.0105; under race the pools drop a fraction of their traffic
+	// (see raceEnabled) and it reads 0.019-0.0205.
+	limit := 0.0155
+	if raceEnabled {
+		limit = 0.025
+	}
+	if got > limit {
+		t.Errorf("deferred spawn path: %.4f allocs/task, want <= %.4f", got, limit)
 	}
 }
 
@@ -52,8 +60,13 @@ func TestTaskAllocsUndeferred(t *testing.T) {
 			c.Task(noop, If(false))
 		}
 	})
-	if got > 1.0 {
-		t.Errorf("undeferred spawn path: %.3f allocs/task, want <= 1.0 (steady state is ~0)", got)
+	// 0.0100; 0.0100-0.0110 under race.
+	limit := 0.0115
+	if raceEnabled {
+		limit = 0.015
+	}
+	if got > limit {
+		t.Errorf("undeferred spawn path: %.4f allocs/task, want <= %.4f", got, limit)
 	}
 }
 
@@ -77,7 +90,8 @@ func TestFutureSpawnAllocs(t *testing.T) {
 	// loop is Wait()ed, so steady state is ~0 (the residue is the
 	// per-region futGrave slice growth, amortized over allocTasks).
 	// Under race the cell pool drops a random fraction of its traffic
-	// (see raceEnabled), so only the order of magnitude is pinned.
+	// (see raceEnabled), so only the order of magnitude is pinned
+	// there. (0.025; 0.28 under race)
 	limit := 0.05
 	if raceEnabled {
 		limit = 0.6

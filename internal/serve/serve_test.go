@@ -133,6 +133,36 @@ func TestRunHealth(t *testing.T) {
 	}
 }
 
+// TestRunShedsNothingAtCalibratedLoad is the absolute shed ceiling: a
+// health test-class request costs well under a millisecond, so 200
+// requests/s on four workers is a small fraction of capacity on any
+// host, and shedding even one request there means the admission
+// accounting leaks. Every request must also verify.
+func TestRunShedsNothingAtCalibratedLoad(t *testing.T) {
+	rep, err := Run(Config{
+		Bench:     "health",
+		Class:     core.Test,
+		Scheduler: omp.DefaultScheduler,
+		Cutoff:    -1,
+		Workers:   4,
+		Rate:      200,
+		Requests:  120,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Shed != 0 {
+		t.Errorf("shed %d of %d requests at 200/s, want 0", rep.Shed, rep.Submitted+rep.Shed)
+	}
+	if rep.VerifyFailures != 0 {
+		t.Errorf("verify failures = %d, want 0", rep.VerifyFailures)
+	}
+}
+
 // TestRunAllWorkloads runs every registered workload briefly on every
 // registered scheduler, checking verification end to end.
 func TestRunAllWorkloads(t *testing.T) {
