@@ -11,8 +11,9 @@ import (
 // in the regime the repository benchmark runs: health/manual-tied at
 // medium on two threads, everything the process allocates during the
 // second of two runs, per task. What remains is one body closure per
-// task, a patient chunk per 32 patients a village admits, and the
-// village tree the run builds.
+// task, the growth of the by-value patient queues, and the village
+// tree the run builds. It reads 1.61 allocs and 163 B per task; the
+// ceiling is about 25 % above that.
 func TestHealthAllocsPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -33,10 +34,10 @@ func TestHealthAllocsPerTask(t *testing.T) {
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / tasks
 	t.Logf("%.0f tasks: %.2f allocs/task, %.0f B/task, %d GCs",
 		tasks, allocs, bytes, after.NumGC-before.NumGC)
-	if allocs > 2.5 {
-		t.Errorf("%.2f allocs/task, want <= 2.5", allocs)
+	if allocs > 2.0 {
+		t.Errorf("%.2f allocs/task, want <= 2.0", allocs)
 	}
-	if bytes > 400 {
-		t.Errorf("%.0f B/task, want <= 400", bytes)
+	if bytes > 205 {
+		t.Errorf("%.0f B/task, want <= 205", bytes)
 	}
 }

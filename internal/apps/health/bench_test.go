@@ -6,15 +6,17 @@ import (
 	"bots/internal/core"
 )
 
-// BenchmarkSimulation measures a complete 30-step simulation on a
-// fresh test-class hierarchy per iteration. (Benchmarking repeated
-// steps on one tree would not be stationary: patient queues grow with
-// simulated time, so per-step cost rises across iterations.)
+// BenchmarkSimulation measures a complete test-class simulation (the
+// one a serve.open request runs) on a fresh hierarchy per iteration.
+// (Benchmarking repeated steps on one tree would not be stationary:
+// patient queues grow with simulated time, so per-step cost rises
+// across iterations.)
 func BenchmarkSimulation(b *testing.B) {
 	b.ReportAllocs()
+	p := classParams[core.Test]
 	for i := 0; i < b.N; i++ {
-		v := Build(classParams[core.Test])
-		for s := 0; s < 30; s++ {
+		v := Build(p)
+		for s := 0; s < p.steps; s++ {
 			seqSim(v)
 		}
 	}

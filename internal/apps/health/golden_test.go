@@ -18,8 +18,7 @@ type goldenRun struct {
 }
 
 // seqGolden holds the sequential reference per class. Every parallel
-// run below must reproduce its class's digest and work, and the
-// service run its whole tree.
+// run below must reproduce its class's digest, work and whole tree.
 var seqGolden = map[core.Class]goldenRun{
 	core.Test: {"patients=537 treated=338 wait=676 hospitals=399 open=106/52/41",
 		28712, 0x720e3bd75e4a5621},
@@ -55,7 +54,7 @@ func treeHash(root *Village) uint64 {
 			v.nextID, int64(hs.freePersonnel)} {
 			put(x)
 		}
-		for _, q := range [][]*Patient{hs.waiting, hs.assess, hs.inside, hs.reallocUp} {
+		for _, q := range [][]Patient{hs.waiting, hs.assess, hs.inside, hs.reallocUp} {
 			put(int64(len(q)))
 			for _, p := range q {
 				put(p.id)
@@ -74,11 +73,13 @@ func treeHash(root *Village) uint64 {
 }
 
 // TestHealthDigestGolden pins what a health simulation computes, so a
-// change to how it computes it (queue storage, patient allocation)
-// must reproduce every bit: the sequential run at test, small and
-// medium; parRun's digest, work and task count for a tied and an
-// untied version under every scheduler at two threads; and Simulate
-// on a two-worker persistent team, the service path.
+// change to how it computes it (queue storage, patient allocation,
+// how draws are taken) must reproduce every bit: the sequential run at
+// test, small and medium; parRun's digest, work and task count for a
+// tied and an untied version under every scheduler at two threads,
+// and its whole tree, which pins the queue order of the hand-off where
+// a parent copies each child's reallocUp after the taskwait; and
+// Simulate on a two-worker persistent team, the service path.
 func TestHealthDigestGolden(t *testing.T) {
 	for _, class := range []core.Class{core.Test, core.Small, core.Medium} {
 		p := classParams[class]
@@ -97,7 +98,7 @@ func TestHealthDigestGolden(t *testing.T) {
 		for _, class := range []core.Class{core.Test, core.Medium} {
 			want := seqGolden[class]
 			for _, sched := range []string{"workfirst", "breadthfirst", "centralized", "locality"} {
-				res, err := parRun(core.RunConfig{Class: class, Version: version, Threads: 2, Scheduler: sched})
+				res, v, err := parRunTree(core.RunConfig{Class: class, Version: version, Threads: 2, Scheduler: sched})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,6 +109,9 @@ func TestHealthDigestGolden(t *testing.T) {
 				}
 				if got, want := res.Stats.TotalTasks(), parTasks[version][class]; got != want {
 					t.Errorf("%s: %d tasks, want %d", name, got, want)
+				}
+				if got := treeHash(v); got != want.tree {
+					t.Errorf("%s: tree %#x, want %#x", name, got, want.tree)
 				}
 			}
 		}

@@ -8,11 +8,13 @@
 // reallocated patients climb to the parent.
 //
 // Substitution: the C original keeps each queue as a doubly-linked
-// list of heap-allocated patients. Here a queue is a slice of patient
-// pointers compacted in place each step, and patients are handed out
-// from per-village chunks, so a step allocates only when a queue
-// outgrows its backing array or a chunk runs out. Queue order, and
-// with it every digest, is the list's.
+// list of heap-allocated patients. Here a queue is a slice of patients
+// held by value, compacted in place each step, so a patient is 32
+// bytes copied from queue to queue, a step allocates only when a queue
+// outgrows its backing array, and the collector has no pointers to
+// scan. A village's new-patient draws are one batched pass over its
+// random stream. Queue order, the stream's position, and with them
+// every digest, are the list's.
 //
 // Indeterminism control follows §III-B exactly: instead of one global
 // random seed, every village derives its own deterministic stream, so
@@ -71,19 +73,19 @@ type Patient struct {
 	totalWait int64 // steps spent waiting
 }
 
-// Hospital holds the per-village patient queues. Each is a slice
-// standing in for the C original's doubly-linked list: a step compacts
-// it in place and clears the vacated tail, so the backing array is
-// reused from step to step and keeps no finished patient alive.
+// Hospital holds the per-village patient queues. Each is a slice of
+// patients standing in for the C original's doubly-linked list: a step
+// compacts it in place, so the backing array is reused from step to
+// step.
 type Hospital struct {
 	personnel     int
 	freePersonnel int
-	waiting       []*Patient
-	assess        []*Patient
-	inside        []*Patient
-	// reallocUp is written only by this village's task and consumed
+	waiting       []Patient
+	assess        []Patient
+	inside        []Patient
+	// reallocUp is written only by this village's task and copied out
 	// by the parent after the taskwait, so no locking is needed.
-	reallocUp []*Patient
+	reallocUp []Patient
 }
 
 // Village is one node of the hierarchy.
@@ -95,10 +97,8 @@ type Village struct {
 	hospital Hospital
 	// population is the number of potential patients generated here.
 	population int
-	rng        *inputs.RNG
+	rng        inputs.RNG
 	nextID     int64
-	// patients is the unused rest of the chunk new patients come from.
-	patients []Patient
 
 	// Aggregate statistics (the verification digest).
 	totalPatients  int64
@@ -117,7 +117,7 @@ func Build(p params) *Village {
 			id:         next,
 			level:      level,
 			population: populationBase * (level + 1),
-			rng:        root.Split(uint64(next)),
+			rng:        *root.Split(uint64(next)),
 		}
 		v.hospital.personnel = personnelPerVill * (level + 1)
 		v.hospital.freePersonnel = v.hospital.personnel
@@ -165,7 +165,7 @@ func (v *Village) simStep() int64 {
 			keep = append(keep, p)
 		}
 	}
-	h.inside = compacted(h.inside, keep)
+	h.inside = keep
 
 	// Patients in assessment.
 	keep = h.assess[:0]
@@ -192,7 +192,7 @@ func (v *Village) simStep() int64 {
 			v.totalHospitals += int64(p.hospitals)
 		}
 	}
-	h.assess = compacted(h.assess, keep)
+	h.assess = keep
 
 	// Waiting patients move to assessment while personnel is free.
 	keep = h.waiting[:0]
@@ -207,44 +207,16 @@ func (v *Village) simStep() int64 {
 			keep = append(keep, p)
 		}
 	}
-	h.waiting = compacted(h.waiting, keep)
+	h.waiting = keep
 
-	// New patients fall sick.
-	for i := 0; i < v.population; i++ {
-		work++
-		if v.rng.Bernoulli(probSick) {
-			v.nextID++
-			v.totalPatients++
-			p := v.newPatient()
-			p.id = int64(v.id)<<32 | v.nextID
-			p.hospitals = 1
-			h.waiting = append(h.waiting, p)
-		}
+	// New patients fall sick: one draw per potential patient.
+	work += int64(v.population)
+	for range v.rng.CountBernoulli(v.population, probSick) {
+		v.nextID++
+		v.totalPatients++
+		h.waiting = append(h.waiting, Patient{id: int64(v.id)<<32 | v.nextID, hospitals: 1})
 	}
 	return work
-}
-
-// compacted returns keep, the survivors written over the front of q,
-// after clearing the slots of q it vacated so the backing array does
-// not keep finished patients alive.
-func compacted(q, keep []*Patient) []*Patient {
-	clear(q[len(keep):])
-	return keep
-}
-
-// patientChunk is how many patients a village allocates at a time.
-const patientChunk = 32
-
-// newPatient hands out the next zeroed patient of v's current chunk.
-// A chunk stays reachable while any of its patients is queued
-// anywhere in the tree.
-func (v *Village) newPatient() *Patient {
-	if len(v.patients) == 0 {
-		v.patients = make([]Patient, patientChunk)
-	}
-	p := &v.patients[0]
-	v.patients = v.patients[1:]
-	return p
 }
 
 // absorbChildren moves patients reallocated by the children into this
@@ -252,11 +224,8 @@ func (v *Village) newPatient() *Patient {
 func (v *Village) absorbChildren() int64 {
 	var work int64
 	for _, c := range v.children {
-		for _, p := range c.hospital.reallocUp {
-			work++
-			v.hospital.waiting = append(v.hospital.waiting, p)
-		}
-		clear(c.hospital.reallocUp)
+		work += int64(len(c.hospital.reallocUp))
+		v.hospital.waiting = append(v.hospital.waiting, c.hospital.reallocUp...)
 		c.hospital.reallocUp = c.hospital.reallocUp[:0]
 	}
 	return work
@@ -342,9 +311,15 @@ func seqRun(class core.Class) (*core.SeqResult, error) {
 }
 
 func parRun(cfg core.RunConfig) (*core.RunResult, error) {
+	res, _, err := parRunTree(cfg)
+	return res, err
+}
+
+// parRunTree is parRun that also returns the simulated tree.
+func parRunTree(cfg core.RunConfig) (*core.RunResult, *Village, error) {
 	variant, err := core.ParseVersion(cfg.Version)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := classParams[cfg.Class]
 	cutoff := cfg.CutoffDepth
@@ -361,7 +336,7 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)
-	return &core.RunResult{Digest: digest(v), Stats: st, Elapsed: elapsed}, nil
+	return &core.RunResult{Digest: digest(v), Stats: st, Elapsed: elapsed}, v, nil
 }
 
 func init() {
