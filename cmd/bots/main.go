@@ -132,7 +132,7 @@ func main() {
 		// of a -verify run under the same proc count.
 		runtime.GOMAXPROCS(*procs)
 	}
-	// Both name vocabularies resolve through the omp registries, the
+	// Both name vocabularies resolve through omp's constructors, the
 	// same single source of truth lab manifests validate against.
 	rc, err := omp.NewCutoff(*rtCutoff)
 	fatal(err)

@@ -74,7 +74,7 @@ type RunConfig struct {
 	// omp.NoCutoff — the paper's "no-cutoff" configuration relies on
 	// whatever the runtime does, which by default is nothing).
 	RuntimeCutoff omp.CutoffPolicy
-	// Scheduler is the task scheduler's registry name (one of
+	// Scheduler is the task scheduler's name (one of
 	// omp.Schedulers(); "" selects omp.DefaultScheduler). Callers
 	// validate user input through omp.NewScheduler before building a
 	// RunConfig — TeamOpts panics on unknown names.

@@ -23,9 +23,9 @@ import (
 // distinction sharp even when the torn tail happens to be valid JSON
 // of a truncated record.
 //
-// Lines that parse as JSON but carry no "crc" field are legacy
-// (pre-framing) records: accepted verbatim, unverifiable. Appends
-// always write framed lines, so a legacy file upgrades in place.
+// Every line must be framed: a line with no "crc" field, even valid
+// JSON, is damage like any other — corruption mid-file, a torn tail
+// at the end.
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -48,17 +48,12 @@ type frameLine struct {
 	P   json.RawMessage `json:"p"`
 }
 
-// unframe extracts the payload of one line: framed lines are
-// checksum-verified, legacy bare-JSON lines pass through. ok=false
-// means the line is torn or corrupt.
+// unframe extracts the checksum-verified payload of one framed line.
+// ok=false means the line is torn, corrupt or unframed.
 func unframe(line []byte) (payload []byte, ok bool) {
-	if !json.Valid(line) {
-		return nil, false
-	}
 	var f frameLine
 	if err := json.Unmarshal(line, &f); err != nil || f.CRC == "" {
-		// Legacy line (or non-object JSON): no checksum to verify.
-		return line, true
+		return nil, false
 	}
 	if fmt.Sprintf("%08x", crc32.Checksum(f.P, castagnoli)) != f.CRC {
 		return nil, false
@@ -76,7 +71,7 @@ type TailRepair struct {
 	Reason string
 }
 
-// loadFrames reads a framed (or legacy) JSONL file, returning every
+// loadFrames reads a framed JSONL file, returning every
 // intact payload in order. A torn or checksum-failing FINAL line is
 // repaired in place — the file is truncated back to the last good
 // line — and reported; the same damage anywhere earlier is real

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"bots/internal/core"
 	"bots/internal/omp"
@@ -60,9 +59,9 @@ type JobSpec struct {
 	// default).
 	CutoffDepth int `json:"cutoff_depth,omitempty"`
 	// RuntimeCutoff is the runtime cut-off policy name, resolved
-	// against the omp registry (omp.Cutoffs(); "" = none).
+	// against omp's vocabulary (omp.Cutoffs(); "" = none).
 	RuntimeCutoff string `json:"runtime_cutoff,omitempty"`
-	// Policy is the scheduler's registry name (omp.Schedulers():
+	// Policy is the scheduler's name (omp.Schedulers():
 	// workfirst/breadthfirst/centralized/locality; "" = workfirst).
 	// It selects both the real runtime scheduler and the simulator's
 	// matching queue discipline.
@@ -83,28 +82,25 @@ type JobSpec struct {
 
 // Normalize returns the canonical form of the spec: defaults made
 // explicit where they change identity (Simulate), policy names
-// re-rendered through their registries (so spelling variants of one
+// re-rendered through omp's constructors (so spelling variants of one
 // configuration — "workfirst(32)" is the default steal batch, its
 // canonical name is "workfirst" — share a key), default-valued
 // strings collapsed to "", and zero-valued override structs dropped.
 // Unresolvable names are left as written for Validate to reject.
+// identify calls it once per spec the process has not seen.
 func (j JobSpec) Normalize() JobSpec {
-	n, _ := j.normalize()
-	return n
-}
-
-// normalize is Normalize that also reports whether both the cut-off
-// and the scheduler name resolved.
-func (j JobSpec) normalize() (JobSpec, bool) {
 	if j.Simulate == 0 {
 		j.Simulate = j.Threads
 	}
-	var cutoffOK, policyOK bool
-	j.RuntimeCutoff, cutoffOK = cutoffNames.canonical(j.RuntimeCutoff)
+	if c, err := omp.NewCutoff(j.RuntimeCutoff); err == nil {
+		j.RuntimeCutoff = c.Name()
+	}
 	if j.RuntimeCutoff == "none" {
 		j.RuntimeCutoff = ""
 	}
-	j.Policy, policyOK = policyNames.canonical(j.Policy)
+	if s, err := omp.NewScheduler(j.Policy); err == nil {
+		j.Policy = s.Name()
+	}
 	if j.Policy == omp.DefaultScheduler {
 		j.Policy = ""
 	}
@@ -117,59 +113,7 @@ func (j JobSpec) normalize() (JobSpec, bool) {
 		}
 		j.Overheads = &o
 	}
-	return j, cutoffOK && policyOK
-}
-
-// registryNames memoizes successful resolutions of scheduler or
-// cut-off spellings to their canonical names, so normalizing a spec
-// does not construct a scheduler and a cut-off policy just to read
-// their names. That is sound because both omp registries are
-// append-only and panic on duplicates: a spelling that resolved once
-// resolves to the same name forever. Failures are not memoized, so a
-// name registered later is still seen. The memo stops growing at
-// maxMemoNames entries (parameterized spellings are unbounded, and
-// manifests arrive over HTTP); past that, spellings resolve uncached.
-type registryNames struct {
-	resolve func(name string) (string, error)
-	names   sync.Map // spelling → canonical name
-	n       atomic.Int32
-}
-
-const maxMemoNames = 1024
-
-var (
-	cutoffNames = registryNames{resolve: func(name string) (string, error) {
-		c, err := omp.NewCutoff(name)
-		if err != nil {
-			return "", err
-		}
-		return c.Name(), nil
-	}}
-	policyNames = registryNames{resolve: func(name string) (string, error) {
-		s, err := omp.NewScheduler(name)
-		if err != nil {
-			return "", err
-		}
-		return s.Name(), nil
-	}}
-)
-
-// canonical returns the registry's rendering of name and true, or name
-// itself and false when it does not resolve.
-func (r *registryNames) canonical(name string) (string, bool) {
-	if c, ok := r.names.Load(name); ok {
-		return c.(string), true
-	}
-	c, err := r.resolve(name)
-	if err != nil {
-		return name, false
-	}
-	if r.n.Load() < maxMemoNames {
-		if _, loaded := r.names.LoadOrStore(name, c); !loaded {
-			r.n.Add(1)
-		}
-	}
-	return c, true
+	return j
 }
 
 // Key returns the job's content address: a short hex digest of the
@@ -192,13 +136,8 @@ func (j JobSpec) identify() (JobSpec, string) {
 	e, ok := idMemo.m[id]
 	idMemo.mu.RUnlock()
 	if !ok {
-		var resolved bool
-		e.spec, resolved = j.normalize()
+		e.spec = j.Normalize()
 		e.key = e.spec.digest()
-		if !resolved {
-			// Like registryNames: a name registered later must be seen.
-			return e.spec, e.key
-		}
 		idMemo.mu.Lock()
 		if len(idMemo.m) >= maxMemoKeys {
 			clear(idMemo.m)
@@ -239,9 +178,9 @@ func (j JobSpec) id() specID {
 }
 
 // idMemo maps a spec as submitted to its identity. It is sound because
-// identity is a pure function of the spec's fields and the two omp
-// registries, which are append-only: only specs whose names both
-// resolved are stored, and those resolve the same way forever. It is
+// identity is a pure function of the spec's fields and omp's closed
+// scheduler and cut-off vocabularies: a name that resolves (or fails
+// to) once does so forever, so unresolved specs are stored too. It is
 // process-wide and emptied when it reaches maxMemoKeys entries, so it
 // never holds more than a few MB however many distinct cells pass
 // through.
@@ -337,7 +276,7 @@ func (j JobSpec) Validate() error {
 	if j.Procs < 0 {
 		return fmt.Errorf("lab: job %s/%s has negative procs %d", j.Bench, j.Version, j.Procs)
 	}
-	// Name vocabularies have one source of truth: the omp registries.
+	// Name vocabularies have one source of truth: omp's constructors.
 	if _, err := omp.NewCutoff(j.RuntimeCutoff); err != nil {
 		return err
 	}

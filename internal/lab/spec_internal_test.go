@@ -3,7 +3,6 @@ package lab
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,45 +11,9 @@ import (
 	"unsafe"
 )
 
-// TestRegistryNamesMemoizesOnlySuccess checks the soundness rules of the
-// spelling memo Normalize resolves through: an unresolvable name is
-// left as written and not remembered, so a later registration is seen;
-// a resolved name is remembered; the memo stops growing at its cap and
-// keeps answering correctly past it.
-func TestRegistryNamesMemoizesOnlySuccess(t *testing.T) {
-	registered := false
-	calls := 0
-	r := registryNames{resolve: func(name string) (string, error) {
-		calls++
-		if !registered {
-			return "", errors.New("unknown")
-		}
-		return "canon(" + name + ")", nil
-	}}
-	if got, ok := r.canonical("late"); got != "late" || ok {
-		t.Fatalf("unresolvable name became %q (resolved %v), want it left as written", got, ok)
-	}
-	registered = true
-	if got, ok := r.canonical("late"); got != "canon(late)" || !ok {
-		t.Fatalf("after registration got %q: a failed resolution was memoized", got)
-	}
-	if got, _ := r.canonical("late"); got != "canon(late)" || calls != 2 {
-		t.Fatalf("got %q after %d resolutions, want the memoized name after 2", got, calls)
-	}
-	for i := 0; i < maxMemoNames+100; i++ {
-		name := fmt.Sprint(i)
-		if got, _ := r.canonical(name); got != "canon("+name+")" {
-			t.Fatalf("canonical(%q) = %q", name, got)
-		}
-	}
-	if n := r.n.Load(); n != maxMemoNames {
-		t.Fatalf("memo holds %d names, cap %d", n, maxMemoNames)
-	}
-}
-
 // TestNormalizeConcurrent normalizes every scheduler and cut-off
 // spelling from several goroutines at once, so the race detector sees
-// the shared spelling memos filled and read concurrently.
+// omp's name tables read concurrently.
 func TestNormalizeConcurrent(t *testing.T) {
 	spellings := []struct{ policy, cutoff, wantPolicy, wantCutoff string }{
 		{"workfirst(32)", "none", "", ""},
@@ -259,60 +222,13 @@ func sameSpec(a, b JobSpec) bool {
 		math.Float64bits(ao.QueueSerializeNS) == math.Float64bits(bo.QueueSerializeNS)
 }
 
-// TestIdentifyForgetsUnresolvedNames keys a spec whose scheduler and
-// cut-off names do not resolve, then registers both names: the same
-// spec must now normalize to the registered canonical names. A memo
-// that stored the unresolved identity would keep answering with the
-// names as written.
-func TestIdentifyForgetsUnresolvedNames(t *testing.T) {
-	registered := false
-	for _, r := range []*registryNames{&policyNames, &cutoffNames} {
-		resolve := r.resolve
-		r.resolve = func(name string) (string, error) {
-			if registered && name == "late(3)" {
-				return "late", nil
-			}
-			return resolve(name)
-		}
-		t.Cleanup(func() {
-			r.resolve = resolve
-			if _, ok := r.names.LoadAndDelete("late(3)"); ok {
-				r.n.Add(-1)
-			}
-		})
-	}
-	j := JobSpec{Bench: "fib", Version: "manual-tied", Class: "test", Threads: 2,
-		Policy: "late(3)", RuntimeCutoff: "late(3)"}
-	t.Cleanup(func() { forgetSpec(j) })
-	for _, unresolved := range []JobSpec{j, {Bench: "fib", Threads: 1, Policy: "late(3)"}, {Bench: "fib", Threads: 1, RuntimeCutoff: "late(3)"}} {
-		n, k := unresolved.identify()
-		if n.Policy != unresolved.Policy || n.RuntimeCutoff != unresolved.RuntimeCutoff || k != fmtKey(n) {
-			t.Fatalf("unresolved %+v identified as %+v / %s", unresolved, n, k)
-		}
-		if memoized(unresolved) {
-			t.Errorf("%+v memoized with an unresolved name", unresolved)
-		}
-	}
-	registered = true
-	n, k := j.identify()
-	if n.Policy != "late" || n.RuntimeCutoff != "late" {
-		t.Fatalf("after registration normalized to policy %q, cut-off %q; want both %q", n.Policy, n.RuntimeCutoff, "late")
-	}
-	if k != fmtKey(n) || k != j.Key() {
-		t.Errorf("after registration key %s, want %s", k, fmtKey(n))
-	}
-	if !memoized(j) {
-		t.Errorf("resolved spec not memoized")
-	}
-}
-
 // FuzzJobKey checks the identity memo against a fresh Normalize and the
 // fmt reference key for arbitrary names (parameterized spellings and
-// unregistered names included), integers and overrides (nil, zero,
-// NaN, ±0, ±Inf): first against whatever earlier inputs left in the
-// memo, so two specs that alias are caught, then on a miss and again
-// on a hit. A spec is memoized exactly when both its names resolve,
-// and every call hands out its own overrides.
+// unknown names included), integers and overrides (nil, zero, NaN, ±0,
+// ±Inf): first against whatever earlier inputs left in the memo, so
+// two specs that alias are caught, then on a miss and again on a hit.
+// Every spec is memoized after the miss, and every call hands out its
+// own overrides.
 func FuzzJobKey(f *testing.F) {
 	add := func(j JobSpec) {
 		var over uint8
@@ -373,7 +289,6 @@ func FuzzJobKey(f *testing.F) {
 		}
 		want := j.Normalize()
 		wantKey := fmtKey(want)
-		_, resolved := j.normalize()
 		var last *SimOverrides
 		for _, pass := range []string{"memo", "miss", "hit"} {
 			if pass == "miss" {
@@ -390,8 +305,8 @@ func FuzzJobKey(f *testing.F) {
 				t.Fatalf("%s: identify() shared an overrides pointer", pass)
 			}
 			last = got.Overheads
-			if m := memoized(j); pass != "memo" && m != resolved {
-				t.Fatalf("%s: memoized %v, names resolved %v", pass, m, resolved)
+			if pass != "memo" && !memoized(j) {
+				t.Fatalf("%s: spec not memoized", pass)
 			}
 		}
 	})

@@ -151,7 +151,7 @@ func TestKeyCanonicalization(t *testing.T) {
 }
 
 // TestPolicyAxisSweep sweeps the full scheduler axis end to end: the
-// manifest expands to one cell per registered scheduler with distinct
+// manifest expands to one cell per scheduler with distinct
 // canonical keys, and every cell runs the real pipeline (record +
 // verify + simulate) successfully.
 func TestPolicyAxisSweep(t *testing.T) {
@@ -198,10 +198,19 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 		{Bench: "fib", Version: "manual-tied", Class: "test", Threads: 4, Simulate: 2},
 		{Bench: "fib", Version: "manual-tied", Class: "test", Threads: 1, RuntimeCutoff: "sometimes"},
 		{Bench: "fib", Version: "manual-tied", Class: "test", Threads: 1, Policy: "chaotic"},
+		{Bench: "fib", Version: "manual-tied", Class: "test", Threads: 1, Policy: "late(3)", RuntimeCutoff: "late(3)"},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("spec %d should not validate: %+v", i, s)
 		}
+		if err := s.Normalize().Validate(); err == nil {
+			t.Errorf("spec %d should not validate once normalized: %+v", i, s)
+		}
+	}
+	// An unknown name normalizes to itself, so Validate sees it as
+	// written.
+	if n := bad[len(bad)-1].Normalize(); n.Policy != "late(3)" || n.RuntimeCutoff != "late(3)" {
+		t.Errorf("unknown names normalized to policy %q, cut-off %q; want both as written", n.Policy, n.RuntimeCutoff)
 	}
 }

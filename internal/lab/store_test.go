@@ -270,35 +270,54 @@ func TestStoreMidFileCorruptionStillFails(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyUnframedLinesAccepted keeps pre-framing stores
-// readable: bare Record lines (no crc wrapper) load fine and new
-// appends upgrade the file in place.
-func TestStoreLegacyUnframedLinesAccepted(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.jsonl")
+// TestStoreUnframedLinesAreDamage: a bare Record line (no crc
+// wrapper) is damage like any other. Mid-file it fails the open; as
+// the final line it is truncated as a torn tail and reported.
+func TestStoreUnframedLinesAreDamage(t *testing.T) {
+	dir := t.TempDir()
 	sp := testSpec("fib", 1).Normalize()
-	legacy := `{"key":"` + sp.Key() + `","spec":{"bench":"fib","version":"manual-tied","class":"test","threads":1,"simulate":1},"host":{"os":"linux","arch":"amd64","cpus":1,"go_version":"go"},"created_at":"2026-01-01T00:00:00Z","seq":{"elapsed_ns":1,"work":1,"mem_bytes":0},"elapsed_ns":1,"stats":null,"tasks":1,"sim":null,"verified":true}` + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := lab.OpenStore(path)
+	bare := `{"key":"` + sp.Key() + `","spec":{"bench":"fib","version":"manual-tied","class":"test","threads":1,"simulate":1},"host":{"os":"linux","arch":"amd64","cpus":1,"go_version":"go"},"created_at":"2026-01-01T00:00:00Z","seq":{"elapsed_ns":1,"work":1,"mem_bytes":0},"elapsed_ns":1,"stats":null,"tasks":1,"sim":null,"verified":true}` + "\n"
+	framedPath := filepath.Join(dir, "framed.jsonl")
+	s, err := lab.OpenStore(framedPath)
 	if err != nil {
-		t.Fatalf("legacy store failed to open: %v", err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("legacy store len = %d, want 1", s.Len())
+		t.Fatal(err)
 	}
 	sp2 := testSpec("fib", 2).Normalize()
 	if err := s.Put(&lab.Record{Key: sp2.Key(), Spec: sp2, Verified: true}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	re, err := lab.OpenStore(path)
+	framed, err := os.ReadFile(framedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	mid := filepath.Join(dir, "mid.jsonl")
+	if err := os.WriteFile(mid, append([]byte(bare), framed...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := lab.OpenStore(mid); err == nil {
+		s.Close()
+		t.Fatal("a store with an unframed line mid-file opened")
+	}
+
+	tail := filepath.Join(dir, "tail.jsonl")
+	if err := os.WriteFile(tail, append(framed, bare...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := lab.OpenStore(tail)
+	if err != nil {
+		t.Fatalf("unframed final line should be repaired as a torn tail: %v", err)
+	}
 	defer re.Close()
-	if re.Len() != 2 {
-		t.Fatalf("mixed legacy+framed store len = %d, want 2", re.Len())
+	if re.Len() != 1 {
+		t.Fatalf("store len = %d, want 1 (the framed record)", re.Len())
+	}
+	if r := re.TornTail(); r == nil || r.DroppedBytes != int64(len(bare)) {
+		t.Fatalf("TornTail = %+v, want %d dropped bytes", r, len(bare))
+	}
+	if st, err := os.Stat(tail); err != nil || st.Size() != int64(len(framed)) {
+		t.Fatalf("file not truncated back to the framed record (stat %v, %v)", st, err)
 	}
 }
 

@@ -3,10 +3,8 @@ package omp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // CutoffPolicy is a runtime task-creation cut-off: when Defer returns
@@ -27,7 +25,7 @@ type CutoffPolicy interface {
 	// Name identifies the policy in reports. It round-trips through
 	// NewCutoff: for every policy value, NewCutoff(p.Name()) yields
 	// an equivalent policy, so stored lab records can be replayed. A
-	// default-parameterized policy renders the bare registry name;
+	// default-parameterized policy renders the bare name;
 	// explicit limits render the parameterized form ("maxtasks(128)").
 	Name() string
 }
@@ -163,9 +161,9 @@ func (p Adaptive) Name() string {
 	return fmt.Sprintf("adaptive(%d,%d)", low, high)
 }
 
-// paramName renders a single-limit policy name: the bare registry
-// name for the default (zero) limit, name(limit) otherwise — the
-// exact form NewCutoff parses back.
+// paramName renders a single-limit policy name: the bare name for the
+// default (zero) limit, name(limit) otherwise — the exact form
+// NewCutoff parses back.
 func paramName(base string, limit int64) string {
 	if limit <= 0 { // non-positive limits mean "default" in Defer
 		return base
@@ -173,12 +171,12 @@ func paramName(base string, limit int64) string {
 	return fmt.Sprintf("%s(%d)", base, limit)
 }
 
-// Cut-off name registry: the single vocabulary every layer (lab
+// Cut-off names: the single closed vocabulary every layer (lab
 // manifests, CLI flags) resolves runtime cut-off names against, so
 // valid names and error messages have one source of truth — the same
-// arrangement the Scheduler registry provides for scheduler names.
+// arrangement NewScheduler provides for scheduler names.
 //
-// Names are either a bare registry name ("maxtasks", yielding the
+// Names are either a bare name ("maxtasks", yielding the
 // default-parameterized policy) or a parameterized form with integer
 // arguments ("maxtasks(128)", "maxdepth(8)", "adaptive(4,64)"), so
 // lab manifests can sweep cut-off *limits*, not just policy kinds.
@@ -187,38 +185,39 @@ func paramName(base string, limit int64) string {
 // parameterized name (empty for the bare form).
 type cutoffCtor func(args []int64) (CutoffPolicy, error)
 
-var (
-	cutoffMu  sync.RWMutex
-	cutoffReg = map[string]cutoffCtor{
-		"none": func(args []int64) (CutoffPolicy, error) {
-			if len(args) != 0 {
-				return nil, fmt.Errorf("omp: cut-off %q takes no parameters", "none")
+// cutoffNames is the closed cut-off vocabulary, sorted; cutoffReg has
+// one constructor per name and is never written.
+var cutoffNames = []string{"adaptive", "maxdepth", "maxqueue", "maxtasks", "none"}
+
+var cutoffReg = map[string]cutoffCtor{
+	"none": func(args []int64) (CutoffPolicy, error) {
+		if len(args) != 0 {
+			return nil, fmt.Errorf("omp: cut-off %q takes no parameters", "none")
+		}
+		return NoCutoff{}, nil
+	},
+	"maxtasks": oneLimit("maxtasks", func(n int64) CutoffPolicy { return MaxTasks{Limit: n} }),
+	"maxqueue": oneLimit("maxqueue", func(n int64) CutoffPolicy { return MaxQueue{Limit: n} }),
+	"maxdepth": func(args []int64) (CutoffPolicy, error) {
+		p, err := oneLimit("maxdepth", func(n int64) CutoffPolicy { return MaxDepth{Limit: int32(n)} })(args)
+		if err == nil && len(args) == 1 && args[0] > math.MaxInt32 {
+			return nil, fmt.Errorf("omp: maxdepth limit %d overflows the depth range", args[0])
+		}
+		return p, err
+	},
+	"adaptive": func(args []int64) (CutoffPolicy, error) {
+		switch len(args) {
+		case 0:
+			return Adaptive{}, nil
+		case 2:
+			if args[0] <= 0 || args[1] <= args[0] {
+				return nil, fmt.Errorf("omp: adaptive watermarks must satisfy 0 < low < high, got adaptive(%d,%d)", args[0], args[1])
 			}
-			return NoCutoff{}, nil
-		},
-		"maxtasks": oneLimit("maxtasks", func(n int64) CutoffPolicy { return MaxTasks{Limit: n} }),
-		"maxqueue": oneLimit("maxqueue", func(n int64) CutoffPolicy { return MaxQueue{Limit: n} }),
-		"maxdepth": func(args []int64) (CutoffPolicy, error) {
-			p, err := oneLimit("maxdepth", func(n int64) CutoffPolicy { return MaxDepth{Limit: int32(n)} })(args)
-			if err == nil && len(args) == 1 && args[0] > math.MaxInt32 {
-				return nil, fmt.Errorf("omp: maxdepth limit %d overflows the depth range", args[0])
-			}
-			return p, err
-		},
-		"adaptive": func(args []int64) (CutoffPolicy, error) {
-			switch len(args) {
-			case 0:
-				return Adaptive{}, nil
-			case 2:
-				if args[0] <= 0 || args[1] <= args[0] {
-					return nil, fmt.Errorf("omp: adaptive watermarks must satisfy 0 < low < high, got adaptive(%d,%d)", args[0], args[1])
-				}
-				return Adaptive{LowWater: args[0], HighWater: args[1]}, nil
-			}
-			return nil, fmt.Errorf("omp: cut-off %q takes zero or two parameters (adaptive(low,high))", "adaptive")
-		},
-	}
-)
+			return Adaptive{LowWater: args[0], HighWater: args[1]}, nil
+		}
+		return nil, fmt.Errorf("omp: cut-off %q takes zero or two parameters (adaptive(low,high))", "adaptive")
+	},
+}
 
 // oneLimit adapts a single-limit policy constructor: zero or one
 // integer argument.
@@ -237,37 +236,9 @@ func oneLimit(base string, mk func(int64) CutoffPolicy) cutoffCtor {
 	}
 }
 
-// RegisterCutoff adds a cut-off constructor under name (panics on
-// empty or duplicate names), for policies defined outside this
-// package. Externally registered policies take no parameters; the
-// bare name resolves through ctor.
-func RegisterCutoff(name string, ctor func() CutoffPolicy) {
-	if name == "" || ctor == nil {
-		panic("omp: invalid cutoff registration")
-	}
-	cutoffMu.Lock()
-	defer cutoffMu.Unlock()
-	if _, dup := cutoffReg[name]; dup {
-		panic(fmt.Sprintf("omp: duplicate cutoff %q", name))
-	}
-	cutoffReg[name] = func(args []int64) (CutoffPolicy, error) {
-		if len(args) != 0 {
-			return nil, fmt.Errorf("omp: cut-off %q takes no parameters", name)
-		}
-		return ctor(), nil
-	}
-}
-
-// Cutoffs returns the sorted names of every registered cut-off.
+// Cutoffs returns the sorted names of every cut-off.
 func Cutoffs() []string {
-	cutoffMu.RLock()
-	defer cutoffMu.RUnlock()
-	names := make([]string, 0, len(cutoffReg))
-	for n := range cutoffReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return append([]string(nil), cutoffNames...)
 }
 
 // NewCutoff resolves a cut-off name — bare ("maxtasks") or
@@ -283,18 +254,16 @@ func NewCutoff(name string) (CutoffPolicy, error) {
 	if err != nil {
 		return nil, err
 	}
-	cutoffMu.RLock()
 	ctor := cutoffReg[base]
-	cutoffMu.RUnlock()
 	if ctor == nil {
-		return nil, fmt.Errorf("omp: unknown runtime cut-off %q (have %s)", base, strings.Join(Cutoffs(), "/"))
+		return nil, fmt.Errorf("omp: unknown runtime cut-off %q (have %s)", base, strings.Join(cutoffNames, "/"))
 	}
 	return ctor(args)
 }
 
 // parseParamName splits "base(a,b,...)" into the base name and its
 // integer arguments; a bare name yields no arguments. kind names the
-// registry ("cut-off", "scheduler") in error messages — both
+// vocabulary ("cut-off", "scheduler") in error messages — both
 // parameterized-name vocabularies share this one grammar.
 func parseParamName(kind, name string) (string, []int64, error) {
 	open := strings.IndexByte(name, '(')

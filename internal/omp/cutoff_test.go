@@ -6,7 +6,7 @@ import (
 )
 
 // TestCutoffNameRoundTrip pins the registry contract lab stores rely
-// on: for every registered cut-off, the default instance's Name()
+// on: for every cut-off, the default instance's Name()
 // resolves back through NewCutoff, and the resolved policy renders
 // the same name — so a cut-off label recorded in a sweep can always
 // be replayed. (Defaulted MaxTasks{} used to render "maxtasks(0)",
@@ -19,7 +19,7 @@ func TestCutoffNameRoundTrip(t *testing.T) {
 			t.Fatalf("NewCutoff(%q): %v", name, err)
 		}
 		if p.Name() != name {
-			t.Errorf("NewCutoff(%q).Name() = %q; default instances must render the bare registry name", name, p.Name())
+			t.Errorf("NewCutoff(%q).Name() = %q; default instances must render the bare name", name, p.Name())
 		}
 		rt, err := NewCutoff(p.Name())
 		if err != nil {

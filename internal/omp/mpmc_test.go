@@ -94,7 +94,7 @@ func TestMPMCRingStress(t *testing.T) {
 	}
 }
 
-// TestSchedulerConcurrentStress drives every registered scheduler
+// TestSchedulerConcurrentStress drives every scheduler
 // through its raw interface with one goroutine per worker slot doing
 // concurrent Push/PopLocal/Steal/Queued — the contract allows exactly
 // that shape (Push and PopLocal owner-side per slot, Steal and Queued
@@ -174,13 +174,11 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 					t.Fatalf("slot %d reports %d queued after drain", s, q)
 				}
 			}
-			if adv, ok := sched.(workAdvertiser); ok {
-				// A fully drained team must stop advertising work:
-				// parked thieves gate on this.
-				for s := 0; s < slots; s++ {
-					if adv.HasStealableWork(s) {
-						t.Fatalf("slot %d still sees advertised work on a drained team", s)
-					}
+			// A fully drained team must stop advertising work: parked
+			// thieves gate on this.
+			for s := 0; s < slots; s++ {
+				if sched.HasStealableWork(s) {
+					t.Fatalf("slot %d still sees advertised work on a drained team", s)
 				}
 			}
 			sched.Fini()

@@ -37,7 +37,7 @@ func TestPersistentTeamSubmitWait(t *testing.T) {
 }
 
 // TestPersistentTeamConformance is the region-reuse conformance suite:
-// every registered scheduler, at one and at four workers, serves many
+// every scheduler, at one and at four workers, serves many
 // submissions through one persistent team. After each submission the
 // result must be correct; between submissions the queues must be
 // drained and the live-task count back at zero (else state leaked

@@ -1,27 +1,26 @@
 package omp
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestSchedulerRegistry checks the registry vocabulary and its error
-// behaviour — every layer (lab manifests, CLI flags) resolves names
-// through it, so this is the contract those layers rely on.
+// TestSchedulerRegistry pins the closed scheduler vocabulary and its
+// error behaviour — every layer (lab manifests, CLI flags, sim
+// replay) resolves names through it, so this is the contract those
+// layers rely on.
 func TestSchedulerRegistry(t *testing.T) {
+	want := []string{"breadthfirst", "centralized", "locality", "workfirst"}
 	names := Schedulers()
-	for _, want := range []string{"workfirst", "breadthfirst", "centralized", "locality"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry missing %q (have %v)", want, names)
-		}
+	if !slices.Equal(names, want) {
+		t.Fatalf("Schedulers() = %v, want %v", names, want)
+	}
+	names[0] = "mutated"
+	if again := Schedulers(); !slices.Equal(again, want) {
+		t.Fatalf("mutating Schedulers()'s result changed a second call: %v", again)
 	}
 	s, err := NewScheduler("")
 	if err != nil || s.Name() != DefaultScheduler {
@@ -37,14 +36,6 @@ func TestSchedulerRegistry(t *testing.T) {
 			}
 		}()
 		WithScheduler("bogus")
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate RegisterScheduler should panic")
-			}
-		}()
-		RegisterScheduler("workfirst", func() Scheduler { return nil })
 	}()
 }
 
@@ -78,7 +69,16 @@ func TestSchedulerSeedPerRegion(t *testing.T) {
 
 // TestCutoffRegistry checks the runtime cut-off name vocabulary.
 func TestCutoffRegistry(t *testing.T) {
-	for _, name := range []string{"none", "maxtasks", "maxqueue", "maxdepth", "adaptive"} {
+	want := []string{"adaptive", "maxdepth", "maxqueue", "maxtasks", "none"}
+	names := Cutoffs()
+	if !slices.Equal(names, want) {
+		t.Fatalf("Cutoffs() = %v, want %v", names, want)
+	}
+	names[0] = "mutated"
+	if again := Cutoffs(); !slices.Equal(again, want) {
+		t.Fatalf("mutating Cutoffs()'s result changed a second call: %v", again)
+	}
+	for _, name := range want {
 		if _, err := NewCutoff(name); err != nil {
 			t.Errorf("NewCutoff(%q): %v", name, err)
 		}
@@ -92,7 +92,7 @@ func TestCutoffRegistry(t *testing.T) {
 }
 
 // TestSchedulerConformance runs the shared scheduler contract against
-// every registered scheduler: the taskwait scheduling constraint and
+// every scheduler: the taskwait scheduling constraint and
 // the tied-task constraint, dependence hold/release, priority
 // ordering, panic propagation, and barrier drain must hold however
 // tasks are queued and consumed.

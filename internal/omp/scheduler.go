@@ -2,7 +2,6 @@ package omp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,9 +12,9 @@ import (
 // worker consumes or steals next lives behind this interface. The
 // BOTS paper evaluates the same task graphs under different runtime
 // scheduler configurations (work-first vs breadth-first local order,
-// centralized vs distributed queues); making the scheduler a named,
-// registered object turns that axis — and anything beyond it, like
-// NUMA- or load-adaptive placement — into a sweepable dimension.
+// centralized vs distributed queues); making the scheduler a named
+// object from one closed vocabulary (Schedulers) turns that axis into
+// a sweepable dimension.
 //
 // A Scheduler instance belongs to exactly one parallel region. The
 // team calls the lifecycle hooks Init (before any worker runs) and
@@ -23,7 +22,7 @@ import (
 // per-worker operations identify the calling worker by its team slot.
 //
 // Contract (verified by the conformance suite in
-// sched_conformance_test.go against every registered scheduler):
+// sched_conformance_test.go against every scheduler):
 //
 //   - Push(self, t) is called only by the worker occupying slot self
 //     (task creation and dependence release are owner-side
@@ -46,7 +45,7 @@ import (
 //   - Queued(self) is the ready backlog cut-off policies see; for
 //     pool schedulers it is the shared backlog.
 type Scheduler interface {
-	// Name returns the scheduler's registry name.
+	// Name returns the scheduler's name, as NewScheduler parses it.
 	Name() string
 	// Init sizes the scheduler for a team of n workers. It is called
 	// exactly once, before any worker starts.
@@ -64,52 +63,35 @@ type Scheduler interface {
 	// Queued reports self's ready backlog, as seen by queue-depth
 	// cut-off policies.
 	Queued(self int) int64
+	// HasStealableWork reports the team-level work-advertisement
+	// word: whether any *other* worker currently advertises queued
+	// work, from shared atomic state maintained by
+	// Push/PopLocal/Steal. An idle worker consults it before a steal
+	// attempt and, on "no work anywhere", goes straight to the
+	// doorbell park instead of sweeping every victim's queue top — an
+	// O(P) cascade of remote cache-line probes per idle loop
+	// otherwise. The word must be conservative toward liveness: a
+	// non-empty queue must (after any in-flight operations complete)
+	// have its advertisement set. A falsely-set bit only costs one
+	// wasted sweep; a falsely-clear bit would strand queued work
+	// behind parked thieves. See advMask for the clear/recheck
+	// protocol that guarantees this.
+	HasStealableWork(self int) bool
+	// SchedulerSeed returns the region's victim-selection seed,
+	// surfaced in Stats (and therefore in `bots -json` records) for
+	// reproducibility, or 0 for a scheduler that draws no randomness.
+	SchedulerSeed() uint64
 	// Fini is the region-end lifecycle hook, called once after the
 	// final barrier with every queue drained.
 	Fini()
 }
 
-// workAdvertiser is the optional scheduler extension behind the
-// team-level work-advertisement word: HasStealableWork(self) reports,
-// from shared atomic state maintained by Push/PopLocal/Steal, whether
-// any *other* worker currently advertises queued work. When a
-// scheduler implements it, an idle worker consults the word before a
-// steal attempt and, on "no work anywhere", goes straight to the
-// doorbell park instead of sweeping every victim's queue top — an
-// O(P) cascade of remote cache-line probes per idle loop otherwise.
-//
-// The word must be conservative toward liveness: a queue that is
-// non-empty must (after any in-flight operations complete) have its
-// advertisement set. A falsely-set bit only costs one wasted sweep;
-// a falsely-clear bit would strand queued work behind parked thieves.
-// See advMask for the clear/recheck protocol that guarantees this.
-type workAdvertiser interface {
-	HasStealableWork(self int) bool
-}
-
-// seededScheduler is the optional extension for schedulers whose
-// decisions are randomized: SchedulerSeed returns the region's
-// victim-selection seed, surfaced in Stats (and therefore in
-// `bots -json` records) for reproducibility.
-type seededScheduler interface {
-	SchedulerSeed() uint64
-}
-
-// DefaultScheduler is the registry name selected by an empty
-// scheduler name everywhere (team option, core config, lab specs,
-// CLI flags).
+// DefaultScheduler is the name selected by an empty scheduler name
+// everywhere (team option, core config, lab specs, CLI flags).
 const DefaultScheduler = "workfirst"
 
-// schedCtor builds a scheduler from the parsed integer arguments of a
-// parameterized name (empty for the bare form) — the same arrangement
-// the cut-off registry uses, so lab manifests can sweep scheduler
-// *parameters* (today: the steal batch), not just scheduler kinds.
-type schedCtor func(args []int64) (Scheduler, error)
-
-var (
-	schedMu  sync.RWMutex
-	schedReg = map[string]schedCtor{}
-)
+// schedulerNames is the closed scheduler vocabulary, sorted.
+var schedulerNames = []string{"breadthfirst", "centralized", "locality", "workfirst"}
 
 // regionSeq counts parallel regions process-wide; the distributed
 // schedulers mix it into their victim-selection seed so repeated
@@ -127,48 +109,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// RegisterScheduler adds a scheduler constructor under name. The
-// constructor returns a fresh, un-Init-ed instance per call (one per
-// parallel region). It panics on empty or duplicate names; it is
-// meant to be called from init functions. Schedulers registered
-// through this entry point take no name parameters; the in-package
-// deque family registers parameterized constructors directly.
-func RegisterScheduler(name string, ctor func() Scheduler) {
-	if ctor == nil {
-		panic("omp: invalid scheduler registration")
-	}
-	registerSchedulerParam(name, func(args []int64) (Scheduler, error) {
-		if len(args) != 0 {
-			return nil, fmt.Errorf("omp: scheduler %q takes no parameters", name)
-		}
-		return ctor(), nil
-	})
-}
-
-func registerSchedulerParam(name string, ctor schedCtor) {
-	if name == "" || ctor == nil {
-		panic("omp: invalid scheduler registration")
-	}
-	schedMu.Lock()
-	defer schedMu.Unlock()
-	if _, dup := schedReg[name]; dup {
-		panic(fmt.Sprintf("omp: duplicate scheduler %q", name))
-	}
-	schedReg[name] = ctor
-}
-
-// Schedulers returns the sorted names of every registered scheduler —
-// the single vocabulary CLI flags, lab manifests and reports validate
-// against.
+// Schedulers returns the sorted names of every scheduler — the single
+// vocabulary CLI flags, lab manifests and reports validate against.
 func Schedulers() []string {
-	schedMu.RLock()
-	defer schedMu.RUnlock()
-	names := make([]string, 0, len(schedReg))
-	for n := range schedReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return append([]string(nil), schedulerNames...)
 }
 
 // NewScheduler returns a fresh instance of the named scheduler — bare
@@ -177,8 +121,8 @@ func Schedulers() []string {
 // DefaultScheduler. It accepts exactly the strings Scheduler.Name
 // renders, so names recorded in lab stores always resolve back to the
 // configuration that produced them. Unknown names error with the full
-// registered vocabulary, so every layer that resolves a scheduler
-// name reports the same message.
+// vocabulary, so every layer that resolves a scheduler name reports
+// the same message.
 func NewScheduler(name string) (Scheduler, error) {
 	if name == "" {
 		name = DefaultScheduler
@@ -187,43 +131,38 @@ func NewScheduler(name string) (Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	schedMu.RLock()
-	ctor := schedReg[base]
-	schedMu.RUnlock()
-	if ctor == nil {
-		return nil, fmt.Errorf("omp: unknown scheduler %q (have %s)", base, strings.Join(Schedulers(), "/"))
-	}
-	return ctor(args)
-}
-
-// dequeCtor builds the parameterized constructor of one deque-family
-// configuration: zero arguments select the default steal batch, one
-// argument overrides it (name(batch); batch 1 restores the classic
-// single-task steal).
-func dequeCtor(base string, fifoLocal, affinity bool) schedCtor {
-	return func(args []int64) (Scheduler, error) {
-		batch := int64(defaultStealBatch)
-		switch len(args) {
-		case 0:
-		case 1:
-			batch = args[0]
-			if batch < 1 || batch > maxStealBatch {
-				return nil, fmt.Errorf("omp: scheduler %s steal batch must be in [1,%d], got %d", base, maxStealBatch, batch)
-			}
-		default:
-			return nil, fmt.Errorf("omp: scheduler %q takes at most one parameter (%s(batch))", base, base)
+	switch base {
+	case "workfirst":
+		return newDequeScheduler(base, false, false, args)
+	case "breadthfirst":
+		return newDequeScheduler(base, true, false, args)
+	case "locality":
+		return newDequeScheduler(base, false, true, args)
+	case "centralized":
+		if len(args) != 0 {
+			return nil, fmt.Errorf("omp: scheduler %q takes no parameters", base)
 		}
-		return &dequeScheduler{name: base, fifoLocal: fifoLocal, affinity: affinity, stealBatch: int(batch)}, nil
+		return &centralScheduler{}, nil
 	}
+	return nil, fmt.Errorf("omp: unknown scheduler %q (have %s)", base, strings.Join(schedulerNames, "/"))
 }
 
-func init() {
-	registerSchedulerParam("workfirst", dequeCtor("workfirst", false, false))
-	registerSchedulerParam("breadthfirst", dequeCtor("breadthfirst", true, false))
-	registerSchedulerParam("locality", dequeCtor("locality", false, true))
-	RegisterScheduler("centralized", func() Scheduler {
-		return &centralScheduler{}
-	})
+// newDequeScheduler builds one deque-family configuration: zero
+// arguments select the default steal batch, one argument overrides it
+// (name(batch); batch 1 restores the classic single-task steal).
+func newDequeScheduler(base string, fifoLocal, affinity bool, args []int64) (Scheduler, error) {
+	batch := int64(defaultStealBatch)
+	switch len(args) {
+	case 0:
+	case 1:
+		batch = args[0]
+		if batch < 1 || batch > maxStealBatch {
+			return nil, fmt.Errorf("omp: scheduler %s steal batch must be in [1,%d], got %d", base, maxStealBatch, batch)
+		}
+	default:
+		return nil, fmt.Errorf("omp: scheduler %q takes at most one parameter (%s(batch))", base, base)
+	}
+	return &dequeScheduler{name: base, fifoLocal: fifoLocal, affinity: affinity, stealBatch: int(batch)}, nil
 }
 
 // advMask is the work-advertisement word: one bit per worker slot,
@@ -255,8 +194,8 @@ type advMask struct {
 }
 
 // init allocates the mask for a team of n workers. Scheduler
-// instances are constructed fresh per region (see RegisterScheduler),
-// so there is no prior storage to reuse.
+// instances are constructed fresh per region (see NewScheduler), so
+// there is no prior storage to reuse.
 func (a *advMask) init(n int) {
 	a.words = make([]atomic.Uint64, (n+63)/64)
 }
@@ -306,7 +245,7 @@ func (a *advMask) anyOther(self int) bool {
 
 // dequeScheduler is the distributed-queue scheduler family: one
 // Chase–Lev deque plus one priority queue per worker. Three of the
-// registered schedulers are configurations of it:
+// four schedulers are configurations of it:
 //
 //   - workfirst: the owner pops its own deque LIFO (depth-first), the
 //     classic work-stealing discipline; thieves steal FIFO from the
@@ -320,7 +259,7 @@ func (a *advMask) anyOther(self int) bool {
 // up to half the victim's backlog (capped by the steal batch) in one
 // visit, amortizing victim selection, advertisement maintenance and
 // the thief's own publish over many tasks. The batch is the family's
-// registry parameter — "workfirst(1)" restores single-task stealing,
+// name parameter — "workfirst(1)" restores single-task stealing,
 // "workfirst(8)" caps a raid at 8 tasks — so the knob is sweepable
 // through lab manifests like the cut-off limits are.
 //
@@ -384,7 +323,7 @@ var queuePairPool = sync.Pool{New: func() any {
 	return &queuePair{dq: newDeque(), pq: &prioQueue{}}
 }}
 
-// Name renders the registry form NewScheduler parses back: the bare
+// Name renders the form NewScheduler parses back: the bare
 // family name at the default steal batch, name(batch) otherwise — so
 // the batch knob rides inside every recorded policy string (lab keys,
 // bots -json) with no schema change.
@@ -905,6 +844,9 @@ func (c *centralScheduler) Steal(self int, pred func(*task) bool) *task { return
 // and the StealAttempts/StealFails counters stay quiet under the
 // centralized discipline.
 func (c *centralScheduler) HasStealableWork(self int) bool { return false }
+
+// SchedulerSeed is 0: the shared pool draws no randomness.
+func (c *centralScheduler) SchedulerSeed() uint64 { return 0 }
 
 // Queued reports the shared backlog — the same value for every
 // worker, so a MaxQueue cut-off bounds the team queue as a whole. All

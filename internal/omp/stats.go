@@ -249,10 +249,7 @@ func (tm *Team) live() int64 {
 // mid-submission; a snapshot taken during execution is a consistent
 // set of per-counter values, not a cross-counter atomic cut.
 func (tm *Team) snapshot() Stats {
-	var s Stats
-	if sd, ok := tm.sched.(seededScheduler); ok {
-		s.SchedulerSeed = sd.SchedulerSeed()
-	}
+	s := Stats{SchedulerSeed: tm.sched.SchedulerSeed()}
 	for i := range tm.workers {
 		ws := &tm.workers[i].stats
 		s.TasksCreated += ws.tasksCreated.Load()

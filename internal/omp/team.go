@@ -17,12 +17,7 @@ type Team struct {
 	workers []*worker
 	cutoff  CutoffPolicy
 	sched   Scheduler
-	// adv is sched's work-advertisement view, when it provides one
-	// (cached type assertion; nil otherwise). runOne consults it
-	// before a steal attempt so an idle worker on an empty team goes
-	// straight to the park instead of sweeping P queue tops.
-	adv workAdvertiser
-	rec *trace.Recorder
+	rec     *trace.Recorder
 	// fr, when non-nil, receives spawn/steal/park/wake/submit/finish
 	// events (WithFlightRecorder): workers record through their own
 	// worker.events handle, submitters through fr itself.
@@ -119,8 +114,8 @@ type teamConfig struct {
 // WithCutoff installs a runtime cut-off policy (default NoCutoff).
 func WithCutoff(p CutoffPolicy) TeamOpt { return func(c *teamConfig) { c.cutoff = p } }
 
-// WithScheduler selects the task scheduler by registry name; the
-// empty name selects DefaultScheduler. It panics on an unknown name —
+// WithScheduler selects the task scheduler by name; the empty name
+// selects DefaultScheduler. It panics on an unknown name —
 // layers that accept user input validate through NewScheduler (or
 // Schedulers) first, so by the time an option list is assembled the
 // name is a programming error if invalid. A scheduler instance
@@ -304,7 +299,6 @@ func newTeam(n int, opts []TeamOpt) (*Team, []*task) {
 	}
 	tm.barBells[0] = make(chan struct{})
 	tm.barBells[1] = make(chan struct{})
-	tm.adv, _ = cfg.sched.(workAdvertiser)
 	tm.sched.Init(n)
 	tm.workers = make([]*worker, n)
 	implicit := make([]*task, n)
@@ -623,7 +617,7 @@ func (w *worker) pick(constraint *task) *task {
 		// preserved because every Push sets the advertisement before
 		// the doorbell ring, and every parker re-probes after
 		// registering (see advMask and barrier).
-		if adv := w.team.adv; adv == nil || adv.HasStealableWork(w.id) {
+		if sched.HasStealableWork(w.id) {
 			w.stats.stealAttempts.Add(1)
 			if pred != nil {
 				// A constrained steal applies pred to tasks read from

@@ -194,7 +194,7 @@ func TestAblationPolicy(t *testing.T) {
 	if err := AblationPolicy(testRunner, &buf, core.Test, []int{1, 4}); err != nil {
 		t.Fatal(err)
 	}
-	// One series per registered scheduler, per benchmark.
+	// One series per scheduler, per benchmark.
 	for _, pol := range omp.Schedulers() {
 		if !strings.Contains(buf.String(), "sort (untied) "+pol) {
 			t.Errorf("policy ablation missing %s series", pol)

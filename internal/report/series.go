@@ -58,7 +58,7 @@ type SeriesConfig struct {
 	// RuntimeCutoff is the runtime cut-off policy name for the real
 	// recording run (an omp.Cutoffs() name; "" = none).
 	RuntimeCutoff string
-	// Policy is the scheduler's registry name (an omp.Schedulers()
+	// Policy is the scheduler's name (an omp.Schedulers()
 	// name; "" = workfirst). It selects both the real runtime
 	// scheduler and the simulator's matching queue discipline.
 	Policy string

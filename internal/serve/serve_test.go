@@ -164,7 +164,7 @@ func TestRunShedsNothingAtCalibratedLoad(t *testing.T) {
 }
 
 // TestRunAllWorkloads runs every registered workload briefly on every
-// registered scheduler, checking verification end to end.
+// scheduler, checking verification end to end.
 func TestRunAllWorkloads(t *testing.T) {
 	for _, bench := range WorkloadNames() {
 		for _, sched := range omp.Schedulers() {

@@ -4,12 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"bots/internal/omp"
 	"bots/internal/trace"
 )
-
-// schedNames mirrors the omp scheduler registry — the disciplines a
-// lab policy sweep replays under.
-var schedNames = []string{"workfirst", "breadthfirst", "centralized", "locality"}
 
 func TestUnknownSchedulerRejected(t *testing.T) {
 	tr := flatTrace(4, 100, false)
@@ -19,23 +16,30 @@ func TestUnknownSchedulerRejected(t *testing.T) {
 	}
 }
 
-// TestRegisterDiscipline: a scheduler registered outside the four
-// built-ins replays under its declared base discipline instead of
-// erroring.
-func TestRegisterDiscipline(t *testing.T) {
-	if err := RegisterDiscipline("numa-test", "bogus"); err == nil {
-		t.Fatal("bad base discipline should be rejected")
-	}
-	if err := RegisterDiscipline("numa-test", "locality"); err != nil {
-		t.Fatal(err)
-	}
+// TestEveryOmpSchedulerReplays: the simulator models exactly omp's
+// closed scheduler vocabulary. Every omp.Schedulers() name, and every
+// name(4) omp.NewScheduler accepts, replays through Run, so a
+// scheduler added to omp without a sim discipline fails here instead
+// of replaying under some other scheduler's model.
+func TestEveryOmpSchedulerReplays(t *testing.T) {
 	tr := flatTrace(16, 1000, false)
-	res, err := Run(tr, 2, Params{WorkUnitNS: 1, Scheduler: "numa-test"})
-	if err != nil {
-		t.Fatalf("aliased scheduler should simulate: %v", err)
+	for _, base := range omp.Schedulers() {
+		names := []string{base}
+		if _, err := omp.NewScheduler(base + "(4)"); err == nil {
+			names = append(names, base+"(4)")
+		}
+		for _, name := range names {
+			res, err := Run(tr, 2, Params{WorkUnitNS: 1, Scheduler: name})
+			if err != nil {
+				t.Fatalf("omp scheduler %q has no sim discipline: %v", name, err)
+			}
+			if res.Speedup <= 0 {
+				t.Fatalf("%s: replay produced no result", name)
+			}
+		}
 	}
-	if res.Speedup <= 0 {
-		t.Fatal("aliased replay produced no result")
+	if _, err := Run(tr, 2, Params{WorkUnitNS: 1, Scheduler: "numa"}); err == nil {
+		t.Fatal("a name outside omp's vocabulary should error")
 	}
 }
 
@@ -45,7 +49,7 @@ func TestRegisterDiscipline(t *testing.T) {
 // thread count.
 func TestAllDisciplinesReplayFib(t *testing.T) {
 	tr := recordFib(t, 14, 4)
-	for _, name := range schedNames {
+	for _, name := range omp.Schedulers() {
 		res, err := Run(tr, 4, Params{WorkUnitNS: 50, SpawnNS: 100, StealNS: 200, Scheduler: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -129,7 +133,7 @@ func TestDisciplinesDiverge(t *testing.T) {
 	tr := recordFib(t, 14, 4)
 	p := Params{WorkUnitNS: 20, SpawnNS: 100, StealNS: 400, TaskwaitNS: 50}
 	seen := map[float64][]string{}
-	for _, name := range schedNames {
+	for _, name := range omp.Schedulers() {
 		p.Scheduler = name
 		res, err := Run(tr, 4, p)
 		if err != nil {

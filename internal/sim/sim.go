@@ -2,7 +2,7 @@
 // schedulers. It replays a task graph recorded by internal/trace
 // (from a real internal/omp execution) on an arbitrary number of
 // virtual threads, reproducing the scheduling semantics of the omp
-// runtime — a queue discipline per registered scheduler (work-first
+// runtime — a queue discipline per omp scheduler (work-first
 // and breadth-first deques, the centralized shared queue, locality
 // steal-half/last-victim stealing; Params.Scheduler), random-victim
 // stealing, the OpenMP task scheduling constraint for tied tasks,
@@ -47,7 +47,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 
 	"bots/internal/trace"
 )
@@ -81,7 +80,7 @@ type Params struct {
 	// unlimited bandwidth.
 	BandwidthCap float64
 	// Scheduler names the queue discipline to replay under, matching
-	// the omp scheduler registry so simulated sweeps stay faithful per
+	// the omp scheduler vocabulary so simulated sweeps stay faithful per
 	// policy ("" = workfirst):
 	//
 	//   - "workfirst": per-worker deques, LIFO own consumption, FIFO
@@ -215,67 +214,29 @@ const (
 	schedLocality
 )
 
-// builtinDiscipline resolves the four disciplines modeled natively.
-func builtinDiscipline(name string) (discipline, bool) {
+// parseDiscipline maps an omp scheduler name onto the simulator's
+// matching queue discipline. A parameterized form — workfirst(8) and
+// friends, carrying a steal-batch size — resolves to its base name's
+// discipline: the simulator models queue order and steal direction,
+// not raid width, so every batch parameterization of one scheduler
+// replays the same. Any other name errors: the four disciplines are
+// omp's closed scheduler vocabulary, so a figure never describes a
+// scheduler the simulator does not model.
+func parseDiscipline(name string) (discipline, error) {
+	if i := strings.IndexByte(name, '('); i > 0 && strings.HasSuffix(name, ")") {
+		name = name[:i]
+	}
 	switch name {
 	case "", "workfirst":
-		return schedWorkFirst, true
+		return schedWorkFirst, nil
 	case "breadthfirst":
-		return schedBreadthFirst, true
+		return schedBreadthFirst, nil
 	case "centralized":
-		return schedCentralized, true
+		return schedCentralized, nil
 	case "locality":
-		return schedLocality, true
+		return schedLocality, nil
 	}
-	return 0, false
-}
-
-// disciplineAlias maps scheduler names registered outside the four
-// built-ins (omp.RegisterScheduler extensions) onto the built-in
-// discipline that models them most closely, so sweeps and reports
-// over the full scheduler registry can still replay their cells.
-var (
-	aliasMu         sync.RWMutex
-	disciplineAlias = map[string]discipline{}
-)
-
-// RegisterDiscipline declares that traces recorded under scheduler
-// name replay under base's queue discipline (one of workfirst/
-// breadthfirst/centralized/locality). Call it alongside
-// omp.RegisterScheduler for any scheduler added outside this package;
-// without it, simulating that scheduler's cells errors explicitly
-// rather than silently mis-modeling them as workfirst.
-func RegisterDiscipline(name, base string) error {
-	d, ok := builtinDiscipline(base)
-	if !ok || name == "" {
-		return fmt.Errorf("sim: RegisterDiscipline(%q, %q): base must be one of workfirst/breadthfirst/centralized/locality", name, base)
-	}
-	aliasMu.Lock()
-	disciplineAlias[name] = d
-	aliasMu.Unlock()
-	return nil
-}
-
-// parseDiscipline maps an omp scheduler registry name onto the
-// simulator's matching (or registered-alias) queue discipline. A
-// parameterized registry form — workfirst(8) and friends, carrying a
-// steal-batch size — resolves to its base name's discipline: the
-// simulator models queue order and steal direction, not raid width,
-// so every batch parameterization of one scheduler replays the same.
-func parseDiscipline(name string) (discipline, error) {
-	if d, ok := builtinDiscipline(name); ok {
-		return d, nil
-	}
-	aliasMu.RLock()
-	d, ok := disciplineAlias[name]
-	aliasMu.RUnlock()
-	if ok {
-		return d, nil
-	}
-	if i := strings.IndexByte(name, '('); i > 0 && strings.HasSuffix(name, ")") {
-		return parseDiscipline(name[:i])
-	}
-	return 0, fmt.Errorf("sim: no queue discipline for scheduler %q (have workfirst/breadthfirst/centralized/locality; RegisterDiscipline maps new scheduler names onto one of them)", name)
+	return 0, fmt.Errorf("sim: no queue discipline for scheduler %q (have workfirst/breadthfirst/centralized/locality)", name)
 }
 
 type sim struct {

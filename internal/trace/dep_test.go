@@ -81,60 +81,6 @@ func TestDepRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadV1Trace checks backward compatibility: a trace serialized
-// in the BOTR1 layout (no priority/dep fields) still loads.
-func TestReadV1Trace(t *testing.T) {
-	r := NewRecorder()
-	root := r.Root()
-	root.AddWork(3)
-	a := r.Spawn(root, false, false, 0)
-	a.AddWork(9)
-	tr := r.Finish()
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	// Rewrite the v2 payload as v1 by stripping the per-task priority
-	// and dep-count varints (both zero here, single bytes).
-	v2 := buf.Bytes()
-	if string(v2[:5]) != "BOTR2" {
-		t.Fatalf("unexpected magic %q", v2[:5])
-	}
-	var v1 bytes.Buffer
-	v1.WriteString("BOTR1")
-	// Payload layout per task: parent, flags, depth, work, pw, sw,
-	// captured, priority, numDeps, numEvents, events... All fields in
-	// this tiny trace are single-byte varints, so walk and drop
-	// bytes 7 and 8 of each task record.
-	p := v2[5:]
-	v1.Write(p[:2]) // numRoots, numTasks
-	p = p[2:]
-	for task := 0; task < 2; task++ {
-		v1.Write(p[:7]) // parent..captured
-		p = p[7:]
-		p = p[2:] // drop priority, numDeps
-		nev := p[0]
-		v1.Write(p[:1])
-		p = p[1:]
-		for e := 0; e < int(nev); e++ {
-			kind := p[0]
-			n := 2
-			if kind == byte(EvSpawn) || kind == byte(EvSpawnInline) {
-				n = 3
-			}
-			v1.Write(p[:n])
-			p = p[n:]
-		}
-	}
-	got, err := ReadTrace(&v1)
-	if err != nil {
-		t.Fatalf("ReadTrace(v1): %v", err)
-	}
-	if got.Tasks[1].Work != 9 || got.Tasks[1].Deps != nil || got.Tasks[1].Priority != 0 {
-		t.Errorf("v1 trace loaded wrong: %+v", got.Tasks[1])
-	}
-}
-
 // TestValidateRejectsBadDeps checks the dep invariants.
 func TestValidateRejectsBadDeps(t *testing.T) {
 	tr := buildDepTrace(t)

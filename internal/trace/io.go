@@ -20,13 +20,9 @@ import (
 //	          numEvents, then per event: kind, deltaAt (from the
 //	          previous event), child+1 (spawn kinds only)
 //
-// Version 1 ("BOTR1") lacked the priority and dependence fields;
-// ReadTrace still accepts it (tasks load with no deps, priority 0).
+// ReadTrace accepts this layout only; any other header is rejected.
 
-const (
-	magic   = "BOTR2"
-	magicV1 = "BOTR1"
-)
+const magic = "BOTR2"
 
 // zigzag encoding for the signed priority field.
 func zig(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
@@ -113,13 +109,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	version := 2
-	switch string(head) {
-	case magic:
-	case magicV1:
-		version = 1
-	default:
-		return nil, fmt.Errorf("trace: bad magic %q (want %q or %q)", head, magic, magicV1)
+	if string(head) != magic {
+		return nil, fmt.Errorf("trace: bad magic %q (want %q)", head, magic)
 	}
 	get := func() (uint64, error) { return binary.ReadUvarint(br) }
 	numRoots, err := get()
@@ -167,28 +158,26 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return nil, err
 		}
 		t.Captured = int32(captured)
-		if version >= 2 {
-			prio, err := get()
-			if err != nil {
-				return nil, err
-			}
-			t.Priority = int32(zag(prio))
-			numDeps, err := get()
-			if err != nil {
-				return nil, err
-			}
-			if numDeps > maxTasks {
-				return nil, fmt.Errorf("trace: task %d has implausible dep count %d", i, numDeps)
-			}
-			if numDeps > 0 {
-				t.Deps = make([]int32, numDeps)
-				for j := range t.Deps {
-					d, err := get()
-					if err != nil {
-						return nil, err
-					}
-					t.Deps[j] = int32(d)
+		prio, err := get()
+		if err != nil {
+			return nil, err
+		}
+		t.Priority = int32(zag(prio))
+		numDeps, err := get()
+		if err != nil {
+			return nil, err
+		}
+		if numDeps > maxTasks {
+			return nil, fmt.Errorf("trace: task %d has implausible dep count %d", i, numDeps)
+		}
+		if numDeps > 0 {
+			t.Deps = make([]int32, numDeps)
+			for j := range t.Deps {
+				d, err := get()
+				if err != nil {
+					return nil, err
 				}
+				t.Deps[j] = int32(d)
 			}
 		}
 		numEvents, err := get()
