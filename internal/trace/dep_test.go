@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +79,23 @@ func TestDepRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(wrote, buf2.Bytes()) {
 		t.Error("round-trip is not byte-idempotent")
+	}
+}
+
+// TestReadV1TraceRejected checks that a trace in the retired BOTR1
+// layout (no priority/dep fields) fails on its magic instead of being
+// misread as BOTR2.
+func TestReadV1TraceRejected(t *testing.T) {
+	tr := buildDepTrace(t)
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	v1 := buf.Bytes()
+	copy(v1, "BOTR1")
+	_, err := ReadTrace(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), `"BOTR1"`) {
+		t.Fatalf("ReadTrace(BOTR1) = %v, want a bad-magic error naming BOTR1", err)
 	}
 }
 

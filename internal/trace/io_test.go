@@ -71,9 +71,6 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 		"empty":     "",
 		"bad magic": "NOPE!xxxxxxx",
 		"truncated": "BOTR2\x02",
-		// A one-task trace in the retired BOTR1 layout (no priority or
-		// dependence fields): its header alone must now fail.
-		"BOTR1 header": "BOTR1\x01\x01\x00\x00\x00\x00\x00\x00\x00\x00",
 	}
 	for name, in := range cases {
 		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
