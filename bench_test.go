@@ -6,8 +6,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// for the quick (small-class) pass, or cmd/botsreport for the
-// full-size (medium-class) reproduction written to EXPERIMENTS.md.
+// for the quick (small-class) pass, or cmd/botsreport, which prints the
+// full-size (medium-class) reproduction; DESIGN.md §1.1 says how the
+// figures are reproduced without the paper's machine.
 package bots
 
 import (

@@ -53,9 +53,22 @@ func Iterative(n int) uint64 {
 	return a
 }
 
+// frame is one task's firstprivate environment: the argument, the
+// task's depth, where to return the value, and the two result slots
+// its children write. BOTS's C version returns each child's value
+// through a variable on the parent's stack; here the slots live in the
+// parent's task cell, which stays valid until the parent's body
+// returns — after its taskwait, so after every child has written.
+type frame struct {
+	m, depth int
+	dst      *uint64
+	ab       [2]uint64
+}
+
 // run is the state one parallel fib computation shares across its
-// tasks. Task bodies capture the pointer, so a task costs exactly one
-// allocation in this package: its body closure.
+// tasks. Every task is spawned through the tasks TaskFunc, which copies
+// its frame into a recycled cell, so a task costs no allocation in
+// this package.
 type run struct {
 	cutoff  int
 	variant core.Variant
@@ -63,44 +76,21 @@ type run struct {
 	// of an if version's spawn at or past the cut-off, built once per
 	// run so no spawn rebuilds and copies them.
 	opts, cutOpts []omp.TaskOpt
-	// cells hands out result slots. BOTS's C version returns each
-	// child's value through a variable on the parent's stack; in Go a
-	// variable a task body points to must live on the heap, and one
-	// allocation per call would put as many allocations in the
-	// kernel as the runtime spends on the tasks being measured. Each
-	// thread instead carves slots off a chunk of its own — a bump
-	// allocator standing in for the parent's stack frame.
-	cells *omp.ThreadPrivate[[]uint64]
+	tasks         *omp.TaskFunc[frame]
 }
 
-// cellChunk is the number of result slots a thread allocates at once.
-const cellChunk = 512
-
-// resultCells returns two fresh result slots from the calling
-// thread's chunk.
-func (r *run) resultCells(c *omp.Context) []uint64 {
-	chunk := r.cells.Get(c)
-	if len(*chunk) < 2 {
-		*chunk = make([]uint64, cellChunk)
-	}
-	pair := (*chunk)[:2:2]
-	*chunk = (*chunk)[2:]
-	return pair
-}
-
-// par runs one task-parallel fib computation at the given depth.
-func (r *run) par(c *omp.Context, n, depth int, res *uint64) {
+// par runs one task-parallel fib computation.
+func (r *run) par(c *omp.Context, f *frame) {
 	c.AddWork(1)
 	c.AddWrites(0, 1) // result returned through a shared (parent-stack) variable
-	if n < 2 {
-		*res = uint64(n)
+	if f.m < 2 {
+		*f.dst = uint64(f.m)
 		return
 	}
-	ab := r.resultCells(c)
-	r.spawn(c, n-1, depth, &ab[0])
-	r.spawn(c, n-2, depth, &ab[1])
+	r.spawn(c, f.m-1, f.depth, &f.ab[0])
+	r.spawn(c, f.m-2, f.depth, &f.ab[1])
 	c.Taskwait()
-	*res = ab[0] + ab[1]
+	*f.dst = f.ab[0] + f.ab[1]
 }
 
 // spawn computes fib(m) into dst from a task at the given depth: as a
@@ -120,7 +110,7 @@ func (r *run) spawn(c *omp.Context, m, depth int, dst *uint64) {
 			opts = r.cutOpts
 		}
 	}
-	c.Task(func(c *omp.Context) { r.par(c, m, depth+1, dst) }, opts...)
+	r.tasks.Task(c, frame{m: m, depth: depth + 1, dst: dst}, opts...)
 }
 
 func digest(n int, v uint64) string { return fmt.Sprintf("fib(%d)=%d", n, v) }
@@ -154,17 +144,12 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	var res uint64
 	opts := core.TaskOpts(capturedBytes, variant.Untied, omp.TaskOpt{})
 	cutOpts := core.TaskOpts(capturedBytes, variant.Untied, omp.If(false))
-	r := &run{
-		cutoff:  cutoff,
-		variant: variant,
-		opts:    opts[:],
-		cutOpts: cutOpts[:],
-		cells:   omp.NewThreadPrivate[[]uint64](cfg.Threads),
-	}
+	r := &run{cutoff: cutoff, variant: variant, opts: opts[:], cutOpts: cutOpts[:]}
+	r.tasks = omp.NewTaskFunc(cfg.Threads, r.par)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			c.Task(func(c *omp.Context) { r.par(c, n, 0, &res) }, r.opts...)
+			r.tasks.Task(c, frame{m: n, dst: &res}, r.opts...)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

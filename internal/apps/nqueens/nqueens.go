@@ -77,11 +77,18 @@ func Seq(n int) (solutions, work int64) {
 const maxN = 16
 
 // board holds the column of the queen in each placed row. It is a
-// fixed-size array so that a task body captures its copy by value:
-// the board prefix a child receives — the paper's captured
-// environment — travels inside the body closure, and a task costs
-// exactly one allocation in this package.
+// fixed-size array so that a task receives its copy by value: the
+// board prefix a child receives — the paper's captured environment —
+// is copied into the child's task cell, and a task costs no
+// allocation in this package.
 type board [maxN]int8
+
+// node is one task's firstprivate environment: the board prefix and
+// the row to place next.
+type node struct {
+	b   board
+	row int
+}
 
 // with returns b with a queen placed in column col of row row.
 func (b board) with(row int, col int8) board {
@@ -98,14 +105,15 @@ type run struct {
 	// of an if version's spawn at or past the cut-off, built once per
 	// run so no spawn rebuilds and copies them.
 	opts, cutOpts []omp.TaskOpt
+	tasks         *omp.TaskFunc[node]
 }
 
 // par explores one node of the search tree. Each viable placement in
 // the next row becomes a child task with a private copy of the board
 // prefix. Solutions are accumulated into the executing thread's slot
 // of counts.
-func (r *run) par(c *omp.Context, b board, row int) {
-	n := r.n
+func (r *run) par(c *omp.Context, nd *node) {
+	n, b, row := r.n, &nd.b, nd.row
 	c.AddWork(int64(row) + 1)
 	c.AddWrites(int64(row), 0) // the board copy is written into task-private memory
 	if row == n {
@@ -116,22 +124,22 @@ func (r *run) par(c *omp.Context, b board, row int) {
 		if !ok(b[:], row, col) {
 			continue
 		}
-		child := b.with(row, col) // never reassigned or addressed: captured by value
+		child := b.with(row, col)
 		opts := r.opts
 		if row >= r.cutoff {
 			switch r.variant.Cutoff {
 			case "manual":
 				// Manual cut-off: continue on this thread without any
 				// task, searching the whole subtree in one buffer.
-				buf, w := child, int64(0)
-				*r.counts.Get(c) += seqCount(buf[:n], row+1, &w)
+				var w int64
+				*r.counts.Get(c) += seqCount(child[:n], row+1, &w)
 				c.AddWork(w)
 				continue
 			case "if":
 				opts = r.cutOpts
 			}
 		}
-		c.Task(func(c *omp.Context) { r.par(c, child, row+1) }, opts...)
+		r.tasks.Task(c, node{child, row + 1}, opts...)
 	}
 	c.Taskwait()
 }
@@ -171,11 +179,12 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	opts := core.TaskOpts(n+16, variant.Untied, omp.TaskOpt{})
 	cutOpts := core.TaskOpts(n+16, variant.Untied, omp.If(false))
 	r := &run{n: n, cutoff: cutoff, variant: variant, counts: counts, opts: opts[:], cutOpts: cutOpts[:]}
+	r.tasks = omp.NewTaskFunc(cfg.Threads, r.par)
 	var total int64
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.SingleNowait(func(c *omp.Context) {
-			c.Task(func(c *omp.Context) { r.par(c, board{}, 0) }, r.opts...)
+			r.tasks.Task(c, node{}, r.opts...)
 		})
 		c.Barrier()
 		// Each thread folds its threadprivate count into the global

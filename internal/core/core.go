@@ -23,8 +23,8 @@ import (
 )
 
 // Class is an input class, as defined in §III-A of the paper. The
-// absolute sizes are scaled for a single-node run (see EXPERIMENTS.md)
-// but the four-class scheme and inter-class ratios are preserved.
+// absolute sizes are scaled for a single-node run (DESIGN.md §1.1 says
+// why) but the four-class scheme and inter-class ratios are preserved.
 type Class int
 
 const (

@@ -101,6 +101,58 @@ func TestFutureSpawnAllocs(t *testing.T) {
 	}
 }
 
+// TestTaskFuncAllocs pins the TaskFunc spawn path at zero: once a
+// region has warmed the thread's free lists, a spawn takes its task
+// struct and its cell from them and a finished task gives both back, so
+// spawning and draining a batch of tasks allocates nothing, deferred or
+// under If(false). It counts every allocation of the process across
+// 50 batches inside one region, so region set-up is not in the count.
+// Under race the task pool drops a random fraction of its traffic (see
+// raceEnabled), so only the order of magnitude is pinned there.
+// (0; 0 under race)
+func TestTaskFuncAllocs(t *testing.T) {
+	type arg struct {
+		n   int
+		dst *int
+	}
+	var sink int
+	tf := NewTaskFunc(1, func(c *Context, a *arg) { *a.dst += a.n })
+	for _, tc := range []struct {
+		name string
+		opts []TaskOpt
+	}{
+		{"deferred", nil},
+		{"undeferred", []TaskOpt{If(false)}},
+	} {
+		var got float64
+		Parallel(1, func(c *Context) {
+			batch := func() {
+				for i := 0; i < 64; i++ {
+					tf.Task(c, arg{i, &sink}, tc.opts...)
+				}
+				c.Taskwait()
+			}
+			for i := 0; i < 4; i++ {
+				batch()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 50; i++ {
+				batch()
+			}
+			runtime.ReadMemStats(&after)
+			got = float64(after.Mallocs-before.Mallocs) / (50 * 64)
+		})
+		limit := 0.0
+		if raceEnabled {
+			limit = 0.05
+		}
+		if got > limit {
+			t.Errorf("%s TaskFunc spawn: %.4f allocs/task, want <= %.2f", tc.name, got, limit)
+		}
+	}
+}
+
 // TestDependenceAllocsSteadyState pins the dependence-table recycling:
 // a parent resolving depend clauses reuses a pooled tracker and its
 // entry structs, so a chain of dependent siblings costs a small

@@ -55,29 +55,63 @@ func BenchmarkTaskFinalPath(b *testing.B) {
 	})
 }
 
+// fibFrame is one fib task's argument in a TaskFunc cell, with the
+// result slots its children write.
+type fibFrame struct {
+	n   int
+	dst *int64
+	ab  [2]int64
+}
+
+// newFibCells returns parFib on a TaskFunc: a task's argument and its
+// children's results live in its recycled cell, not in a closure.
+func newFibCells(threads int) *TaskFunc[fibFrame] {
+	var tf *TaskFunc[fibFrame]
+	tf = NewTaskFunc(threads, func(c *Context, f *fibFrame) {
+		if f.n < 2 {
+			*f.dst = int64(f.n)
+			return
+		}
+		tf.Task(c, fibFrame{n: f.n - 1, dst: &f.ab[0]})
+		tf.Task(c, fibFrame{n: f.n - 2, dst: &f.ab[1]})
+		c.Taskwait()
+		*f.dst = f.ab[0] + f.ab[1]
+	})
+	return tf
+}
+
 func BenchmarkFibTaskThroughput(b *testing.B) {
-	// End-to-end task throughput on the canonical recursive pattern.
-	// At two threads both workers spawn and finish tasks on their own,
-	// which is where a word every task writes turns into cross-core
-	// traffic; ns/task is wall time over every task of every region.
-	// parks/region counts taskwait parks: tied waiters idling behind a
-	// steal show up there first.
-	for _, threads := range []int{1, 2, 4} {
-		b.Run(benchName("threads", threads), func(b *testing.B) {
-			var tasks, parks int64
-			for i := 0; i < b.N; i++ {
-				var res int64
-				st := Parallel(threads, func(c *Context) {
-					c.Single(func(c *Context) {
-						c.Task(func(c *Context) { parFib(c, 16, &res) })
+	// End-to-end task throughput on the canonical recursive pattern,
+	// spawned through a body closure per task (Context.Task) and
+	// through a TaskFunc's recycled cells. At two threads both workers
+	// spawn and finish tasks on their own, which is where a word every
+	// task writes turns into cross-core traffic; ns/task is wall time
+	// over every task of every region. parks/region counts taskwait
+	// parks: tied waiters idling behind a steal show up there first.
+	for _, spawn := range []string{"closure", "cell"} {
+		for _, threads := range []int{1, 2, 4} {
+			b.Run(spawn+"/"+benchName("threads", threads), func(b *testing.B) {
+				b.ReportAllocs()
+				cells := newFibCells(threads)
+				var tasks, parks int64
+				for i := 0; i < b.N; i++ {
+					var res int64
+					st := Parallel(threads, func(c *Context) {
+						c.Single(func(c *Context) {
+							if spawn == "cell" {
+								cells.Task(c, fibFrame{n: 16, dst: &res})
+							} else {
+								c.Task(func(c *Context) { parFib(c, 16, &res) })
+							}
+						})
 					})
-				})
-				tasks += st.TotalTasks()
-				parks += st.TaskwaitParks
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tasks), "ns/task")
-			b.ReportMetric(float64(parks)/float64(b.N), "parks/region")
-		})
+					tasks += st.TotalTasks()
+					parks += st.TaskwaitParks
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tasks), "ns/task")
+				b.ReportMetric(float64(parks)/float64(b.N), "parks/region")
+			})
+		}
 	}
 }
 

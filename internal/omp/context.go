@@ -62,7 +62,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 
 	t := w.newTask()
 	t.body = body
-	t.fut = cfg.fut
+	t.cell = cfg.cell
 	t.parent = parent
 	t.team = tm
 	t.creator = w

@@ -25,7 +25,7 @@ import (
 type Future[T any] struct {
 	// fn is the producing function, carried in the Future itself so
 	// the spawn path needs no per-spawn closure: the task stores the
-	// Future in its fut slot and the shared runFuture body below
+	// Future in its cell slot and the shared runCell body below
 	// recovers fn through the interface. Cleared after the run so the
 	// captured environment does not outlive the task just because the
 	// caller holds the Future for its value.
@@ -44,12 +44,12 @@ type Future[T any] struct {
 // Done reports whether the producing task has completed.
 func (f *Future[T]) Done() bool { return f.done.Load() }
 
-// runFuture is the task body of every Spawn-created task; it
-// implements the unexported futureRunner interface the task struct's
-// fut slot is typed as (see task.go). Executing through the interface
-// instead of a wrapping closure is what keeps Spawn at one allocation:
-// the Future struct itself is the only per-spawn heap object.
-func (f *Future[T]) runFuture(tc *Context) {
+// runCell is the task body of every Spawn-created task; it
+// implements the unexported cellBody interface the task struct's
+// cell slot is typed as (see task.go). Executing through the interface
+// instead of a wrapping closure is what keeps Spawn free of per-spawn
+// heap objects: the Future itself is the only one, and it recycles.
+func (f *Future[T]) runCell(tc *Context) {
 	defer func() {
 		f.fn = nil
 		f.done.Store(true)
@@ -67,7 +67,7 @@ func (f *Future[T]) runFuture(tc *Context) {
 // interface and tryRecycle dispatches back into the generic method
 // that knows the cell's pool.
 type futCell interface {
-	futureRunner
+	cellBody
 	tryRecycle()
 }
 
@@ -124,7 +124,7 @@ func Spawn[T any](c *Context, fn func(*Context) T, opts ...TaskOpt) *Future[T] {
 	c.w.buryFuture(f)
 	cfg := &c.w.taskCfg // see Context.Task for why the scratch is safe
 	cfg.apply(opts)
-	cfg.fut = f
+	cfg.cell = f
 	c.spawnTask(nil, cfg)
 	return f
 }

@@ -280,7 +280,7 @@ func (w *worker) releaseTasks() {
 // next life. TestResetLeavesNoState pins the result.
 func (t *task) reset() {
 	t.body = nil
-	t.fut = nil
+	t.cell = nil
 	t.parent = nil
 	t.team = nil
 	t.creator = nil

@@ -11,7 +11,7 @@ import (
 // of a thread's implicit task, for depth 0).
 type task struct {
 	body    func(*Context)
-	fut     futureRunner // non-nil for Spawn-created tasks; body is nil then
+	cell    cellBody // non-nil for Spawn and TaskFunc tasks; body is nil then
 	parent  *task
 	team    *Team
 	creator *worker // worker that created (queued) the task; nil for implicit tasks
@@ -75,20 +75,22 @@ type task struct {
 	depTab *depTracker
 }
 
-// futureRunner is the type-erased face of *Future[T]: the task struct
-// cannot be generic, so Spawn hands its Future over as this interface
-// and the execution paths call run in place of a body closure. This is
-// what makes Spawn a one-allocation operation — the Future is the only
-// per-spawn heap object (see future.go).
-type futureRunner interface {
-	runFuture(*Context)
+// cellBody is the type-erased face of a recycled cell that carries a
+// task's work: a *Future[T] (future.go) or a TaskFunc's cell
+// (taskfunc.go). The task struct cannot be generic, so Spawn and
+// TaskFunc.Task hand their cell over as this interface and the
+// execution paths call run in place of a body closure. The cell holds
+// both the function and its data, so neither path allocates a closure
+// per task, and both cells recycle.
+type cellBody interface {
+	runCell(*Context)
 }
 
-// run invokes the task's work: the future runner when the task was
-// created by Spawn, the plain body otherwise.
+// run invokes the task's work: the cell when the task was created by
+// Spawn or a TaskFunc, the plain body otherwise.
 func (t *task) run(c *Context) {
-	if t.fut != nil {
-		t.fut.runFuture(c)
+	if t.cell != nil {
+		t.cell.runCell(c)
 		return
 	}
 	t.body(c)
@@ -128,7 +130,7 @@ type taskConfig struct {
 	captured int
 	priority int32
 	deps     []dep
-	fut      futureRunner // set by Spawn only, not by any TaskOpt
+	cell     cellBody // set by Spawn and TaskFunc.Task, not by any TaskOpt
 }
 
 // reset readies a (per-worker scratch) config for the next task
@@ -140,7 +142,7 @@ func (cfg *taskConfig) reset() {
 	cfg.captured = 0
 	cfg.priority = 0
 	cfg.deps = cfg.deps[:0]
-	cfg.fut = nil
+	cfg.cell = nil
 }
 
 // apply folds the option list of one task directive into cfg.
