@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -331,5 +332,45 @@ func TestFleetWireProtocol(t *testing.T) {
 	post("/workers/deregister", `{"worker_id":"`+reg.WorkerID+`"}`, nil)
 	if n := len(fleet.Status().Workers); n != 0 {
 		t.Fatalf("workers after deregister = %d", n)
+	}
+}
+
+// TestServerRejectsOversizedBodies posts 2 MiB bodies, past the
+// server's 1 MiB request cap, to POST /sweeps and POST /results. Each
+// gets a 4xx and changes nothing: no sweep is added, and the lease the
+// oversized result names stays active.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second})
+	worker := fleet.Register("big", 1)
+	fleet.Enqueue(testSpec("fib", 2))
+	leases, err := fleet.Lease(worker, 1)
+	if err != nil || len(leases) != 1 {
+		t.Fatalf("lease = %v, %v; want one lease", leases, err)
+	}
+	var sweepsBefore, sweepsAfter []lab.SweepStatus
+	getJSON(t, ts.URL+"/sweeps", &sweepsBefore)
+	fleetBefore := fleet.Status()
+
+	pad := strings.Repeat("x", 2<<20)
+	for _, req := range []struct{ path, body string }{
+		{"/sweeps", `{"name":"` + pad + `","benches":["fib"],"versions":["manual-tied"],"classes":["test"],"threads":[1]}`},
+		{"/results", `{"lease_id":"` + leases[0].ID + `","error":"` + pad + `"}`},
+	} {
+		resp, err := http.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", req.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 4xx", req.path, len(req.body), resp.StatusCode)
+		}
+	}
+
+	getJSON(t, ts.URL+"/sweeps", &sweepsAfter)
+	if !reflect.DeepEqual(sweepsAfter, sweepsBefore) {
+		t.Errorf("sweeps changed: %d listed, was %d", len(sweepsAfter), len(sweepsBefore))
+	}
+	if got := fleet.Status(); !reflect.DeepEqual(got, fleetBefore) {
+		t.Errorf("fleet status changed: %+v, was %+v", got, fleetBefore)
 	}
 }

@@ -77,7 +77,8 @@ type Server struct {
 //
 // A finished sweep older than the dispatcher's newest 64 finished ones
 // is retired: the sweep routes answer for it from a summary with its
-// final counts, "retired": true and no "jobs".
+// final counts, "retired": true and no "jobs". Every request body is
+// capped at maxRequestBody.
 func (s *Server) Handler() http.Handler {
 	s.obsOnce.Do(func() {
 		if s.Obs == nil {
@@ -105,8 +106,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	return mux
+	return http.MaxBytesHandler(mux, maxRequestBody)
 }
+
+// maxRequestBody caps every request body the server reads, so no
+// client can make a handler decode an unbounded stream: 1 MiB, the cap
+// a WorkerClient puts on the coordinator's responses. A body past it
+// fails to decode, and its request gets a 400.
+const maxRequestBody = 1 << 20
 
 // registerObs publishes the lab server's own state as scrape-time
 // gauges (DESIGN.md §11): store size, sweep count, and job counts by

@@ -43,18 +43,6 @@ func BenchmarkTaskUndeferredPath(b *testing.B) {
 	})
 }
 
-func BenchmarkTaskFinalPath(b *testing.B) {
-	b.ReportAllocs()
-	Parallel(1, func(c *Context) {
-		c.Task(func(c *Context) {
-			for i := 0; i < b.N; i++ {
-				c.Task(func(c *Context) {})
-			}
-		}, Final(true))
-		c.Taskwait()
-	})
-}
-
 // fibFrame is one fib task's argument in a TaskFunc cell, with the
 // result slots its children write.
 type fibFrame struct {

@@ -26,19 +26,15 @@ func (c *Context) NumThreads() int { return len(c.w.team.workers) }
 // in terms of this recursion depth.
 func (c *Context) Depth() int { return int(c.task.depth) }
 
-// InFinal reports whether the current task is final (all tasks
-// created inside it are undeferred), matching omp_in_final().
-func (c *Context) InFinal() bool { return c.task.final }
-
 // Task creates an explicit task executing body. By default the task
-// is tied and deferred; the Untied, If, Final, Captured, Priority
-// and dependence (In/Out/InOut) options modify creation. A deferred
-// task is pushed on the creating worker's deque (or priority queue);
-// an undeferred task (if(false), final ancestor, or runtime cut-off)
-// executes immediately on the encountering thread with full task
-// bookkeeping. A task with depend clauses is always deferred — its
-// dependences must be able to hold it back — and is enqueued only
-// once every predecessor sibling has finished.
+// is tied and deferred; the Untied, If, Captured, Priority and
+// dependence (In/Out/InOut) options modify creation. A deferred task
+// is pushed on the creating worker's deque (or priority queue); an
+// undeferred task (if(false) or runtime cut-off) executes immediately
+// on the encountering thread with full task bookkeeping. A task with
+// depend clauses is always deferred — its dependences must be able to
+// hold it back — and is enqueued only once every predecessor sibling
+// has finished.
 func (c *Context) Task(body func(*Context), opts ...TaskOpt) {
 	// The config is the worker's scratch, so the deps backing array
 	// is reused from task to task. That is safe because spawnTask
@@ -58,7 +54,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 	w, parent, tm := c.w, c.task, c.w.team
 	depth := parent.depth + 1
 	hasDeps := len(cfg.deps) > 0
-	deferred := hasDeps || (cfg.ifClause && !parent.final && tm.cutoff.Defer(tm, w, depth))
+	deferred := hasDeps || (cfg.ifClause && tm.cutoff.Defer(tm, w, depth))
 
 	t := w.newTask()
 	t.body = body
@@ -68,7 +64,6 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 	t.creator = w
 	t.depth = depth
 	t.untied = cfg.untied
-	t.final = cfg.final || parent.final
 	t.priority = cfg.priority
 	t.group = parent.group
 	t.hasDeps = hasDeps
@@ -84,9 +79,9 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 		w.counts.tasksUndeferred++
 		// Undeferred: execute immediately on this thread. The child
 		// completes before Task returns, so it never contributes to
-		// parent.pending (or to the taskgroup); its own children do
-		// their own bookkeeping. A panic in the body is recorded and
-		// re-raised when the parallel region returns.
+		// parent.pending (or to its submission's live count); its own
+		// children do their own bookkeeping. A panic in the body is
+		// recorded and re-raised when the parallel region returns.
 		w.stats.liveCreated.Add(1)
 		prev := w.cur
 		w.cur = t
@@ -111,7 +106,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 	w.counts.tasksCreated++
 	parent.pending.Add(1)
 	if t.group != nil {
-		t.group.enter()
+		t.group.live.Add(1)
 	}
 	w.stats.liveCreated.Add(1)
 	if hasDeps {
@@ -125,7 +120,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 		parent.depTab.resolve(t, cfg.deps, w)
 		if t.depsLeft.Add(-1) > 0 {
 			// Deferred on its dependences: counted everywhere
-			// (pending, taskgroup, live count) but not enqueued; the
+			// (pending, submission, live count) but not enqueued; the
 			// last predecessor to finish will enqueue it.
 			w.stats.tasksDepDeferred.Add(1)
 			return
@@ -216,13 +211,6 @@ func (c *Context) SingleNowait(body func(*Context)) bool {
 		body(c)
 	}
 	return won
-}
-
-// Master executes body on thread 0 only, with no synchronization.
-func (c *Context) Master(body func(*Context)) {
-	if c.w.id == 0 {
-		body(c)
-	}
 }
 
 // criticalRegistry implements named critical sections with global

@@ -179,15 +179,18 @@ func TestDepStress(t *testing.T) {
 	}
 }
 
-// TestDepWithTaskgroup checks that dependence-deferred tasks are
-// correctly drained by an enclosing taskgroup, including descendants
-// spawned by dep tasks.
-func TestDepWithTaskgroup(t *testing.T) {
-	x := new(int)
-	var done atomic.Int32
-	Parallel(4, func(c *Context) {
-		c.SingleNowait(func(c *Context) {
-			c.Taskgroup(func(c *Context) {
+// TestDepWithSubmission checks that a persistent-team submission
+// drains dependence-deferred tasks, including descendants spawned by
+// dep tasks. Nothing in the body waits: the In task is held on its Out
+// predecessor when the root returns, so only the submission's live
+// count keeps SubmitWait from returning before all four bodies ran.
+func TestDepWithSubmission(t *testing.T) {
+	for _, sched := range Schedulers() {
+		pt := NewPersistentTeam(4, WithScheduler(sched))
+		for rep := 0; rep < 10; rep++ {
+			x := new(int)
+			var done atomic.Int32
+			pt.SubmitWait(func(c *Context) {
 				c.Task(func(c *Context) {
 					done.Add(1)
 					c.Task(func(*Context) { done.Add(1) }) // grandchild
@@ -198,10 +201,11 @@ func TestDepWithTaskgroup(t *testing.T) {
 				}, In(x))
 			})
 			if got := done.Load(); got != 4 {
-				t.Errorf("after taskgroup: %d tasks done, want 4", got)
+				t.Errorf("%s: after SubmitWait: %d tasks done, want 4", sched, got)
 			}
-		})
-	})
+		}
+		pt.Close()
+	}
 }
 
 // TestDepTaskwaitDrains checks taskwait over a dependence graph: all

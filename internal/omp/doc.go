@@ -1,13 +1,12 @@
 // Package omp implements an OpenMP-style task-parallel runtime on
 // goroutines: SPMD parallel regions with a fixed thread team,
 // explicit tasks with tied/untied semantics, taskwait, task-executing
-// barriers, single/master, loop worksharing with static/dynamic/
-// guided schedules, named critical sections, threadprivate storage,
-// if/final clauses, and pluggable runtime cut-off and scheduling
-// policies. A task's body is a closure (Context.Task) or, for the
-// finest-grained tasks, a fixed function applied to a firstprivate
-// argument copied into a recycled cell (TaskFunc), which spawns
-// without allocating.
+// barriers, single, loop worksharing with static/dynamic/guided
+// schedules, named critical sections, threadprivate storage, the if
+// clause, and pluggable runtime cut-off and scheduling policies. A
+// task's body is a closure (Context.Task) or, for the finest-grained
+// tasks, a fixed function applied to a firstprivate argument copied
+// into a recycled cell (TaskFunc), which spawns without allocating.
 //
 // It is the substrate for the Go reproduction of the Barcelona OpenMP
 // Tasks Suite (BOTS, Duran et al., ICPP 2009): every construct the

@@ -34,9 +34,8 @@ func (s Schedule) String() string {
 type ForOpt func(*forConfig)
 
 type forConfig struct {
-	sched  Schedule
-	chunk  int
-	nowait bool
+	sched Schedule
+	chunk int
 }
 
 // WithSchedule selects the loop schedule and chunk size. A chunk of
@@ -44,9 +43,6 @@ type forConfig struct {
 func WithSchedule(s Schedule, chunk int) ForOpt {
 	return func(c *forConfig) { c.sched = s; c.chunk = chunk }
 }
-
-// Nowait removes the implicit barrier at the end of the loop.
-func Nowait() ForOpt { return func(c *forConfig) { c.nowait = true } }
 
 // loopState is the shared per-construct-instance state for Dynamic
 // and Guided schedules.
@@ -68,10 +64,10 @@ func (tm *Team) loopStateFor(idx int64, lo int) *loopState {
 
 // For executes body(c, i) for every i in [lo, hi), distributing
 // iterations across the team according to the configured schedule,
-// with an implicit task-draining barrier at the end unless Nowait is
-// given. Every thread of the team must encounter the construct (it is
-// a worksharing construct, not a parallel loop builder), and it must
-// be called from the region body, not from inside an explicit task.
+// with an implicit task-draining barrier at the end. Every thread of
+// the team must encounter the construct (it is a worksharing
+// construct, not a parallel loop builder), and it must be called from
+// the region body, not from inside an explicit task.
 //
 // Tasks may be created inside the loop body; BOTS Alignment relies on
 // exactly that pattern (tasks nested in an omp for), as does the
@@ -150,7 +146,5 @@ func (c *Context) For(lo, hi int, body func(*Context, int), opts ...ForOpt) {
 			}
 		}
 	}
-	if !cfg.nowait {
-		c.Barrier()
-	}
+	c.Barrier()
 }

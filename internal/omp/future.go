@@ -12,8 +12,8 @@ import (
 // through a captured pointer and calling Taskwait.
 //
 // A blocked Wait parks on its worker's wake channel (the condition
-// wait taskwait and Taskgroup use; see worker.waitPark), so a Future
-// carries no park state of its own — just the value and a done flag.
+// wait taskwait uses; see worker.waitPark), so a Future carries no
+// park state of its own — just the value and a done flag.
 //
 // Lifetime: Future cells are pool-recycled (see futPoolFor), so a
 // Future that was Wait()ed must not be used again after the region —
@@ -109,9 +109,9 @@ func (f *Future[T]) tryRecycle() {
 
 // Spawn creates a task computing fn and returns a Future for its
 // result. All task options apply: dependences (In/Out/InOut),
-// Priority, Untied, If, Final, Captured. If the producing task
-// panics, the Future completes with the zero value and the panic is
-// re-raised when the parallel region returns, as for any task.
+// Priority, Untied, If, Captured. If the producing task panics, the
+// Future completes with the zero value and the panic is re-raised when
+// the parallel region returns, as for any task.
 //
 // Spawn allocates nothing in steady state: the cell comes from a
 // per-type pool and is buried on the creating worker's future grave,

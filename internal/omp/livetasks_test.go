@@ -46,12 +46,6 @@ func TestLiveTasksReturnToZero(t *testing.T) {
 				}
 			})
 		}},
-		{"FinalSubtree", func(c *Context) {
-			c.Single(func(c *Context) {
-				var res int64
-				c.Task(func(c *Context) { parFib(c, 8, &res) }, Final(true))
-			})
-		}},
 		{"MixedUndeferredWithDeferredChildren", func(c *Context) {
 			c.Single(func(c *Context) {
 				c.Task(func(c *Context) {
@@ -91,17 +85,6 @@ func TestLiveTasksReturnToZero(t *testing.T) {
 				if got := f.Wait(c); got != 42 {
 					t.Errorf("future = %d, want 42", got)
 				}
-			})
-		}},
-		{"Taskgroup", func(c *Context) {
-			c.Single(func(c *Context) {
-				c.Taskgroup(func(c *Context) {
-					for i := 0; i < 8; i++ {
-						c.Task(func(c *Context) {
-							c.Task(func(c *Context) {})
-						})
-					}
-				})
 			})
 		}},
 		{"PanicInDeferredTask", func(c *Context) {

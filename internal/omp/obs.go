@@ -25,10 +25,6 @@ func WithFlightRecorder(fr *obs.FlightRecorder) TeamOpt {
 	return func(c *teamConfig) { c.fr = fr }
 }
 
-// FlightRecorder returns the team's recorder, or nil when the team
-// was built without WithFlightRecorder.
-func (pt *PersistentTeam) FlightRecorder() *obs.FlightRecorder { return pt.tm.fr }
-
 // LiveTasks returns the team's current live-task count (created, not
 // yet finished). While workers run it may overstate the count, never
 // understate it; on a team whose workers are all parked it is exact.
@@ -55,7 +51,7 @@ func (pt *PersistentTeam) InflightSubmissions() int64 {
 
 // ParkedWorkers returns the number of workers currently registered as
 // parked (blocked or in the pre-park re-check): idle on the team
-// doorbell, or in a condition wait — taskwait, Future.Wait, Taskgroup.
+// doorbell, or in a condition wait — taskwait or Future.Wait.
 // Zero after Close.
 func (pt *PersistentTeam) ParkedWorkers() int {
 	pt.obsMu.RLock()
@@ -115,7 +111,7 @@ func RegisterStats(reg *obs.Registry, prefix string, get func() Stats, labels ..
 	}
 	counter("tasks_created", "Deferred tasks pushed to scheduler queues (spawns).",
 		func(s Stats) int64 { return s.TasksCreated })
-	counter("tasks_undeferred", "Tasks executed inline by an if(false) clause, final ancestor, or cut-off.",
+	counter("tasks_undeferred", "Tasks executed inline by an if(false) clause or cut-off.",
 		func(s Stats) int64 { return s.TasksUndeferred })
 	counter("tasks_stolen", "Tasks executed by a worker other than their creator.",
 		func(s Stats) int64 { return s.TasksStolen })

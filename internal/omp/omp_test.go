@@ -95,31 +95,6 @@ func TestIfClauseUndefersTasks(t *testing.T) {
 	}
 }
 
-func TestFinalClause(t *testing.T) {
-	var inFinal atomic.Int64
-	st := Parallel(2, func(c *Context) {
-		c.Single(func(c *Context) {
-			c.Task(func(c *Context) {
-				if !c.InFinal() {
-					t.Error("task created with Final(true) should be final")
-				}
-				c.Task(func(c *Context) {
-					if c.InFinal() {
-						inFinal.Add(1)
-					}
-				})
-			}, Final(true))
-		})
-	})
-	if inFinal.Load() != 1 {
-		t.Fatal("descendant of a final task should inherit finality")
-	}
-	// The descendant must have been undeferred.
-	if st.TasksUndeferred < 1 {
-		t.Fatalf("undeferred = %d, want >= 1", st.TasksUndeferred)
-	}
-}
-
 func TestRuntimeCutoffMaxTasks(t *testing.T) {
 	var got int64
 	st := Parallel(2, func(c *Context) {
@@ -233,21 +208,6 @@ func TestSingleExecutesOnce(t *testing.T) {
 	}
 }
 
-func TestMasterRunsOnThreadZero(t *testing.T) {
-	var ran atomic.Int64
-	Parallel(4, func(c *Context) {
-		c.Master(func(c *Context) {
-			if c.ThreadNum() != 0 {
-				t.Errorf("master ran on thread %d", c.ThreadNum())
-			}
-			ran.Add(1)
-		})
-	})
-	if ran.Load() != 1 {
-		t.Fatalf("master ran %d times, want 1", ran.Load())
-	}
-}
-
 func TestForSchedules(t *testing.T) {
 	const n = 1000
 	for _, tc := range []struct {
@@ -295,7 +255,7 @@ func TestForEmptyAndNowait(t *testing.T) {
 	var n atomic.Int64
 	Parallel(3, func(c *Context) {
 		c.For(5, 5, func(c *Context, i int) { n.Add(1) })
-		c.For(0, 30, func(c *Context, i int) { n.Add(1) }, Nowait())
+		c.For(0, 30, func(c *Context, i int) { n.Add(1) })
 		c.Barrier()
 	})
 	if n.Load() != 30 {
@@ -323,7 +283,7 @@ func TestThreadPrivateReduction(t *testing.T) {
 		mine := tp.Get(c)
 		c.For(0, 600, func(c *Context, i int) {
 			*mine++
-		}, WithSchedule(Dynamic, 1), Nowait())
+		}, WithSchedule(Dynamic, 1))
 		c.Barrier()
 		// The NQueens reduction pattern: each thread folds its
 		// threadprivate count into the global under a critical.

@@ -286,7 +286,6 @@ func (t *task) reset() {
 	t.creator = nil
 	t.depth = poisonDepth
 	t.untied = false
-	t.final = false
 	t.visible = false
 	if t.leaky.Load() {
 		t.leaky.Store(false)

@@ -18,7 +18,6 @@ type task struct {
 
 	depth    int32
 	untied   bool
-	final    bool
 	priority int32
 
 	// visible marks tasks that have, or had, a deferred descendant:
@@ -50,9 +49,9 @@ type task struct {
 	// task itself carries no park state.
 	pending atomic.Int64
 
-	// group is the innermost enclosing taskgroup, inherited by
-	// descendants; nil outside any taskgroup.
-	group *taskgroup
+	// group is the persistent-team submission the task belongs to,
+	// inherited by descendants; nil in a Parallel region.
+	group *Submission
 
 	// node is the trace-recording node, nil when tracing is off.
 	node *trace.Node
@@ -105,7 +104,7 @@ func (t *task) run(c *Context) {
 // a conditional clause without building a slice.
 type TaskOpt struct {
 	kind optKind
-	n    int64 // If/Final: 0 or 1; Captured: bytes; Priority: level
+	n    int64 // If: 0 or 1; Captured: bytes; Priority: level
 	objs []any // In/Out/InOut operands
 }
 
@@ -115,7 +114,6 @@ const (
 	optNone optKind = iota
 	optUntied
 	optIf
-	optFinal
 	optCaptured
 	optPriority
 	optIn
@@ -126,7 +124,6 @@ const (
 type taskConfig struct {
 	untied   bool
 	ifClause bool
-	final    bool
 	captured int
 	priority int32
 	deps     []dep
@@ -138,7 +135,6 @@ type taskConfig struct {
 func (cfg *taskConfig) reset() {
 	cfg.untied = false
 	cfg.ifClause = true
-	cfg.final = false
 	cfg.captured = 0
 	cfg.priority = 0
 	cfg.deps = cfg.deps[:0]
@@ -155,8 +151,6 @@ func (cfg *taskConfig) apply(opts []TaskOpt) {
 			cfg.untied = true
 		case optIf:
 			cfg.ifClause = o.n != 0
-		case optFinal:
-			cfg.final = o.n != 0
 		case optCaptured:
 			cfg.captured = int(o.n)
 		case optPriority:
@@ -170,13 +164,6 @@ func (cfg *taskConfig) apply(opts []TaskOpt) {
 	}
 }
 
-func boolOpt(kind optKind, cond bool) TaskOpt {
-	if cond {
-		return TaskOpt{kind: kind, n: 1}
-	}
-	return TaskOpt{kind: kind}
-}
-
 // Untied marks the task untied: at scheduling points, a thread
 // suspended in this task may execute or steal any ready task, not
 // only descendants. (Mid-execution migration to another thread is not
@@ -188,10 +175,12 @@ func Untied() TaskOpt { return TaskOpt{kind: optUntied} }
 // thread, but the runtime still performs task bookkeeping — exactly
 // the distinction the BOTS paper draws between the if-clause cut-off
 // (its Figure 1) and the manual cut-off (its Figure 2).
-func If(cond bool) TaskOpt { return boolOpt(optIf, cond) }
-
-// Final marks the task final: all of its descendants are undeferred.
-func Final(cond bool) TaskOpt { return boolOpt(optFinal, cond) }
+func If(cond bool) TaskOpt {
+	if cond {
+		return TaskOpt{kind: optIf, n: 1}
+	}
+	return TaskOpt{kind: optIf}
+}
 
 // Captured declares the number of bytes of captured environment
 // (firstprivate data) copied into the task. It feeds the Table II
@@ -235,11 +224,11 @@ func (t *task) mustBeLive() {
 // finish performs completion bookkeeping for t on worker w: release
 // dependent successor tasks, recycle the dependence table of t's
 // children, count the task finished on w (the team's live count), and
-// decrement the enclosing taskgroup's live count and the parent's
-// pending count, waking the worker parked in the parent's taskwait if
-// this was the last outstanding child. The task itself was shared (it
-// was enqueued), so it is retired for reuse after a grace period when
-// its subtree was fully strict, and buried until quiescence otherwise
+// decrement the parent's pending count, waking the worker parked in
+// the parent's taskwait if this was the last outstanding child, and
+// its submission's live count. The task itself was shared (it was
+// enqueued), so it is retired for reuse after a grace period when its
+// subtree was fully strict, and buried until quiescence otherwise
 // (pool.go).
 //
 // finish and finishInline are the only two places a task is counted
@@ -250,7 +239,6 @@ func (t *task) mustBeLive() {
 // pins this invariant; recycling depends on it (a double finish would
 // also double-recycle a task).
 func (t *task) finish(w *worker) {
-	tm := t.team
 	if ev := w.events; ev != nil {
 		ev.Record(obs.EvFinish, int64(t.depth))
 	}
@@ -281,19 +269,15 @@ func (t *task) finish(w *worker) {
 			t.creator.wake()
 		}
 	}
-	if g := t.group; g != nil {
+	if s := t.group; s != nil {
 		// Publish w's plain counters before leaving: the leave that
-		// empties a submission's group completes it, and Wait's stats
-		// delta must already see every member's counts (workerStats).
+		// empties a submission completes it, and Wait's stats delta
+		// must already see every member's counts (workerStats).
 		w.publishCounts()
-		if g.leave() {
-			if s := g.sub; s != nil {
-				// The group is a persistent-team submission and this was
-				// its last live task: complete the submission (signal its
-				// waiter or run its callback; see persistent.go).
-				s.complete()
-			}
-			tm.wakeWaiters() // a Taskgroup drain may be parked on the group
+		if s.live.Add(-1) == 0 {
+			// This was the submission's last live task: complete it
+			// (signal its waiter or run its callback; see persistent.go).
+			s.complete()
 		}
 	}
 	if strict && !t.hasDeps {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -103,111 +104,70 @@ func (tr *Trace) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadTrace deserializes a trace written by WriteTo and validates it.
+// It reads r to the end first, so every count in the input is checked
+// against the bytes actually present before anything is sized from it
+// (a task record takes at least minTaskBytes, an event two bytes, a
+// dep one): memory follows the input, not what its header claims.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading: %w", err)
 	}
-	if string(head) != magic {
+	if len(data) < len(magic) {
+		return nil, fmt.Errorf("trace: reading header: %w", io.ErrUnexpectedEOF)
+	}
+	if head := data[:len(magic)]; string(head) != magic {
 		return nil, fmt.Errorf("trace: bad magic %q (want %q)", head, magic)
 	}
-	get := func() (uint64, error) { return binary.ReadUvarint(br) }
-	numRoots, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("trace: numRoots: %w", err)
-	}
-	numTasks, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("trace: numTasks: %w", err)
+	d := decoder{buf: data[len(magic):]}
+	numRoots, numTasks := d.uvarint(), d.uvarint()
+	if d.err != nil {
+		return nil, fmt.Errorf("trace: header: %w", d.err)
 	}
 	const maxTasks = 1 << 28
-	if numTasks > maxTasks || numRoots > numTasks {
-		return nil, fmt.Errorf("trace: implausible sizes roots=%d tasks=%d", numRoots, numTasks)
+	if numTasks > maxTasks || numTasks > d.left()/minTaskBytes || numRoots > numTasks {
+		return nil, fmt.Errorf("trace: implausible sizes roots=%d tasks=%d in %d bytes", numRoots, numTasks, len(data))
 	}
 	tr := &Trace{NumRoots: int(numRoots), Tasks: make([]Task, numTasks)}
 	for i := range tr.Tasks {
 		t := &tr.Tasks[i]
 		t.ID = int32(i)
-		parent, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("trace: task %d parent: %w", i, err)
-		}
-		t.Parent = int32(parent) - 1
-		flags, err := get()
-		if err != nil {
-			return nil, err
-		}
+		t.Parent = int32(d.uvarint()) - 1
+		flags := d.uvarint()
 		t.Untied = flags&1 != 0
 		t.Inline = flags&2 != 0
-		fields := []*int64{nil, &t.Work, &t.PrivateWrites, &t.SharedWrites}
-		depth, err := get()
-		if err != nil {
-			return nil, err
-		}
-		t.Depth = int32(depth)
-		for _, f := range fields[1:] {
-			v, err := get()
-			if err != nil {
-				return nil, err
+		t.Depth = int32(d.uvarint())
+		t.Work = int64(d.uvarint())
+		t.PrivateWrites = int64(d.uvarint())
+		t.SharedWrites = int64(d.uvarint())
+		t.Captured = int32(d.uvarint())
+		t.Priority = int32(zag(d.uvarint()))
+		if n := d.uvarint(); n > 0 {
+			if n > d.left() {
+				return nil, fmt.Errorf("trace: task %d claims %d deps in %d bytes", i, n, d.left())
 			}
-			*f = int64(v)
-		}
-		captured, err := get()
-		if err != nil {
-			return nil, err
-		}
-		t.Captured = int32(captured)
-		prio, err := get()
-		if err != nil {
-			return nil, err
-		}
-		t.Priority = int32(zag(prio))
-		numDeps, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if numDeps > maxTasks {
-			return nil, fmt.Errorf("trace: task %d has implausible dep count %d", i, numDeps)
-		}
-		if numDeps > 0 {
-			t.Deps = make([]int32, numDeps)
+			t.Deps = make([]int32, n)
 			for j := range t.Deps {
-				d, err := get()
-				if err != nil {
-					return nil, err
-				}
-				t.Deps[j] = int32(d)
+				t.Deps[j] = int32(d.uvarint())
 			}
 		}
-		numEvents, err := get()
-		if err != nil {
-			return nil, err
+		n := d.uvarint()
+		if n > d.left()/2 {
+			return nil, fmt.Errorf("trace: task %d claims %d events in %d bytes", i, n, d.left())
 		}
-		if numEvents > maxTasks {
-			return nil, fmt.Errorf("trace: task %d has implausible event count %d", i, numEvents)
-		}
-		t.Events = make([]Event, numEvents)
+		t.Events = make([]Event, n)
 		at := int64(0)
 		for j := range t.Events {
-			kind, err := get()
-			if err != nil {
-				return nil, err
-			}
-			delta, err := get()
-			if err != nil {
-				return nil, err
-			}
-			at += int64(delta)
-			ev := Event{At: at, Kind: EventKind(kind), Child: -1}
+			ev := Event{Kind: EventKind(d.uvarint()), Child: -1}
+			at += int64(d.uvarint())
+			ev.At = at
 			if ev.Kind == EvSpawn || ev.Kind == EvSpawnInline {
-				child, err := get()
-				if err != nil {
-					return nil, err
-				}
-				ev.Child = int32(child) - 1
+				ev.Child = int32(d.uvarint()) - 1
 			}
 			t.Events[j] = ev
+		}
+		if d.err != nil {
+			return nil, fmt.Errorf("trace: task %d: %w", i, d.err)
 		}
 	}
 	if err := tr.Validate(); err != nil {
@@ -215,3 +175,36 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	return tr, nil
 }
+
+// minTaskBytes is the shortest encoding of one task record: ten
+// one-byte uvarints, from parent to numEvents.
+const minTaskBytes = 10
+
+var errVarintOverflow = errors.New("uvarint overflows 64 bits")
+
+// decoder reads uvarints from an in-memory trace. The first failure
+// sticks: every later read returns 0, so a record is checked once, at
+// its end.
+type decoder struct {
+	buf []byte
+	err error
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf)
+	switch {
+	case n == 0:
+		d.err = io.ErrUnexpectedEOF
+	case n < 0:
+		d.err = errVarintOverflow
+	default:
+		d.buf = d.buf[n:]
+	}
+	return v
+}
+
+// left is the number of bytes not yet read.
+func (d *decoder) left() uint64 { return uint64(len(d.buf)) }

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRoundTripBinaryTree(t *testing.T) {
@@ -113,4 +116,76 @@ func TestFormatIsCompact(t *testing.T) {
 	if perTask > 24 {
 		t.Fatalf("%.1f bytes/task, want compact (< 24)", perTask)
 	}
+}
+
+// TestReadTraceClaimedCountCostsNothing reads a header that claims
+// 2^28 tasks with no records behind it. ReadTrace must fail fast and
+// small: it checks a count against the bytes present before sizing
+// anything from it. Sizing the task list from the header alone
+// reserves tens of GiB and kills the process.
+func TestReadTraceClaimedCountCostsNothing(t *testing.T) {
+	in := binary.AppendUvarint(binary.AppendUvarint([]byte(magic), 0), 1<<28)
+	if len(in) != 11 {
+		t.Fatalf("input is %d bytes, want 11", len(in))
+	}
+	const runs = 5
+	best := time.Hour
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		t0 := time.Now()
+		_, err := ReadTrace(bytes.NewReader(in))
+		if d := time.Since(t0); d < best {
+			best = d
+		}
+		if err == nil {
+			t.Fatal("ReadTrace accepted a header with no task records")
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if best >= time.Millisecond {
+		t.Errorf("fastest of %d reads took %v, want < 1ms", runs, best)
+	}
+	if b := (m1.TotalAlloc - m0.TotalAlloc) / runs; b >= 1<<20 {
+		t.Errorf("a read allocated %d bytes, want < 1 MiB", b)
+	}
+}
+
+// readAllocBound is FuzzReadTrace's memory oracle: the bytes one
+// ReadTrace may allocate for an input of n bytes. A task record takes
+// at least minTaskBytes, an event 2 bytes and a dep 1, so each input
+// byte sizes at most a few dozen bytes of Task, Event and dep storage
+// plus its copy in the read buffer; the constant covers small inputs.
+func readAllocBound(n int) uint64 { return 128*uint64(n) + 64<<10 }
+
+// FuzzReadTrace feeds arbitrary bytes to ReadTrace. It must never
+// panic, must allocate within readAllocBound of the input length, and
+// any trace it accepts must survive WriteTo and ReadTrace unchanged.
+// The seed corpus (testdata/fuzz/FuzzReadTrace) holds the 11-byte
+// huge-count header, a task claiming 2^22 events in 8 bytes, and a
+// sparselu dep-tied test-class recording.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		tr, err := ReadTrace(bytes.NewReader(in))
+		runtime.ReadMemStats(&m1)
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, readAllocBound(len(in)); got > limit {
+			t.Fatalf("%d-byte input allocated %d bytes, bound %d", len(in), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := tr.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTrace(&out)
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v", err)
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatal("WriteTo then ReadTrace changed an accepted trace")
+		}
+	})
 }
