@@ -79,9 +79,9 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 		w.counts.tasksUndeferred++
 		// Undeferred: execute immediately on this thread. The child
 		// completes before Task returns, so it never contributes to
-		// parent.pending (or to its submission's live count); its own
-		// children do their own bookkeeping. A panic in the body is
-		// recorded and re-raised when the parallel region returns.
+		// parent.pending (or to the taskgroup); its own children do
+		// their own bookkeeping. A panic in the body is recorded and
+		// re-raised when the parallel region returns.
 		w.stats.liveCreated.Add(1)
 		prev := w.cur
 		w.cur = t
@@ -106,7 +106,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 	w.counts.tasksCreated++
 	parent.pending.Add(1)
 	if t.group != nil {
-		t.group.live.Add(1)
+		t.group.enter()
 	}
 	w.stats.liveCreated.Add(1)
 	if hasDeps {
@@ -120,7 +120,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 		parent.depTab.resolve(t, cfg.deps, w)
 		if t.depsLeft.Add(-1) > 0 {
 			// Deferred on its dependences: counted everywhere
-			// (pending, submission, live count) but not enqueued; the
+			// (pending, taskgroup, live count) but not enqueued; the
 			// last predecessor to finish will enqueue it.
 			w.stats.tasksDepDeferred.Add(1)
 			return

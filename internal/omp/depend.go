@@ -12,7 +12,7 @@ import (
 // writes, and the runtime derives predecessor/successor edges between
 // sibling tasks from those declarations. A task with unfinished
 // predecessors is *deferred on its dependences*: it is created (and
-// counts toward taskwait/submission/barrier completion) but is not
+// counts toward taskwait/taskgroup/barrier completion) but is not
 // enqueued until its last predecessor finishes.
 //
 // Scope follows the OpenMP rules: depend clauses order tasks that
@@ -248,8 +248,8 @@ func (t *task) releaseSuccessors(w *worker) {
 // (which its creator can always reach at the bottom of its own deque
 // before parking), a released task appears in an arbitrary worker's
 // queue while the tasks waiting on it — a taskwait in its parent, a
-// Future.Wait on its result — may already be parked. Owner-side only
-// (w must be the calling worker).
+// Taskgroup drain, a Future.Wait on its result — may already be
+// parked. Owner-side only (w must be the calling worker).
 func (w *worker) enqueue(t *task) {
 	t.mustBeLive()
 	w.team.sched.Push(w.id, t)

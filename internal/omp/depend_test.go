@@ -179,6 +179,31 @@ func TestDepStress(t *testing.T) {
 	}
 }
 
+// TestDepWithTaskgroup checks that dependence-deferred tasks are
+// correctly drained by an enclosing taskgroup, including descendants
+// spawned by dep tasks.
+func TestDepWithTaskgroup(t *testing.T) {
+	x := new(int)
+	var done atomic.Int32
+	Parallel(4, func(c *Context) {
+		c.SingleNowait(func(c *Context) {
+			c.Taskgroup(func(c *Context) {
+				c.Task(func(c *Context) {
+					done.Add(1)
+					c.Task(func(*Context) { done.Add(1) }) // grandchild
+				}, Out(x))
+				c.Task(func(c *Context) {
+					done.Add(1)
+					c.Task(func(*Context) { done.Add(1) }) // grandchild
+				}, In(x))
+			})
+			if got := done.Load(); got != 4 {
+				t.Errorf("after taskgroup: %d tasks done, want 4", got)
+			}
+		})
+	})
+}
+
 // TestDepWithSubmission checks that a persistent-team submission
 // drains dependence-deferred tasks, including descendants spawned by
 // dep tasks. Nothing in the body waits: the In task is held on its Out

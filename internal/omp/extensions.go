@@ -3,23 +3,11 @@ package omp
 import "sync/atomic"
 
 // This file holds constructs beyond the OpenMP 3.0 core that the BOTS
-// paper's discussion points toward: taskyield and taskgroup (added in
-// OpenMP 3.1/4.0 and natural follow-ons for task suites), the
-// sections worksharing construct (the pre-3.0 way to express task-like
-// parallelism, which the paper's introduction contrasts tasks
-// against), and a reduction helper.
-
-// Taskyield is an explicit scheduling point (OpenMP 3.1): the current
-// task allows the thread to execute one other ready task, subject to
-// the same scheduling constraint as taskwait. It returns true if a
-// task was executed.
-func (c *Context) Taskyield() bool {
-	constraint := c.task
-	if c.task.untied {
-		constraint = nil
-	}
-	return c.w.runOne(constraint)
-}
+// paper's discussion points toward: taskgroup (added in OpenMP 4.0, a
+// natural follow-on for task suites), the sections worksharing
+// construct (the pre-3.0 way to express task-like parallelism, which
+// the paper's introduction contrasts tasks against), and a reduction
+// helper.
 
 // Taskgroup executes body and then waits for *all* descendant tasks
 // created inside it (OpenMP 4.0 taskgroup), not only direct children

@@ -12,8 +12,8 @@ import (
 // through a captured pointer and calling Taskwait.
 //
 // A blocked Wait parks on its worker's wake channel (the condition
-// wait taskwait uses; see worker.waitPark), so a Future carries no
-// park state of its own — just the value and a done flag.
+// wait taskwait and Taskgroup use; see worker.waitPark), so a Future
+// carries no park state of its own — just the value and a done flag.
 //
 // Lifetime: Future cells are pool-recycled (see futPoolFor), so a
 // Future that was Wait()ed must not be used again after the region —

@@ -87,6 +87,17 @@ func TestLiveTasksReturnToZero(t *testing.T) {
 				}
 			})
 		}},
+		{"Taskgroup", func(c *Context) {
+			c.Single(func(c *Context) {
+				c.Taskgroup(func(c *Context) {
+					for i := 0; i < 8; i++ {
+						c.Task(func(c *Context) {
+							c.Task(func(c *Context) {})
+						})
+					}
+				})
+			})
+		}},
 		{"PanicInDeferredTask", func(c *Context) {
 			c.Single(func(c *Context) {
 				c.Task(func(c *Context) { panic("deferred boom") })

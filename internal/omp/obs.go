@@ -51,7 +51,7 @@ func (pt *PersistentTeam) InflightSubmissions() int64 {
 
 // ParkedWorkers returns the number of workers currently registered as
 // parked (blocked or in the pre-park re-check): idle on the team
-// doorbell, or in a condition wait — taskwait or Future.Wait.
+// doorbell, or in a condition wait — taskwait, Future.Wait, Taskgroup.
 // Zero after Close.
 func (pt *PersistentTeam) ParkedWorkers() int {
 	pt.obsMu.RLock()

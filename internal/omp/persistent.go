@@ -26,10 +26,10 @@ import (
 // Each submission runs as one root task (plus all the tasks it
 // spawns) on the shared team; submissions execute concurrently with
 // each other when workers are available. A submission body is a task
-// region, not an SPMD region: Task/Taskwait/Spawn and the dependence
-// clauses all work, but the thread-team constructs (Barrier, Single,
-// For) must not be used — there is no per-submission thread team to
-// arrive at them.
+// region, not an SPMD region: Task/Taskwait/Taskgroup/Spawn and the
+// dependence clauses all work, but the thread-team constructs
+// (Barrier, Single, For, Sections) must not be used — there is no
+// per-submission thread team to arrive at them.
 //
 // Submissions are injected through an inbox, not through the
 // scheduler (Scheduler.Push is owner-only: only a team worker may
@@ -83,11 +83,10 @@ type PersistentTeam struct {
 type Submission struct {
 	pt   *PersistentTeam
 	body func(*Context)
-	// live counts the submitted subtree's unfinished tasks: the root
-	// task and every descendant point at the submission (task.group),
-	// so it reaches zero exactly when the whole DAG has finished (see
-	// task.finish).
-	live     atomic.Int64
+	// tg threads the submitted subtree: the root task and every
+	// descendant belong to it, so it empties exactly when the whole
+	// DAG has finished (see taskgroup and task.finish).
+	tg       taskgroup
 	detached bool
 	onDone   func()
 	done     chan struct{} // cap 1; one token per Submit/Wait cycle
@@ -216,6 +215,7 @@ func (pt *PersistentTeam) newSub() *Submission {
 		s = &Submission{done: make(chan struct{}, 1)}
 	}
 	s.pt = pt
+	s.tg.sub = s
 	return s
 }
 
@@ -224,6 +224,7 @@ func (pt *PersistentTeam) newSub() *Submission {
 // was consumed) and is reused.
 func (pt *PersistentTeam) putSub(s *Submission) {
 	s.pt = nil
+	s.tg.sub = nil
 	s.start = Stats{}
 	pt.subPool.Put(s)
 }
@@ -278,7 +279,7 @@ func (pt *PersistentTeam) dequeueSub() *Submission {
 	return s
 }
 
-// complete finishes the submission whose last live task just finished.
+// complete finishes the submission whose taskgroup just emptied.
 // Called from task.finish on whichever worker retired the last task
 // of the subtree.
 func (s *Submission) complete() {
@@ -309,8 +310,8 @@ func (pt *PersistentTeam) signalQuiet() {
 }
 
 // runSubmission starts one pending submission on w: its body becomes
-// a root task (child of the worker's implicit task, counted in the
-// submission's live count) executed inline, so the submitted DAG flows
+// a root task (child of the worker's implicit task, member of the
+// submission's taskgroup) executed inline, so the submitted DAG flows
 // through exactly the machinery a Parallel region uses — execute,
 // finish, the scheduler for every spawned task. Allocation-free: the
 // root task comes from the worker's recycling tiers.
@@ -326,11 +327,11 @@ func (pt *PersistentTeam) runSubmission(w *worker, it *task) bool {
 	t.team = tm
 	t.creator = w
 	t.depth = 1
-	t.group = s
+	t.group = &s.tg
 	if tm.rec != nil {
 		t.node = tm.rec.Root()
 	}
-	s.live.Add(1) // the root itself holds the submission until its finish
+	s.tg.enter() // the root itself holds the group until its finish
 	it.pending.Add(1)
 	w.stats.liveCreated.Add(1)
 	w.execute(t)

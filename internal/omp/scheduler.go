@@ -507,12 +507,12 @@ func (d *dequeScheduler) Steal(self int, pred func(*task) bool) *task {
 // until quiescence (pool.go), so its struct is not reused under the
 // read.
 //
-// Liveness does not rest on the rule. A relocated task can still be
-// one that a tied task waits for (a Future.Wait may wait on any task,
-// through untied parents too). The park/wake protocol wakes every
-// parked waiter on every enqueue, dependence release included
-// (worker.enqueue), and on the completion of its own last child
-// (task.finish), and the holder's own progress eventually pops
+// Liveness does not rest on the rule. A relocated task can still be a
+// descendant that a tied ancestor waits for (a Taskgroup drain waits on
+// all of them, through untied parents too). The park/wake protocol
+// wakes every parked waiter on every enqueue, dependence release
+// included (worker.enqueue), and on the completion of its own last
+// child (task.finish), and the holder's own progress eventually pops
 // or exposes buried tasks at an accessible end. A future scheduler
 // that relocates tasks *and* parks without those wakes would
 // deadlock; keep both halves of the protocol.

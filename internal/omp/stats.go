@@ -153,13 +153,13 @@ func (s Stats) Sub(prev Stats) Stats {
 // seven that every task bumps are plain fields in the worker
 // (taskCounts), and this block holds copies the owner stores
 // (publishCounts) before every park registration, at worker exit, and
-// in finish before a submission's task leaves its live count.
-// Region-end stats are therefore exact, and so is a serialized
-// SubmitWait delta: every task of the submission published before the
-// leave that completed it. A snapshot taken while workers run lags
-// each worker by what it counted since its last copy — on a persistent
-// team, the counts of the tasks it is running or has suspended; in a
-// Parallel region, everything since it last parked.
+// in finish before a grouped task leaves its group. Region-end stats
+// are therefore exact, and so is a serialized SubmitWait delta: every
+// member of the submission's group published before the leave that
+// completed it. A snapshot taken while workers run lags each worker by
+// what it counted since its last copy — on a persistent team, the
+// counts of the tasks it is running or has suspended; in a Parallel
+// region, everything since it last parked.
 //
 // liveCreated and liveFinished are the team's live-task count, split
 // by writer: tasks this worker made live (deferred and undeferred

@@ -49,9 +49,9 @@ type task struct {
 	// task itself carries no park state.
 	pending atomic.Int64
 
-	// group is the persistent-team submission the task belongs to,
-	// inherited by descendants; nil in a Parallel region.
-	group *Submission
+	// group is the innermost enclosing taskgroup, inherited by
+	// descendants; nil outside any taskgroup.
+	group *taskgroup
 
 	// node is the trace-recording node, nil when tracing is off.
 	node *trace.Node
@@ -224,11 +224,11 @@ func (t *task) mustBeLive() {
 // finish performs completion bookkeeping for t on worker w: release
 // dependent successor tasks, recycle the dependence table of t's
 // children, count the task finished on w (the team's live count), and
-// decrement the parent's pending count, waking the worker parked in
-// the parent's taskwait if this was the last outstanding child, and
-// its submission's live count. The task itself was shared (it was
-// enqueued), so it is retired for reuse after a grace period when its
-// subtree was fully strict, and buried until quiescence otherwise
+// decrement the enclosing taskgroup's live count and the parent's
+// pending count, waking the worker parked in the parent's taskwait if
+// this was the last outstanding child. The task itself was shared (it
+// was enqueued), so it is retired for reuse after a grace period when
+// its subtree was fully strict, and buried until quiescence otherwise
 // (pool.go).
 //
 // finish and finishInline are the only two places a task is counted
@@ -239,6 +239,7 @@ func (t *task) mustBeLive() {
 // pins this invariant; recycling depends on it (a double finish would
 // also double-recycle a task).
 func (t *task) finish(w *worker) {
+	tm := t.team
 	if ev := w.events; ev != nil {
 		ev.Record(obs.EvFinish, int64(t.depth))
 	}
@@ -269,15 +270,19 @@ func (t *task) finish(w *worker) {
 			t.creator.wake()
 		}
 	}
-	if s := t.group; s != nil {
+	if g := t.group; g != nil {
 		// Publish w's plain counters before leaving: the leave that
-		// empties a submission completes it, and Wait's stats delta
-		// must already see every member's counts (workerStats).
+		// empties a submission's group completes it, and Wait's stats
+		// delta must already see every member's counts (workerStats).
 		w.publishCounts()
-		if s.live.Add(-1) == 0 {
-			// This was the submission's last live task: complete it
-			// (signal its waiter or run its callback; see persistent.go).
-			s.complete()
+		if g.leave() {
+			if s := g.sub; s != nil {
+				// The group is a persistent-team submission and this was
+				// its last live task: complete the submission (signal its
+				// waiter or run its callback; see persistent.go).
+				s.complete()
+			}
+			tm.wakeWaiters() // a Taskgroup drain may be parked on the group
 		}
 	}
 	if strict && !t.hasDeps {

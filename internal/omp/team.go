@@ -79,7 +79,7 @@ type Team struct {
 	_           [48]byte
 
 	// waitParkers counts workers registered in a condition wait —
-	// taskwait or Future.Wait (see worker.waitPark).
+	// taskwait, Future.Wait, a Taskgroup drain (see worker.waitPark).
 	// Read-mostly like idleWaiters: loaded by every enqueue and by
 	// every completion that could satisfy a waiter, written only at
 	// park edges; non-zero is what sends wakeWaiters on its scan.
@@ -92,6 +92,7 @@ type Team struct {
 	wsMu      sync.Mutex
 	wsSingles map[int64]bool
 	wsLoops   map[int64]*loopState
+	wsReduces map[int64]bool
 
 	// panicVal holds the first panic raised by a task or region body;
 	// Parallel re-raises it after the region completes.
@@ -156,6 +157,7 @@ type worker struct {
 
 	singleIdx int64 // private counter of single constructs encountered
 	loopIdx   int64 // private counter of loop constructs encountered
+	reduceIdx int64 // private counter of Reduce constructs encountered
 
 	// Task-recycling tiers (pool.go); owner-only. limbo is the open
 	// batch of finished strict tasks, graced the closed batch waiting
@@ -212,8 +214,8 @@ type worker struct {
 	quiesce atomic.Uint64
 	// waitTask is non-nil while w is registered in a condition wait:
 	// the task whose taskwait it is parked in, or waitAny for a
-	// Future.Wait. wakeCh (capacity 1) is what it blocks on; see
-	// waitPark.
+	// Future.Wait or Taskgroup drain. wakeCh (capacity 1) is what it
+	// blocks on; see waitPark.
 	waitTask atomic.Pointer[task]
 	wakeCh   chan struct{}
 	_        [56]byte
@@ -293,6 +295,7 @@ func newTeam(n int, opts []TeamOpt) (*Team, []*task) {
 		doorbell:   make(chan struct{}, n),
 		wsSingles:  make(map[int64]bool),
 		wsLoops:    make(map[int64]*loopState),
+		wsReduces:  make(map[int64]bool),
 	}
 	tm.barBells[0] = make(chan struct{})
 	tm.barBells[1] = make(chan struct{})
@@ -495,7 +498,7 @@ func (tm *Team) ringAll() {
 }
 
 // waitAny is the waitTask registration of a waiter that is not parked
-// in a particular task's taskwait (Future.Wait).
+// in a particular task's taskwait (Future.Wait, Taskgroup drain).
 // Only its address is used.
 var waitAny = new(task)
 
@@ -510,11 +513,11 @@ func (w *worker) wake() {
 }
 
 // wakeWaiters wakes every worker registered in a condition wait. With
-// none registered it is a single atomic load. Callers: a future
-// completing, and every enqueue — a parked waiter may be the only
-// worker allowed to run the new task (a descendant of the tied task it
-// is suspended in, or a dependence-released task), so new work
-// re-polls the waiters as it rings idle workers. A
+// none registered it is a single atomic load. Callers: a taskgroup
+// emptying, a future completing, and every enqueue — a parked waiter
+// may be the only worker allowed to run the new task (a descendant of
+// the tied task it is suspended in, or a dependence-released task),
+// so new work re-polls the waiters as it rings idle workers. A
 // taskwait's own completion does not come through here: finish wakes
 // the one worker parked in that parent.
 func (tm *Team) wakeWaiters() {
@@ -539,8 +542,8 @@ func (tm *Team) wakeWaiters() {
 // The waiter drains its channel (a token from before registration is
 // stale by definition), stores waitTask, increments waitParkers, and
 // only then re-checks cond and re-probes the queues. A completer
-// changes the waited-on state — pending reaching zero, done, a task
-// pushed — and only then loads waitTask (the
+// changes the waited-on state — pending reaching zero, done, the
+// group emptying, a task pushed — and only then loads waitTask (the
 // targeted wake in task.finish) or waitParkers and waitTask
 // (wakeWaiters). If the waiter's re-check missed the change, the
 // change is ordered after the re-check, so the completer's loads are
