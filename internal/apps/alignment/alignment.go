@@ -82,6 +82,13 @@ func init() {
 	}
 }
 
+// cell is one column of the DP row: the three Gotoh states of the
+// current row and the weight-matrix column of b's residue there.
+type cell struct {
+	m, ix, iy int32
+	w         int32
+}
+
 // Score computes the global alignment score of a and b with affine
 // gaps (Gotoh). It returns the score and the work performed (DP cells
 // computed). All state is local, so it is safe for concurrent calls.
@@ -90,51 +97,45 @@ func Score(a, b []byte) (int32, int64) {
 	if la == 0 || lb == 0 {
 		return -int32(gapOpen) - int32(gapExtend*(la+lb)), int64(la + lb + 1)
 	}
-	// m[j]: best score ending at (i, j) with a[i] aligned to b[j] or
-	// any state; ix: gap in b (vertical); iy: gap in a (horizontal).
-	m := make([]int32, lb+1)
-	ix := make([]int32, lb+1)
-	iy := make([]int32, lb+1)
-	m[0] = 0
-	ix[0], iy[0] = negInf, negInf
+	// m: best score ending at (i, j) with a[i] aligned to b[j] or any
+	// state; ix: gap in b (vertical); iy: gap in a (horizontal).
+	row := make([]cell, lb+1)
+	row[0] = cell{m: 0, ix: negInf, iy: negInf}
 	for j := 1; j <= lb; j++ {
-		iy[j] = -int32(gapOpen) - int32(gapExtend*j)
-		m[j] = negInf
-		ix[j] = negInf
-	}
-	for i := 1; i <= la; i++ {
-		diagM, diagIx, diagIy := m[0], ix[0], iy[0]
-		m[0] = negInf
-		ix[0] = -int32(gapOpen) - int32(gapExtend*i)
-		iy[0] = negInf
-		ca := aaIndex[a[i-1]]
-		for j := 1; j <= lb; j++ {
-			oldM, oldIx, oldIy := m[j], ix[j], iy[j]
-			w := weight[ca][aaIndex[b[j-1]]]
-			best := diagM
-			if diagIx > best {
-				best = diagIx
-			}
-			if diagIy > best {
-				best = diagIy
-			}
-			m[j] = best + w
-			// ix: gap in b — come from row above.
-			openIx := maxi32(oldM-gapOpen-gapExtend, oldIx-gapExtend)
-			ix[j] = openIx
-			// iy: gap in a — come from the left in this row.
-			iy[j] = maxi32(m[j-1]-gapOpen-gapExtend, iy[j-1]-gapExtend)
-			diagM, diagIx, diagIy = oldM, oldIx, oldIy
+		row[j] = cell{
+			m:  negInf,
+			ix: negInf,
+			iy: -int32(gapOpen) - int32(gapExtend*j),
+			w:  int32(aaIndex[b[j-1]]),
 		}
 	}
-	return maxi32(m[lb], maxi32(ix[lb], iy[lb])), int64(la) * int64(lb)
+	for i := 1; i <= la; i++ {
+		diag := max(row[0].m, row[0].ix, row[0].iy)
+		row[0] = cell{m: negInf, ix: -int32(gapOpen) - int32(gapExtend*i), iy: negInf}
+		advance(row[1:], &weight[aaIndex[a[i-1]]], diag)
+	}
+	last := row[lb]
+	return max(last.m, last.ix, last.iy), int64(la) * int64(lb)
 }
 
-func maxi32(a, b int32) int32 {
-	if a > b {
-		return a
+// advance moves the DP columns cols (row[1:]) from row i-1 to row i,
+// where wrow is the weight row of a[i-1] and diag the best state of
+// row i-1's column 0. The left neighbour's m and iy are carried in
+// registers and, of the diagonal cell, only its best state.
+func advance(cols []cell, wrow *[20]int32, diag int32) {
+	leftM, leftIy := negInf, negInf
+	for j := range cols {
+		c := &cols[j]
+		oldM, oldIx, oldIy := c.m, c.ix, c.iy
+		// iy: gap in a — come from the left in this row.
+		leftIy = max(leftM-gapOpen-gapExtend, leftIy-gapExtend)
+		c.iy = leftIy
+		// ix: gap in b — come from row above.
+		c.ix = max(oldM-gapOpen-gapExtend, oldIx-gapExtend)
+		leftM = diag + wrow[c.w]
+		c.m = leftM
+		diag = max(oldM, oldIx, oldIy)
 	}
-	return b
 }
 
 // pairIndex returns the flat index of pair (i, j), i < j, among the

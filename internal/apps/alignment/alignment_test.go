@@ -32,6 +32,42 @@ func TestScoreSymmetry(t *testing.T) {
 	}
 }
 
+// plainScore is Gotoh's recurrence over three separate DP rows,
+// written directly from its definition: the oracle Score's inner loop
+// is held to.
+func plainScore(a, b []byte) int32 {
+	lb := len(b)
+	m, ix, iy := make([]int32, lb+1), make([]int32, lb+1), make([]int32, lb+1)
+	ix[0], iy[0] = negInf, negInf
+	for j := 1; j <= lb; j++ {
+		m[j], ix[j], iy[j] = negInf, negInf, -gapOpen-gapExtend*int32(j)
+	}
+	for i := 1; i <= len(a); i++ {
+		dm, dx, dy := m[0], ix[0], iy[0]
+		m[0], ix[0], iy[0] = negInf, -gapOpen-gapExtend*int32(i), negInf
+		for j := 1; j <= lb; j++ {
+			om, ox, oy := m[j], ix[j], iy[j]
+			m[j] = max(dm, dx, dy) + weight[aaIndex[a[i-1]]][aaIndex[b[j-1]]]
+			ix[j] = max(om-gapOpen-gapExtend, ox-gapExtend)
+			iy[j] = max(m[j-1]-gapOpen-gapExtend, iy[j-1]-gapExtend)
+			dm, dx, dy = om, ox, oy
+		}
+	}
+	return max(m[lb], ix[lb], iy[lb])
+}
+
+func TestScoreMatchesPlainRecurrence(t *testing.T) {
+	f := func(seedA, seedB uint16) bool {
+		a := inputs.Proteins(1, 1, 40, uint64(seedA)+3)[0]
+		b := inputs.Proteins(1, 1, 40, uint64(seedB)+11)[0]
+		s, _ := Score(a, b)
+		return s == plainScore(a, b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGapPenaltyStructure(t *testing.T) {
 	a := []byte("AAAA")
 	b := []byte("AAAAA") // one extra residue: one gap of length 1

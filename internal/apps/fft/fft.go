@@ -5,7 +5,10 @@
 // tasks, with the actual butterflies at the leaves. (The original
 // Cilk code specializes many base-case codelets, which is why the
 // paper counts 41 task directives; this port keeps the same task
-// topology with a single generic recursion.)
+// topology with a single generic recursion.) As in the original's
+// compute_w_coefficients, the twiddle factors are computed once per
+// run, n/2 math.Sincos calls, into a table every level of the
+// recursion reads.
 package fft
 
 import (
@@ -35,33 +38,60 @@ var classN = map[core.Class]int{
 
 const capturedBytes = 56 // two slice headers + stride/size ints
 
+// twiddles returns the twiddle factors of every level of a size-n
+// transform (n a power of two), level by level: the m/2 factors
+// w_m^k = e^(-2πik/m), k < m/2, of the size-m combine sit at
+// tw[m/2:m]. Only the top level calls math.Sincos; each lower level
+// copies every second factor of the level above (w_m^k = w_2m^2k).
+// Both are exact: m is a power of two, so fl(-2π)/m·k and
+// fl(-2π)/(2m)·(2k) are the same float64, and every entry is the
+// value a per-level math.Sincos computes. One level per contiguous
+// slice keeps a leaf's factors in consecutive cache lines rather
+// than n/m entries apart.
+func twiddles(n int) []complex128 {
+	tw := make([]complex128, n)
+	ang := -2 * math.Pi / float64(n)
+	top := tw[n/2:]
+	for k := range top {
+		s, c := math.Sincos(ang * float64(k))
+		top[k] = complex(c, s)
+	}
+	for m := n / 2; m >= 2; m /= 2 {
+		lvl, up := tw[m/2:m], tw[m:2*m]
+		for k := range lvl {
+			lvl[k] = up[2*k]
+		}
+	}
+	return tw
+}
+
 // seqFFT computes the DFT of in (viewed with the given stride) into
-// out, recursively, and returns the work performed. It is both the
-// sequential reference and the leaf case of the parallel version, so
-// sequential and parallel runs produce bit-identical results.
-func seqFFT(in, out []complex128, n, stride int) int64 {
+// out, recursively, and returns the work performed. tw is the
+// twiddle table of the whole transform. It is both the sequential
+// reference and the leaf case of the parallel version, so sequential
+// and parallel runs produce bit-identical results.
+func seqFFT(in, out, tw []complex128, n, stride int) int64 {
 	if n == 1 {
 		out[0] = in[0]
 		return 1
 	}
 	h := n / 2
-	work := seqFFT(in, out[:h], n/2, stride*2) +
-		seqFFT(in[stride:], out[h:], n/2, stride*2)
-	return work + combine(out, n)
+	work := seqFFT(in, out[:h], tw, n/2, stride*2) +
+		seqFFT(in[stride:], out[h:], tw, n/2, stride*2)
+	return work + combine(out, tw, n)
 }
 
 // combine performs the butterfly pass merging the two half-transforms
-// stored in out's halves, in place. It returns the work performed.
-func combine(out []complex128, n int) int64 {
+// stored in out's halves, in place, with the twiddle factors of size
+// n taken from tw. It returns the work performed.
+func combine(out, tw []complex128, n int) int64 {
 	h := n / 2
-	ang := -2 * math.Pi / float64(n)
-	for k := 0; k < h; k++ {
-		s, c := math.Sincos(ang * float64(k))
-		w := complex(c, s)
-		e, o := out[k], out[h+k]
-		t := w * o
-		out[k] = e + t
-		out[h+k] = e - t
+	lo, hi, w := out[:h], out[h:n], tw[h:n]
+	for k := range lo {
+		e, o := lo[k], hi[k]
+		t := w[k] * o
+		lo[k] = e + t
+		hi[k] = e - t
 	}
 	return int64(n)
 }
@@ -70,7 +100,7 @@ func combine(out []complex128, n int) int64 {
 // the work performed.
 func Seq(src []complex128) ([]complex128, int64) {
 	out := make([]complex128, len(src))
-	w := seqFFT(src, out, len(src), 1)
+	w := seqFFT(src, out, twiddles(len(src)), len(src), 1)
 	return out, w
 }
 
@@ -108,9 +138,9 @@ func Inverse(src []complex128) []complex128 {
 
 // parFFT is the task-parallel recursion: each division spawns two
 // half-size transforms; leaves run sequentially.
-func parFFT(c *omp.Context, in, out []complex128, n, stride int, untied bool) {
+func parFFT(c *omp.Context, in, out, tw []complex128, n, stride int, untied bool) {
 	if n <= leafSize {
-		c.AddWork(seqFFT(in, out, n, stride))
+		c.AddWork(seqFFT(in, out, tw, n, stride))
 		c.AddWrites(int64(n), int64(n)) // butterfly writes: half local reuse, half shared output
 		return
 	}
@@ -119,10 +149,10 @@ func parFFT(c *omp.Context, in, out []complex128, n, stride int, untied bool) {
 	if untied {
 		opts = append(opts, omp.Untied())
 	}
-	c.Task(func(c *omp.Context) { parFFT(c, in, out[:h], h, stride*2, untied) }, opts...)
-	c.Task(func(c *omp.Context) { parFFT(c, in[stride:], out[h:], h, stride*2, untied) }, opts...)
+	c.Task(func(c *omp.Context) { parFFT(c, in, out[:h], tw, h, stride*2, untied) }, opts...)
+	c.Task(func(c *omp.Context) { parFFT(c, in[stride:], out[h:], tw, h, stride*2, untied) }, opts...)
 	c.Taskwait()
-	c.AddWork(combine(out, n))
+	c.AddWork(combine(out, tw, n))
 	c.AddWrites(0, int64(n))
 }
 
@@ -176,7 +206,7 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			parFFT(c, src, out, n, 1, variant.Untied)
+			parFFT(c, src, out, twiddles(n), n, 1, variant.Untied)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

@@ -26,6 +26,25 @@ func TestSeqMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// TestTwiddleTableExact holds every level's slice of the twiddle
+// table to the value the per-level math.Sincos it replaces computes,
+// bit for bit.
+func TestTwiddleTableExact(t *testing.T) {
+	for n := 2; n <= 1<<12; n *= 2 {
+		tw := twiddles(n)
+		for m := 2; m <= n; m *= 2 {
+			ang := -2 * math.Pi / float64(m)
+			for k := 0; k < m/2; k++ {
+				s, c := math.Sincos(ang * float64(k))
+				got := tw[m/2+k]
+				if math.Float64bits(real(got)) != math.Float64bits(c) || math.Float64bits(imag(got)) != math.Float64bits(s) {
+					t.Fatalf("n=%d: w_%d^%d = %v, Sincos gives %v", n, m, k, got, complex(c, s))
+				}
+			}
+		}
+	}
+}
+
 func TestImpulseResponse(t *testing.T) {
 	// FFT of a unit impulse is all ones.
 	src := make([]complex128, 64)

@@ -5,6 +5,8 @@
 // Small subarrays fall back to a sequential quicksort, and arrays
 // below a 20-element threshold to insertion sort, exactly as the
 // paper describes. Tasks are created at the leaves of the recursion.
+// The sequential merge at the leaves of the parallel merge is
+// branch-free, so its cost does not depend on how the keys interleave.
 package sort
 
 import (
@@ -101,17 +103,22 @@ func seqQuick(a []int32) {
 }
 
 // seqMerge merges sorted a and b into dest (len(dest) == len(a)+len(b)).
+// The loop is branch-free: one compare selects the value written and
+// which of i and j advances (CMOV and SETcc on amd64), so random keys
+// cost no mispredictions. The k < len(dest) term, always true while
+// both inputs last, lets dest[k] go without a bounds check whose
+// compare would clobber the flags the selection reuses.
 func seqMerge(a, b, dest []int32) {
 	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			dest[k] = a[i]
-			i++
-		} else {
-			dest[k] = b[j]
-			j++
+	for ; k < len(dest) && i < len(a) && j < len(b); k++ {
+		x, y := a[i], b[j]
+		t := 0
+		if x <= y {
+			t = 1
 		}
-		k++
+		dest[k] = min(x, y)
+		i += t
+		j += 1 - t
 	}
 	k += copy(dest[k:], a[i:])
 	copy(dest[k:], b[j:])

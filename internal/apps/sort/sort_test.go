@@ -52,6 +52,37 @@ func TestSeqMergeProperty(t *testing.T) {
 	}
 }
 
+// TestSeqMergeMatchesSortedConcat holds the branch-free merge to its
+// contract: dest is exactly the sorted concatenation of a and b. Keys
+// are drawn from a narrow range so runs of equal keys straddle the
+// two inputs.
+func TestSeqMergeMatchesSortedConcat(t *testing.T) {
+	f := func(x, y []int8) bool {
+		a, b := make([]int32, len(x)), make([]int32, len(y))
+		for i, v := range x {
+			a[i] = int32(v % 8)
+		}
+		for i, v := range y {
+			b[i] = int32(v % 8)
+		}
+		gosort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+		gosort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+		want := append(append([]int32(nil), a...), b...)
+		gosort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		dest := make([]int32, len(a)+len(b))
+		seqMerge(a, b, dest)
+		for i := range want {
+			if dest[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBinSplitLowerBound(t *testing.T) {
 	a := []int32{1, 3, 3, 5, 7}
 	cases := []struct {

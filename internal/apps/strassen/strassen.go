@@ -51,14 +51,29 @@ func (v view) sub(i, j int) view {
 
 func newView(n int) view { return view{d: make([]float64, n*n), ld: n} }
 
-// matmulAdd computes c += a·b (n×n) in i-k-j order.
+// matmulAdd computes c += a·b (n×n) in i-k-j order. The k-loop is
+// unrolled by two: ci[j] + a0*b0[j] + a1*b1[j] evaluates left to
+// right, rounding exactly as two successive ci[j] += aik*bk[j]
+// updates do, so the result is bit-identical to the plain loop with
+// one load and store of ci[j] per two products.
 func matmulAdd(c, a, b view, n int) {
 	for i := 0; i < n; i++ {
 		ci := c.d[i*c.ld : i*c.ld+n]
-		for k := 0; k < n; k++ {
-			aik := a.d[i*a.ld+k]
+		ai := a.d[i*a.ld : i*a.ld+n]
+		k := 0
+		for ; k+1 < n; k += 2 {
+			a0, a1 := ai[k], ai[k+1]
+			b0 := b.d[k*b.ld : k*b.ld+n]
+			b1 := b.d[(k+1)*b.ld : (k+1)*b.ld+n]
+			b0, b1 = b0[:len(ci)], b1[:len(ci)]
+			for j := range ci {
+				ci[j] = ci[j] + a0*b0[j] + a1*b1[j]
+			}
+		}
+		for ; k < n; k++ {
+			aik := ai[k]
 			bk := b.d[k*b.ld : k*b.ld+n]
-			for j := 0; j < n; j++ {
+			for j := range ci {
 				ci[j] += aik * bk[j]
 			}
 		}

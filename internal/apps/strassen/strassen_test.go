@@ -23,6 +23,30 @@ func TestSeqMatchesNaiveSmall(t *testing.T) {
 	}
 }
 
+// TestMatmulAddBitIdentical holds the unrolled base multiply to the
+// plain i-k-j loop bit for bit, for even and odd n (the remainder
+// step) on views whose leading dimension exceeds n.
+func TestMatmulAddBitIdentical(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 8, 31, 64} {
+		ld := n + 3
+		a, b := inputs.Matrix(ld, 5), inputs.Matrix(ld, 6)
+		got, want := inputs.Matrix(ld, 7), inputs.Matrix(ld, 7)
+		matmulAdd(view{got, ld}, view{a, ld}, view{b, ld}, n)
+		for i := 0; i < n; i++ {
+			for k := 0; k < n; k++ {
+				for j := 0; j < n; j++ {
+					want[i*ld+j] += a[i*ld+k] * b[k*ld+j]
+				}
+			}
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: c[%d] = %v, plain loop %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestIdentityMultiplication(t *testing.T) {
 	n := 128
 	a := inputs.Matrix(n, 3)

@@ -75,11 +75,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int31 returns a non-negative 31-bit integer.
-func (r *RNG) Int31() int32 {
-	return int32(r.Uint64() >> 33)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

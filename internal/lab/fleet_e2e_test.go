@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -366,6 +367,39 @@ func TestServerRejectsOversizedBodies(t *testing.T) {
 		}
 	}
 
+	getJSON(t, ts.URL+"/sweeps", &sweepsAfter)
+	if !reflect.DeepEqual(sweepsAfter, sweepsBefore) {
+		t.Errorf("sweeps changed: %d listed, was %d", len(sweepsAfter), len(sweepsBefore))
+	}
+	if got := fleet.Status(); !reflect.DeepEqual(got, fleetBefore) {
+		t.Errorf("fleet status changed: %+v, was %+v", got, fleetBefore)
+	}
+}
+
+// TestServerRejectsOversizedSweep: a small body asking for more than
+// lab.MaxSweepCells cells gets a 4xx from POST /sweeps, and neither
+// the sweep list nor the fleet changes.
+func TestServerRejectsOversizedSweep(t *testing.T) {
+	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second})
+	var sweepsBefore, sweepsAfter []lab.SweepStatus
+	getJSON(t, ts.URL+"/sweeps", &sweepsBefore)
+	fleetBefore := fleet.Status()
+
+	var threads, cutoffs []string
+	for i := 0; i < 300; i++ {
+		threads = append(threads, strconv.Itoa(i+1))
+		cutoffs = append(cutoffs, strconv.Itoa(i))
+	}
+	body := `{"benches":["fib"],"versions":["manual-tied"],"threads":[` + strings.Join(threads, ",") +
+		`],"cutoff_depths":[` + strings.Join(cutoffs, ",") + `]}`
+	resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Errorf("POST /sweeps for 300x300 cells: status %d, want 4xx", resp.StatusCode)
+	}
 	getJSON(t, ts.URL+"/sweeps", &sweepsAfter)
 	if !reflect.DeepEqual(sweepsAfter, sweepsBefore) {
 		t.Errorf("sweeps changed: %d listed, was %d", len(sweepsAfter), len(sweepsBefore))

@@ -347,6 +347,13 @@ func ReadSweepSpec(r io.Reader) (SweepSpec, error) {
 	return s, nil
 }
 
+// MaxSweepCells caps the product of a manifest's axis lengths (the
+// benchmark axis counted after keyword expansion, every other axis as
+// written, duplicates included). Expand refuses a larger grid before
+// it builds any cell. The largest manifest under examples/ spans 63
+// cells.
+const MaxSweepCells = 1 << 16
+
 // Expand resolves the manifest into the deduplicated, deterministic
 // list of job cells. The result is sorted by canonical identity so
 // identical manifests always expand identically (golden-testable).
@@ -395,6 +402,17 @@ func (s SweepSpec) Expand() ([]JobSpec, error) {
 	pins := s.Pin
 	if len(pins) == 0 {
 		pins = []bool{false}
+	}
+	// Every factor is at least 1, and the running product is checked
+	// against the cap's quotient before each multiplication, so it
+	// never exceeds MaxSweepCells and cannot overflow.
+	cells := 1
+	for _, n := range []int{len(benches), len(versions), len(classes), len(threads), len(cutoffs),
+		len(rtCutoffs), len(policies), len(sims), len(procs), len(pins)} {
+		if cells > MaxSweepCells/n {
+			return nil, fmt.Errorf("lab: sweep %q spans more than %d cells", s.Name, MaxSweepCells)
+		}
+		cells *= n
 	}
 
 	versionUsed := make(map[string]bool, len(versions))

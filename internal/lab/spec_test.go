@@ -1,6 +1,7 @@
 package lab_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -96,6 +97,52 @@ func TestExpandRejectsUnknownVersionEverywhere(t *testing.T) {
 	spec := lab.SweepSpec{Benches: []string{"fib"}, Versions: []string{"bogus-tied"}, Threads: []int{1}}
 	if _, err := spec.Expand(); err == nil || !strings.Contains(err.Error(), "bogus-tied") {
 		t.Fatalf("expected unknown-version error, got %v", err)
+	}
+}
+
+func seq(lo, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = lo + i
+	}
+	return out
+}
+
+// TestExpandRefusesProductPastCap: a grid of valid cells just past
+// MaxSweepCells is refused rather than built, and a manifest whose
+// axis product overflows int (nine axes of 200 entries, 200^9 > 2^63;
+// the bad thread count never gets validated) is refused by the same
+// check instead of wrapping.
+func TestExpandRefusesProductPastCap(t *testing.T) {
+	tooBig := fmt.Sprintf("more than %d cells", lab.MaxSweepCells)
+	over := lab.SweepSpec{
+		Benches:      []string{"fib"},
+		Versions:     []string{"manual-tied"},
+		Threads:      seq(1, 257),
+		CutoffDepths: seq(0, 256),
+	}
+	if jobs, err := over.Expand(); err == nil || !strings.Contains(err.Error(), tooBig) {
+		t.Fatalf("257x256-cell grid: %d jobs, error %v; want %q", len(jobs), err, tooBig)
+	}
+	const n = 200
+	wide := lab.SweepSpec{
+		Benches:        []string{"fib"},
+		Versions:       make([]string, n),
+		Classes:        make([]string, n),
+		Threads:        make([]int, n),
+		CutoffDepths:   make([]int, n),
+		RuntimeCutoffs: make([]string, n),
+		Policies:       make([]string, n),
+		Simulate:       make([]int, n),
+		Procs:          make([]int, n),
+		Pin:            make([]bool, n),
+	}
+	for i := 0; i < n; i++ {
+		wide.Versions[i], wide.Classes[i] = "manual-tied", "test"
+		wide.RuntimeCutoffs[i], wide.Policies[i] = "none", "workfirst"
+	}
+	if _, err := wide.Expand(); err == nil || !strings.Contains(err.Error(), tooBig) {
+		t.Fatalf("200^9-cell grid: error %v; want %q", err, tooBig)
 	}
 }
 
