@@ -121,7 +121,9 @@ func Score(a, b []byte) (int32, int64) {
 // advance moves the DP columns cols (row[1:]) from row i-1 to row i,
 // where wrow is the weight row of a[i-1] and diag the best state of
 // row i-1's column 0. The left neighbour's m and iy are carried in
-// registers and, of the diagonal cell, only its best state.
+// registers and, of the diagonal cell, only its best state. It is a
+// function of its own because inside Score's row loop the compiler
+// spills the loop's state to the stack on every cell.
 func advance(cols []cell, wrow *[20]int32, diag int32) {
 	leftM, leftIy := negInf, negInf
 	for j := range cols {

@@ -65,7 +65,7 @@ func matmulAdd(c, a, b view, n int) {
 			a0, a1 := ai[k], ai[k+1]
 			b0 := b.d[k*b.ld : k*b.ld+n]
 			b1 := b.d[(k+1)*b.ld : (k+1)*b.ld+n]
-			b0, b1 = b0[:len(ci)], b1[:len(ci)]
+			b0, b1 = b0[:len(ci)], b1[:len(ci)] // no bounds checks in the j-loop
 			for j := range ci {
 				ci[j] = ci[j] + a0*b0[j] + a1*b1[j]
 			}
