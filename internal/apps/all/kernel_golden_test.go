@@ -17,14 +17,16 @@ import (
 // (task graph, work, writes and event positions: what sim.replay and
 // every figure read). goldenDigests pins the test-class sequential
 // digests only.
-var kernelGolden = []struct {
+type kernelPin struct {
 	bench, version string
 	seqDigest      string
 	seqWork        int64
 	parDigest      string
 	parTasks       int64
 	traceDigest    string
-}{
+}
+
+var kernelGolden = []kernelPin{
 	{"fft", "untied", "3b559854cdbcf4fe", 10485760, "3b559854cdbcf4fe", 4094, "e383b08642223fd6"},
 	{"sort", "untied", "b5c57319aa4cc8ec", 50331648, "b5c57319aa4cc8ec", 71293, "b4bca9ea58f3aaae"},
 	{"alignment", "untied", "7a521f320602da4f", 25447687, "7a521f320602da4f", 780, "6aa631c65dbfd7c3"},
@@ -41,42 +43,88 @@ func traceDigest(tr *trace.Trace) (string, error) {
 
 func TestKernelGoldenMedium(t *testing.T) {
 	for _, g := range kernelGolden {
-		t.Run(g.bench, func(t *testing.T) {
-			b, err := core.Get(g.bench)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, err := b.Seq(core.Medium)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.Digest != g.seqDigest {
-				t.Errorf("medium sequential digest = %s, want %s", seq.Digest, g.seqDigest)
-			}
-			if seq.Work != g.seqWork {
-				t.Errorf("medium sequential work = %d, want %d", seq.Work, g.seqWork)
-			}
-			par, err := b.Run(core.RunConfig{Class: core.Medium, Version: g.version, Threads: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Digest != g.parDigest {
-				t.Errorf("medium 2-thread %s digest = %s, want %s", g.version, par.Digest, g.parDigest)
-			}
-			if n := par.Stats.TotalTasks(); n != g.parTasks {
-				t.Errorf("medium 2-thread %s TotalTasks = %d, want %d", g.version, n, g.parTasks)
-			}
-			rec := trace.NewRecorder()
-			if _, err := b.Run(core.RunConfig{Class: core.Test, Version: g.version, Threads: 1, Recorder: rec}); err != nil {
-				t.Fatal(err)
-			}
-			d, err := traceDigest(rec.Finish())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d != g.traceDigest {
-				t.Errorf("test-class %s trace digest = %s, want %s", g.version, d, g.traceDigest)
-			}
-		})
+		t.Run(g.bench, func(t *testing.T) { checkKernelPin(t, g, core.Medium) })
 	}
+}
+
+// utsGolden pins uts the same way at medium and large class (the
+// class region.irregular and sim.replay run), and utsTraceGolden the
+// test-class trace of every uts version: the if versions take the
+// undeferred spawn below the cut-off, the none versions spawn every
+// node and the manual versions recurse past it.
+var utsGolden = map[core.Class]kernelPin{
+	core.Medium: {"uts", "manual-untied", "uts-nodes=101609", 101609, "uts-nodes=101609", 31189, "b1d789e5b3738f56"},
+	core.Large:  {"uts", "manual-untied", "uts-nodes=283173", 283173, "uts-nodes=283173", 65493, "b1d789e5b3738f56"},
+}
+
+var utsTraceGolden = map[string]string{
+	"if-tied":       "3aca11f25f5ab3f5",
+	"if-untied":     "66c30d27f8b484da",
+	"manual-tied":   "6b318b4e9e604df9",
+	"manual-untied": "b1d789e5b3738f56",
+	"none-tied":     "262fc34f37c52367",
+	"none-untied":   "b7f14fb2696e8c24",
+}
+
+func TestUTSGolden(t *testing.T) {
+	for _, class := range []core.Class{core.Medium, core.Large} {
+		t.Run(class.String(), func(t *testing.T) { checkKernelPin(t, utsGolden[class], class) })
+	}
+	b, err := core.Get("uts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range b.Versions {
+		if d := recordedDigest(t, b, version); d != utsTraceGolden[version] {
+			t.Errorf("test-class %s trace digest = %s, want %s", version, d, utsTraceGolden[version])
+		}
+	}
+}
+
+// checkKernelPin runs g's sequential and 2-thread parallel versions at
+// class and records its test-class trace on one thread.
+func checkKernelPin(t *testing.T, g kernelPin, class core.Class) {
+	t.Helper()
+	b, err := core.Get(g.bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := b.Seq(class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Digest != g.seqDigest {
+		t.Errorf("%s sequential digest = %s, want %s", class, seq.Digest, g.seqDigest)
+	}
+	if seq.Work != g.seqWork {
+		t.Errorf("%s sequential work = %d, want %d", class, seq.Work, g.seqWork)
+	}
+	par, err := b.Run(core.RunConfig{Class: class, Version: g.version, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Digest != g.parDigest {
+		t.Errorf("%s 2-thread %s digest = %s, want %s", class, g.version, par.Digest, g.parDigest)
+	}
+	if n := par.Stats.TotalTasks(); n != g.parTasks {
+		t.Errorf("%s 2-thread %s TotalTasks = %d, want %d", class, g.version, n, g.parTasks)
+	}
+	if d := recordedDigest(t, b, g.version); d != g.traceDigest {
+		t.Errorf("test-class %s trace digest = %s, want %s", g.version, d, g.traceDigest)
+	}
+}
+
+// recordedDigest is the traceDigest of b's test-class version recorded
+// on one thread.
+func recordedDigest(t *testing.T, b *core.Benchmark, version string) string {
+	t.Helper()
+	rec := trace.NewRecorder()
+	if _, err := b.Run(core.RunConfig{Class: core.Test, Version: version, Threads: 1, Recorder: rec}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := traceDigest(rec.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
