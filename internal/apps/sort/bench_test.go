@@ -1,18 +1,25 @@
 package sort
 
 import (
+	"fmt"
 	"testing"
 
 	"bots/internal/inputs"
 )
 
+// BenchmarkSeqQuick sorts random keys at the parallel sort's leaf size
+// (quickThreshold) and at 1<<16.
 func BenchmarkSeqQuick(b *testing.B) {
-	src := inputs.Ints32(1<<16, 1)
-	buf := make([]int32, len(src))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		seqQuick(buf)
+	for _, n := range []int{quickThreshold, 1 << 16} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			src := inputs.Ints32(n, 1)
+			buf := make([]int32, len(src))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(buf, src)
+				seqQuick(buf)
+			}
+		})
 	}
 }
 

@@ -59,47 +59,72 @@ func insertionSort(a []int32) {
 	}
 }
 
-// seqQuick is the sequential quicksort with median-of-three pivoting
-// and insertion sort below the threshold.
+// seqQuick is the sequential quicksort: median-of-three pivoting,
+// insertion sort below the threshold, and recursion on the smaller
+// side while looping on the larger. Its partition is a branch-free
+// Lomuto pass; when no key falls below the pivot, the pivot is the
+// minimum, and a second pass with the bound raised by one gathers
+// every key equal to it. That equal-key guard keeps runs of equal keys
+// from costing one pass per key.
 func seqQuick(a []int32) {
 	for len(a) > insertionThreshold {
-		lo, hi := 0, len(a)-1
-		mid := lo + (hi-lo)/2
-		// Median-of-three.
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
+		pivotToFront(a)
+		p := int64(a[0])
+		m := partition(a, p)
+		if m == 0 {
+			a = a[partition(a, p+1)+1:]
+			continue
 		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// Recurse on the smaller side, loop on the larger.
-		if j-lo < hi-i {
-			seqQuick(a[lo : j+1])
-			a = a[i:]
+		a[0], a[m] = a[m], a[0]
+		if m < len(a)-1-m {
+			seqQuick(a[:m])
+			a = a[m+1:]
 		} else {
-			seqQuick(a[i:])
-			a = a[lo : j+1]
+			seqQuick(a[m+1:])
+			a = a[:m]
 		}
 	}
 	insertionSort(a)
+}
+
+// pivotToFront swaps the median of a's keys at its quartiles into
+// a[0]. The samples sit at the quartiles, not the ends: partition
+// moves the first key of the upper side to the end of every run of
+// upper keys, so after a pass over sorted input the ends of the upper
+// side hold its largest key and a median of the ends would pick
+// extremes, level after level.
+func pivotToFront(a []int32) {
+	i, j, k := len(a)/4, len(a)/2, len(a)-1-len(a)/4
+	if a[j] < a[i] {
+		i, j = j, i
+	}
+	if a[k] < a[j] {
+		j = k
+		if a[j] < a[i] {
+			j = i
+		}
+	}
+	a[0], a[j] = a[j], a[0]
+}
+
+// partition moves the keys of a[1:] below lim to a[1:m+1] and returns
+// m. Every step swaps the key it reads with the first key not below
+// lim and advances that boundary by the compare's result, so the loop
+// has no data-dependent branch (SETcc on amd64) and random keys cost
+// no mispredictions.
+func partition(a []int32, lim int64) int {
+	lt := 1
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		a[i] = a[lt]
+		a[lt] = v
+		t := 0
+		if int64(v) < lim {
+			t = 1
+		}
+		lt += t
+	}
+	return lt - 1
 }
 
 // seqMerge merges sorted a and b into dest (len(dest) == len(a)+len(b)).
@@ -147,11 +172,38 @@ func workQuick(n int) int64 {
 	return int64(n) * int64(bits.Len(uint(n)))
 }
 
+// sortSpan is a sort task's firstprivate environment: the subarray
+// and its scratch.
+type sortSpan struct{ a, tmp []int32 }
+
+// mergeSpan is a merge task's: the two sorted inputs and the
+// destination.
+type mergeSpan struct{ a, b, dest []int32 }
+
+// run is the state one parallel sort shares across its tasks. Every
+// task is spawned through the sorts or merges TaskFunc, which copies
+// its slice headers into a recycled cell, so a task costs no
+// allocation in this package.
+type run struct {
+	// opts is every spawn's clause list, built once per run.
+	opts   []omp.TaskOpt
+	sorts  *omp.TaskFunc[sortSpan]
+	merges *omp.TaskFunc[mergeSpan]
+}
+
+func newRun(threads int, untied bool) *run {
+	opts := core.TaskOpts(capturedBytes, untied, omp.TaskOpt{})
+	r := &run{opts: opts[:]}
+	r.sorts = omp.NewTaskFunc(threads, func(c *omp.Context, s *sortSpan) { r.parSort(c, s.a, s.tmp) })
+	r.merges = omp.NewTaskFunc(threads, func(c *omp.Context, m *mergeSpan) { r.parMerge(c, m.a, m.b, m.dest) })
+	return r
+}
+
 // parMerge merges sorted a and b into dest with the Cilk
 // divide-and-conquer scheme: split the larger array at its middle,
 // binary-search the split value in the smaller one, and merge the two
 // halves as tasks.
-func parMerge(c *omp.Context, a, b, dest []int32, untied bool) {
+func (r *run) parMerge(c *omp.Context, a, b, dest []int32) {
 	if len(a) < len(b) {
 		a, b = b, a
 	}
@@ -170,20 +222,14 @@ func parMerge(c *omp.Context, a, b, dest []int32, untied bool) {
 	ha := len(a) / 2
 	hb := binSplit(b, a[ha])
 	c.AddWork(int64(bits.Len(uint(len(b))) + 1))
-	clauses := core.TaskOpts(capturedBytes, untied, omp.TaskOpt{})
-	opts := clauses[:]
-	c.Task(func(c *omp.Context) {
-		parMerge(c, a[:ha], b[:hb], dest[:ha+hb], untied)
-	}, opts...)
-	c.Task(func(c *omp.Context) {
-		parMerge(c, a[ha:], b[hb:], dest[ha+hb:], untied)
-	}, opts...)
+	r.merges.Task(c, mergeSpan{a[:ha], b[:hb], dest[:ha+hb]}, r.opts...)
+	r.merges.Task(c, mergeSpan{a[ha:], b[hb:], dest[ha+hb:]}, r.opts...)
 	c.Taskwait()
 }
 
 // parSort sorts a using tmp as scratch, with the cilksort 4-way
 // decomposition.
-func parSort(c *omp.Context, a, tmp []int32, untied bool) {
+func (r *run) parSort(c *omp.Context, a, tmp []int32) {
 	n := len(a)
 	if n <= quickThreshold {
 		seqQuick(a)
@@ -192,17 +238,15 @@ func parSort(c *omp.Context, a, tmp []int32, untied bool) {
 		return
 	}
 	q1, q2, q3 := n/4, n/2, 3*(n/4)
-	clauses := core.TaskOpts(capturedBytes, untied, omp.TaskOpt{})
-	opts := clauses[:]
-	c.Task(func(c *omp.Context) { parSort(c, a[:q1], tmp[:q1], untied) }, opts...)
-	c.Task(func(c *omp.Context) { parSort(c, a[q1:q2], tmp[q1:q2], untied) }, opts...)
-	c.Task(func(c *omp.Context) { parSort(c, a[q2:q3], tmp[q2:q3], untied) }, opts...)
-	c.Task(func(c *omp.Context) { parSort(c, a[q3:], tmp[q3:], untied) }, opts...)
+	r.sorts.Task(c, sortSpan{a[:q1], tmp[:q1]}, r.opts...)
+	r.sorts.Task(c, sortSpan{a[q1:q2], tmp[q1:q2]}, r.opts...)
+	r.sorts.Task(c, sortSpan{a[q2:q3], tmp[q2:q3]}, r.opts...)
+	r.sorts.Task(c, sortSpan{a[q3:], tmp[q3:]}, r.opts...)
 	c.Taskwait()
-	c.Task(func(c *omp.Context) { parMerge(c, a[:q1], a[q1:q2], tmp[:q2], untied) }, opts...)
-	c.Task(func(c *omp.Context) { parMerge(c, a[q2:q3], a[q3:], tmp[q2:], untied) }, opts...)
+	r.merges.Task(c, mergeSpan{a[:q1], a[q1:q2], tmp[:q2]}, r.opts...)
+	r.merges.Task(c, mergeSpan{a[q2:q3], a[q3:], tmp[q2:]}, r.opts...)
 	c.Taskwait()
-	parMerge(c, tmp[:q2], tmp[q2:], a, untied)
+	r.parMerge(c, tmp[:q2], tmp[q2:], a)
 }
 
 // digest hashes the array contents.
@@ -254,11 +298,11 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	n := classN[cfg.Class]
 	a := inputs.Ints32(n, inputSeed)
 	tmp := make([]int32, n)
-	opts := core.TaskOpts(capturedBytes, variant.Untied, omp.TaskOpt{})
+	r := newRun(cfg.Threads, variant.Untied)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			c.Task(func(c *omp.Context) { parSort(c, a, tmp, variant.Untied) }, opts[:]...)
+			r.sorts.Task(c, sortSpan{a, tmp}, r.opts...)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

@@ -1,9 +1,11 @@
 package sort
 
 import (
+	"slices"
 	gosort "sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"bots/internal/core"
 	"bots/internal/inputs"
@@ -36,6 +38,66 @@ func TestSeqQuickMatchesStdlib(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSeqQuickAdversarialInputs sorts the inputs that defeat a naive
+// pivot choice or partition, at 1<<16 and 1<<20 keys, and holds each
+// to slices.Sort's output and to a generous time bound: ten times a
+// random input's time at the same size, plus 50 ms. Without the
+// equal-key guard, the Lomuto partition takes one pass per key on
+// all-equal input, seconds at 1<<16; the smaller size runs first so
+// such a build fails there instead of running for hours at 1<<20.
+func TestSeqQuickAdversarialInputs(t *testing.T) {
+	patterns := []struct {
+		name string
+		fill func(a []int32)
+	}{
+		{"all-equal", func(a []int32) {
+			for i := range a {
+				a[i] = 7
+			}
+		}},
+		{"two-values", func(a []int32) {
+			for i, v := range inputs.Ints32(len(a), 6) {
+				a[i] = v & 1
+			}
+		}},
+		{"sorted", func(a []int32) {
+			for i := range a {
+				a[i] = int32(i)
+			}
+		}},
+		{"reversed", func(a []int32) {
+			for i := range a {
+				a[i] = int32(len(a) - i)
+			}
+		}},
+		{"organ-pipe", func(a []int32) {
+			for i := range a {
+				a[i] = int32(min(i, len(a)-1-i))
+			}
+		}},
+	}
+	for _, n := range []int{1 << 16, 1 << 20} {
+		random := inputs.Ints32(n, 5)
+		start := time.Now()
+		seqQuick(random)
+		limit := 10*time.Since(start) + 50*time.Millisecond
+		a := make([]int32, n)
+		for _, p := range patterns {
+			p.fill(a)
+			want := slices.Clone(a)
+			slices.Sort(want)
+			start := time.Now()
+			seqQuick(a)
+			if took := time.Since(start); took > limit {
+				t.Fatalf("%s, %d keys: %v, want <= %v", p.name, n, took, limit)
+			}
+			if !slices.Equal(a, want) {
+				t.Fatalf("%s, %d keys: output differs from slices.Sort", p.name, n)
+			}
+		}
 	}
 }
 
@@ -102,9 +164,10 @@ func TestParMergeLargeArrays(t *testing.T) {
 	seqQuick(a)
 	seqQuick(b)
 	dest := make([]int32, len(a)+len(b))
+	r := newRun(4, false)
 	omp.Parallel(4, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			parMerge(c, a, b, dest, false)
+			r.parMerge(c, a, b, dest)
 		})
 	})
 	if !isSorted(dest) {

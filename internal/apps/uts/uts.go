@@ -120,34 +120,56 @@ type tally struct {
 	sink  uint64
 }
 
+// node is one task's firstprivate environment: the node's identity
+// hash and its depth.
+type node struct {
+	hash  uint64
+	depth int
+}
+
+// run is the state one parallel traversal shares across its tasks.
+// Every task is spawned through the nodes TaskFunc, which copies its
+// node into a recycled cell, so a task costs no allocation in this
+// package.
+type run struct {
+	p       params
+	cutoff  int
+	variant core.Variant
+	tallies *omp.ThreadPrivate[tally]
+	// opts is the clause list of every deferred spawn and cutOpts that
+	// of an if version's spawn at or past the cut-off, built once per
+	// run so no spawn rebuilds and copies them.
+	opts, cutOpts []omp.TaskOpt
+	nodes         *omp.TaskFunc[node]
+}
+
 // par is the task-parallel traversal with per-thread tallies. Work
 // is counted in node units (one unit per node), matching Seq's
 // accounting; each node's actual cost is gran hash rounds.
-func par(c *omp.Context, hash uint64, depth, cutoff int, p params,
-	variant core.Variant, tallies *omp.ThreadPrivate[tally]) {
-	mine := tallies.Get(c)
-	mine.sink ^= visitWork(hash, p.gran)
+func (r *run) par(c *omp.Context, nd *node) {
+	hash, depth := nd.hash, nd.depth
+	mine := r.tallies.Get(c)
+	mine.sink ^= visitWork(hash, r.p.gran)
 	mine.nodes++
 	c.AddWork(1)
 	c.AddWrites(1, 0)
-	n := numChildren(hash, p, depth == 0)
+	n := numChildren(hash, r.p, depth == 0)
 	for i := 0; i < n; i++ {
 		ch := childHash(hash, i)
-		var cut omp.TaskOpt
-		switch variant.Cutoff {
-		case "manual":
-			if depth >= cutoff {
-				sub := seqCount(ch, depth+1, p, &mine.sink)
+		opts := r.opts
+		if depth >= r.cutoff {
+			switch r.variant.Cutoff {
+			case "manual":
+				sub := seqCount(ch, depth+1, r.p, &mine.sink)
 				mine.nodes += sub
 				c.AddWork(sub)
 				c.AddWrites(sub, 0)
 				continue
+			case "if":
+				opts = r.cutOpts
 			}
-		case "if":
-			cut = omp.If(depth < cutoff)
 		}
-		opts := core.TaskOpts(capturedBytes, variant.Untied, cut)
-		c.Task(func(c *omp.Context) { par(c, ch, depth+1, cutoff, p, variant, tallies) }, opts[:]...)
+		r.nodes.Task(c, node{ch, depth + 1}, opts...)
 	}
 	c.Taskwait()
 }
@@ -181,12 +203,13 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	tallies := omp.NewThreadPrivate[tally](cfg.Threads)
 	root := inputs.NewRNG(p.seed).Uint64()
 	opts := core.TaskOpts(capturedBytes, variant.Untied, omp.TaskOpt{})
+	cutOpts := core.TaskOpts(capturedBytes, variant.Untied, omp.If(false))
+	r := &run{p: p, cutoff: cutoff, variant: variant, tallies: tallies, opts: opts[:], cutOpts: cutOpts[:]}
+	r.nodes = omp.NewTaskFunc(cfg.Threads, r.par)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.SingleNowait(func(c *omp.Context) {
-			c.Task(func(c *omp.Context) {
-				par(c, root, 0, cutoff, p, variant, tallies)
-			}, opts[:]...)
+			r.nodes.Task(c, node{hash: root}, r.opts...)
 		})
 		c.Barrier()
 	}, cfg.TeamOpts()...)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"bots/internal/trace"
@@ -154,5 +155,27 @@ func TestDepTraceRoundTripReplays(t *testing.T) {
 	}
 	if res1.MakespanNS != res2.MakespanNS {
 		t.Errorf("replay of reloaded trace differs: %.0f vs %.0f", res1.MakespanNS, res2.MakespanNS)
+	}
+}
+
+// TestDependenceCycleDeadlocks replays a root whose two children each
+// depend on the other. Neither can ever start, and Run must say so
+// with its deadlock error rather than spin or report a makespan.
+func TestDependenceCycleDeadlocks(t *testing.T) {
+	r := trace.NewRecorder()
+	root := r.Root()
+	a := r.Spawn(root, false, false, 0)
+	a.AddWork(10)
+	b := r.Spawn(root, false, false, 0)
+	b.AddWork(10)
+	a.DependsOn(b)
+	b.DependsOn(a)
+	root.Taskwait()
+	tr := r.Finish()
+	for _, threads := range []int{1, 4} {
+		_, err := Run(tr, threads, Params{WorkUnitNS: 1})
+		if err == nil || !strings.HasPrefix(err.Error(), "sim: deadlock") {
+			t.Errorf("threads=%d: err = %v, want the sim: deadlock error", threads, err)
+		}
 	}
 }
