@@ -17,6 +17,14 @@ import (
 // (task graph, work, writes and event positions: what sim.replay and
 // every figure read). goldenDigests pins the test-class sequential
 // digests only.
+var kernelGolden = []kernelPin{
+	{"fft", "untied", "3b559854cdbcf4fe", 10485760, "3b559854cdbcf4fe", 4094, "e383b08642223fd6"},
+	{"sort", "untied", "b5c57319aa4cc8ec", 50331648, "b5c57319aa4cc8ec", 71293, "b4bca9ea58f3aaae"},
+	{"alignment", "untied", "7a521f320602da4f", 25447687, "7a521f320602da4f", 780, "6aa631c65dbfd7c3"},
+	{"strassen", "none-tied", "e6f310a437b05d65", 96772096, "e6f310a437b05d65", 399, "0c26358ae85c5539"},
+}
+
+// kernelPin is one version's pinned figures at one class.
 type kernelPin struct {
 	bench, version string
 	seqDigest      string
@@ -24,13 +32,6 @@ type kernelPin struct {
 	parDigest      string
 	parTasks       int64
 	traceDigest    string
-}
-
-var kernelGolden = []kernelPin{
-	{"fft", "untied", "3b559854cdbcf4fe", 10485760, "3b559854cdbcf4fe", 4094, "e383b08642223fd6"},
-	{"sort", "untied", "b5c57319aa4cc8ec", 50331648, "b5c57319aa4cc8ec", 71293, "b4bca9ea58f3aaae"},
-	{"alignment", "untied", "7a521f320602da4f", 25447687, "7a521f320602da4f", 780, "6aa631c65dbfd7c3"},
-	{"strassen", "none-tied", "e6f310a437b05d65", 96772096, "e6f310a437b05d65", 399, "0c26358ae85c5539"},
 }
 
 func traceDigest(tr *trace.Trace) (string, error) {
@@ -47,8 +48,8 @@ func TestKernelGoldenMedium(t *testing.T) {
 	}
 }
 
-// utsGolden pins uts the same way at medium and large class (the
-// class region.irregular and sim.replay run), and utsTraceGolden the
+// utsGolden pins uts the same way at medium and large class (large
+// is what region.irregular and sim.replay run), and utsTraceGolden the
 // test-class trace of every uts version: the if versions take the
 // undeferred spawn below the cut-off, the none versions spawn every
 // node and the manual versions recurse past it.

@@ -4,9 +4,11 @@
 // (binary-search split), rather than the conventional serial merge.
 // Small subarrays fall back to a sequential quicksort, and arrays
 // below a 20-element threshold to insertion sort, exactly as the
-// paper describes. Tasks are created at the leaves of the recursion.
-// The sequential merge at the leaves of the parallel merge is
-// branch-free, so its cost does not depend on how the keys interleave.
+// paper describes. Tasks are created at the leaves of the recursion,
+// through omp.TaskFunc cells that carry the tasks' slice headers, so a
+// task allocates nothing here. The sequential merge at the leaves of
+// the parallel merge and the quicksort's partition are branch-free, so
+// their cost does not depend on the order of random keys.
 package sort
 
 import (

@@ -208,21 +208,3 @@ func TestDigestDetectsCorruption(t *testing.T) {
 		t.Fatal("digest should change when the array changes")
 	}
 }
-
-func TestSortedInputIsHandled(t *testing.T) {
-	a := make([]int32, 5000)
-	for i := range a {
-		a[i] = int32(i)
-	}
-	seqQuick(a) // already sorted: exercises pivot pathology path
-	if !isSorted(a) {
-		t.Fatal("sorted input broken")
-	}
-	for i := range a {
-		a[i] = int32(len(a) - i) // reverse order
-	}
-	seqQuick(a)
-	if !isSorted(a) {
-		t.Fatal("reverse input broken")
-	}
-}
