@@ -9,24 +9,31 @@ import (
 	"bots/internal/trace"
 )
 
-// kernelGolden pins, for the four kernels region.coarse spends its
-// time in, what a rewrite of their inner loops must leave untouched:
-// the sequential medium-class digest and work, the digest and task
-// count of one 2-thread medium-class parallel run, and an FNV-64a of
-// the binary encoding of the test-class trace recorded on one thread
-// (task graph, work, writes and event positions: what sim.replay and
-// every figure read). goldenDigests pins the test-class sequential
-// digests only.
+// kernelGolden pins, for the kernels region.coarse and sim.replay
+// spend their time in, what a rewrite of their inner loops must leave
+// untouched: the sequential digest and work at the row's class, the
+// digest and task count of one 2-thread parallel run at that class,
+// and an FNV-64a of the binary encoding of the test-class trace
+// recorded on one thread (task graph, work, writes and event
+// positions: what sim.replay and every figure read). goldenDigests
+// pins the test-class sequential digests only.
+//
+// sparselu is here for its trailing update bmod, the O(bs³) loop of
+// the factorization: dep-tied at medium is the recording sim.replay
+// sets up, and for-tied at small is the version region.coarse runs.
 var kernelGolden = []kernelPin{
-	{"fft", "untied", "3b559854cdbcf4fe", 10485760, "3b559854cdbcf4fe", 4094, "e383b08642223fd6"},
-	{"sort", "untied", "b5c57319aa4cc8ec", 50331648, "b5c57319aa4cc8ec", 71293, "b4bca9ea58f3aaae"},
-	{"alignment", "untied", "7a521f320602da4f", 25447687, "7a521f320602da4f", 780, "6aa631c65dbfd7c3"},
-	{"strassen", "none-tied", "e6f310a437b05d65", 96772096, "e6f310a437b05d65", 399, "0c26358ae85c5539"},
+	{"fft", "untied", core.Medium, "3b559854cdbcf4fe", 10485760, "3b559854cdbcf4fe", 4094, "e383b08642223fd6"},
+	{"sort", "untied", core.Medium, "b5c57319aa4cc8ec", 50331648, "b5c57319aa4cc8ec", 71293, "b4bca9ea58f3aaae"},
+	{"alignment", "untied", core.Medium, "7a521f320602da4f", 25447687, "7a521f320602da4f", 780, "6aa631c65dbfd7c3"},
+	{"strassen", "none-tied", core.Medium, "e6f310a437b05d65", 96772096, "e6f310a437b05d65", 399, "0c26358ae85c5539"},
+	{"sparselu", "dep-tied", core.Medium, "63b7ece3622841e5", 1041629184, "63b7ece3622841e5", 9905, "8c7f634c451b8997"},
+	{"sparselu", "for-tied", core.Small, "0a8d3a33878c2a16", 34056864, "0a8d3a33878c2a16", 1141, "97e6d2553b9c7db6"},
 }
 
 // kernelPin is one version's pinned figures at one class.
 type kernelPin struct {
 	bench, version string
+	class          core.Class
 	seqDigest      string
 	seqWork        int64
 	parDigest      string
@@ -42,9 +49,16 @@ func traceDigest(tr *trace.Trace) (string, error) {
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
-func TestKernelGoldenMedium(t *testing.T) {
+func TestKernelGoldenMedium(t *testing.T) { checkKernelGolden(t, core.Medium) }
+
+func TestKernelGoldenSmall(t *testing.T) { checkKernelGolden(t, core.Small) }
+
+// checkKernelGolden checks every kernelGolden row at class.
+func checkKernelGolden(t *testing.T, class core.Class) {
 	for _, g := range kernelGolden {
-		t.Run(g.bench, func(t *testing.T) { checkKernelPin(t, g, core.Medium) })
+		if g.class == class {
+			t.Run(g.bench, func(t *testing.T) { checkKernelPin(t, g) })
+		}
 	}
 }
 
@@ -53,9 +67,9 @@ func TestKernelGoldenMedium(t *testing.T) {
 // test-class trace of every uts version: the if versions take the
 // undeferred spawn below the cut-off, the none versions spawn every
 // node and the manual versions recurse past it.
-var utsGolden = map[core.Class]kernelPin{
-	core.Medium: {"uts", "manual-untied", "uts-nodes=101609", 101609, "uts-nodes=101609", 31189, "b1d789e5b3738f56"},
-	core.Large:  {"uts", "manual-untied", "uts-nodes=283173", 283173, "uts-nodes=283173", 65493, "b1d789e5b3738f56"},
+var utsGolden = []kernelPin{
+	{"uts", "manual-untied", core.Medium, "uts-nodes=101609", 101609, "uts-nodes=101609", 31189, "b1d789e5b3738f56"},
+	{"uts", "manual-untied", core.Large, "uts-nodes=283173", 283173, "uts-nodes=283173", 65493, "b1d789e5b3738f56"},
 }
 
 var utsTraceGolden = map[string]string{
@@ -68,8 +82,8 @@ var utsTraceGolden = map[string]string{
 }
 
 func TestUTSGolden(t *testing.T) {
-	for _, class := range []core.Class{core.Medium, core.Large} {
-		t.Run(class.String(), func(t *testing.T) { checkKernelPin(t, utsGolden[class], class) })
+	for _, g := range utsGolden {
+		t.Run(g.class.String(), func(t *testing.T) { checkKernelPin(t, g) })
 	}
 	b, err := core.Get("uts")
 	if err != nil {
@@ -83,9 +97,10 @@ func TestUTSGolden(t *testing.T) {
 }
 
 // checkKernelPin runs g's sequential and 2-thread parallel versions at
-// class and records its test-class trace on one thread.
-func checkKernelPin(t *testing.T, g kernelPin, class core.Class) {
+// g.class and records its test-class trace on one thread.
+func checkKernelPin(t *testing.T, g kernelPin) {
 	t.Helper()
+	class := g.class
 	b, err := core.Get(g.bench)
 	if err != nil {
 		t.Fatal(err)
