@@ -1,38 +1,42 @@
 package sparselu
 
-import "testing"
+import (
+	"fmt"
+	"testing"
 
+	"bots/internal/inputs"
+)
+
+// BenchmarkKernels times the four block kernels at the block sizes the
+// repo's workloads run: bs=32 is the small class (region.*), bs=48
+// the medium class (the dep-tied recording sim.replay sets up). Each
+// iteration works on the same inputs: fwd and bdiv solve a fresh copy
+// of their block, and bmod's row and col stay dense.
 func BenchmarkKernels(b *testing.B) {
-	const bs = 64
-	m := NewMatrix(2, bs)
-	diag := append([]float64(nil), m.at(0, 0)...)
-	lu0(diag, bs)
-	// Off-diagonal blocks may be absent in the sparse pattern;
-	// materialize them for the kernel benchmarks.
-	row := append([]float64(nil), m.allocIfNeeded(0, 1)...)
-	col := append([]float64(nil), m.allocIfNeeded(1, 0)...)
-	inner := make([]float64, bs*bs)
-	b.Run("lu0", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := append([]float64(nil), m.at(0, 0)...)
-			lu0(d, bs)
+	for _, bs := range []int{32, 48} {
+		diag := inputs.Block(bs, 0, 0, 2, inputSeed)
+		lu0(diag, bs)
+		row := inputs.Block(bs, 1, 0, 2, inputSeed)
+		col := inputs.Block(bs, 0, 1, 2, inputSeed)
+		inner := inputs.Block(bs, 1, 1, 2, inputSeed)
+		scratch := make([]float64, bs*bs)
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"lu0", func() { lu0(append(scratch[:0], inner...), bs) }},
+			{"fwd", func() { fwd(diag, append(scratch[:0], col...), bs) }},
+			{"bdiv", func() { bdiv(diag, append(scratch[:0], row...), bs) }},
+			{"bmod", func() { bmod(row, col, inner, bs) }},
 		}
-	})
-	b.Run("fwd", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fwd(diag, row, bs)
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/bs=%d", k.name, bs), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+			})
 		}
-	})
-	b.Run("bdiv", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bdiv(diag, col, bs)
-		}
-	})
-	b.Run("bmod", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bmod(row, col, inner, bs)
-		}
-	})
+	}
 }
 
 func BenchmarkSeqFactorize(b *testing.B) {

@@ -22,9 +22,6 @@
 package sparselu
 
 import (
-	"fmt"
-	"hash/fnv"
-	"math"
 	"time"
 
 	"bots/internal/core"
@@ -142,22 +139,88 @@ func bdiv(diag, b []float64, bs int) int64 {
 	return int64(bs) * int64(bs) * int64(bs) / 2
 }
 
-// bmod computes inner -= row·col (the trailing update).
+// bmod computes inner -= row·col (the trailing update). It updates
+// two rows of inner at a time with k unrolled by four, so each col
+// word is loaded once for both rows and each inner word once per four
+// k. Every element still subtracts its row·col products one at a time
+// in ascending k, left to right, and a row pair with a zero row entry
+// takes the one-row loop, which skips that k as the C original does
+// (x - 0·c is not x when x is -0), so the result is bit-identical to
+// the plain triple loop (TestBmodMatchesPlainRecurrence).
 func bmod(row, col, inner []float64, bs int) int64 {
-	for i := 0; i < bs; i++ {
-		in := inner[i*bs : i*bs+bs]
-		for k := 0; k < bs; k++ {
-			rik := row[i*bs+k]
-			if rik == 0 {
-				continue
-			}
-			ck := col[k*bs : k*bs+len(in)]
-			for j := range in {
-				in[j] -= rik * ck[j]
-			}
+	i := 0
+	for ; i+1 < bs; i += 2 {
+		r0, r1 := row[i*bs:i*bs+bs], row[(i+1)*bs:(i+1)*bs+bs]
+		in0, in1 := inner[i*bs:i*bs+bs], inner[(i+1)*bs:(i+1)*bs+bs]
+		if hasZero(r0) || hasZero(r1) {
+			bmodRow(r0, col, in0)
+			bmodRow(r1, col, in1)
+			continue
 		}
+		bmodPair(r0, r1, col, in0, in1)
+	}
+	if i < bs {
+		bmodRow(row[i*bs:i*bs+bs], col, inner[i*bs:i*bs+bs])
 	}
 	return int64(bs) * int64(bs) * int64(bs)
+}
+
+func hasZero(r []float64) bool {
+	for _, v := range r {
+		if v == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// bmodRow updates one row of inner, skipping zero entries of r.
+func bmodRow(r, col, in []float64) {
+	for k, rk := range r {
+		if rk == 0 {
+			continue
+		}
+		ck := col[k*len(in):][:len(in)]
+		for j := range in {
+			in[j] -= rk * ck[j]
+		}
+	}
+}
+
+// bmodPair updates rows in0 and in1 of inner from row entries r0 and
+// r1, none of them zero.
+func bmodPair(r0, r1, col, in0, in1 []float64) {
+	bs := len(in0)
+	in1 = in1[:bs]
+	k := 0
+	for ; k+4 <= bs; k += 4 {
+		sub4(in0, in1, col[k*bs:(k+4)*bs], (*[4]float64)(r0[k:k+4]), (*[4]float64)(r1[k:k+4]))
+	}
+	for ; k < bs; k++ {
+		a, b := r0[k], r1[k]
+		x := col[k*bs:][:bs]
+		for j := range in0 {
+			in0[j] -= a * x[j]
+			in1[j] -= b * x[j]
+		}
+	}
+}
+
+// sub4 subtracts from in0 and in1 their products of a and b with the
+// four rows of x, in row order. It is a function of its own so the
+// register allocator keeps its six row pointers and eight factors in
+// registers.
+func sub4(in0, in1, x []float64, a, b *[4]float64) {
+	bs := len(in0)
+	in1 = in1[:bs]
+	x0, x1, x2, x3 := x[:bs], x[bs:][:bs], x[2*bs:][:bs], x[3*bs:][:bs]
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+	for j := range in0 {
+		c0, c1, c2, c3 := x0[j], x1[j], x2[j], x3[j]
+		in0[j] = in0[j] - a0*c0 - a1*c1 - a2*c2 - a3*c3
+		in1[j] = in1[j] - b0*c0 - b1*c1 - b2*c2 - b3*c3
+	}
 }
 
 // Seq factorizes m in place sequentially, returning work units.
@@ -384,22 +447,15 @@ func parDep(c *omp.Context, m *Matrix, untied bool) {
 }
 
 func digest(m *Matrix) string {
-	h := fnv.New64a()
-	var buf [8]byte
+	d := core.NewDigest()
 	for _, b := range m.Blocks {
 		if b == nil {
-			h.Write([]byte{0xFF})
+			d.Byte(0xFF)
 			continue
 		}
-		for _, v := range b {
-			bits := math.Float64bits(v)
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(bits >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
+		d.Float64s(b)
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return d.String()
 }
 
 func seqRun(class core.Class) (*core.SeqResult, error) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bots/internal/core"
+	"bots/internal/inputs"
 	"bots/internal/sim"
 	"bots/internal/trace"
 )
@@ -292,5 +293,68 @@ func TestImbalanceExists(t *testing.T) {
 	}
 	if min == max {
 		t.Fatalf("row occupancies are uniform (%d); expected imbalance", min)
+	}
+}
+
+// plainBmod is the one-row, one-k triple loop of the C original, which
+// bmod's register blocking must reproduce bit for bit.
+func plainBmod(row, col, inner []float64, bs int) {
+	for i := 0; i < bs; i++ {
+		in := inner[i*bs : i*bs+bs]
+		for k := 0; k < bs; k++ {
+			rik := row[i*bs+k]
+			if rik == 0 {
+				continue
+			}
+			ck := col[k*bs : k*bs+len(in)]
+			for j := range in {
+				in[j] -= rik * ck[j]
+			}
+		}
+	}
+}
+
+// TestBmodMatchesPlainRecurrence compares every element's bits after
+// bmod and plainBmod, at block sizes with and without an odd last row
+// and a k tail past the last group of four. Besides dense blocks, it
+// places one zero row entry, in only one row of a pair or at the last
+// k (in the tail when bs is not a multiple of four), with a -0
+// witness: the element of inner in that row and column j0 starts at
+// -0, and column j0 of col holds zeros signed so that every other k's
+// product is +0, and -1 at the zero entry's k. Skipping that k leaves
+// -0; subtracting its product 0·-1 = -0 turns it into +0.
+func TestBmodMatchesPlainRecurrence(t *testing.T) {
+	for _, bs := range []int{1, 2, 3, 7, 16, 32, 48, 64} {
+		cases := []struct {
+			name string
+			i, k int // the zero row entry, or -1
+		}{
+			{"dense", -1, -1},
+			{"zero in the second row of a pair", min(1, bs-1), 0},
+			{"zero at the last k", 0, bs - 1},
+		}
+		for _, c := range cases {
+			row := inputs.Block(bs, 1, 0, 2, inputSeed)
+			col := inputs.Block(bs, 0, 1, 2, inputSeed)
+			inner := inputs.Block(bs, 1, 1, 2, inputSeed)
+			if c.i >= 0 {
+				j0 := bs / 2
+				row[c.i*bs+c.k] = 0
+				for k := 0; k < bs; k++ {
+					col[k*bs+j0] = math.Copysign(0, row[c.i*bs+k])
+				}
+				col[c.k*bs+j0] = -1
+				inner[c.i*bs+j0] = math.Copysign(0, -1)
+			}
+			want := append([]float64(nil), inner...)
+			plainBmod(row, col, want, bs)
+			bmod(row, col, inner, bs)
+			for e := range inner {
+				if math.Float64bits(inner[e]) != math.Float64bits(want[e]) {
+					t.Errorf("bs=%d %s: inner[%d][%d] = %v, want %v", bs, c.name, e/bs, e%bs, inner[e], want[e])
+					break
+				}
+			}
+		}
 	}
 }
