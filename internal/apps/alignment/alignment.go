@@ -16,8 +16,6 @@
 package alignment
 
 import (
-	"fmt"
-	"hash/fnv"
 	"time"
 
 	"bots/internal/core"
@@ -163,13 +161,9 @@ func SeqAlign(seqs [][]byte) ([]int32, int64) {
 }
 
 func digest(scores []int32) string {
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, v := range scores {
-		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	d := core.NewDigest()
+	d.Int32s(scores)
+	return d.String()
 }
 
 func seqRun(class core.Class) (*core.SeqResult, error) {

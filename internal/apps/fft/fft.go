@@ -13,7 +13,6 @@ package fft
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/bits"
 	"time"
@@ -157,18 +156,9 @@ func parFFT(c *omp.Context, in, out, tw []complex128, n, stride int, untied bool
 }
 
 func digest(a []complex128) string {
-	h := fnv.New64a()
-	var buf [16]byte
-	for _, v := range a {
-		r := math.Float64bits(real(v))
-		im := math.Float64bits(imag(v))
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(r >> (8 * i))
-			buf[8+i] = byte(im >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	d := core.NewDigest()
+	d.Complex128s(a)
+	return d.String()
 }
 
 func seqRun(class core.Class) (*core.SeqResult, error) {

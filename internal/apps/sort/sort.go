@@ -13,7 +13,6 @@ package sort
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 	"time"
 
@@ -253,16 +252,9 @@ func (r *run) parSort(c *omp.Context, a, tmp []int32) {
 
 // digest hashes the array contents.
 func digest(a []int32) string {
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, v := range a {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	d := core.NewDigest()
+	d.Int32s(a)
+	return d.String()
 }
 
 // isSorted reports whether a is non-decreasing.

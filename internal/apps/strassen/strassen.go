@@ -7,9 +7,6 @@
 package strassen
 
 import (
-	"fmt"
-	"hash/fnv"
-	"math"
 	"time"
 
 	"bots/internal/core"
@@ -282,16 +279,9 @@ func Naive(a, b []float64, n int) []float64 {
 }
 
 func digest(a []float64) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range a {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	d := core.NewDigest()
+	d.Float64s(a)
+	return d.String()
 }
 
 func seqRun(class core.Class) (*core.SeqResult, error) {
