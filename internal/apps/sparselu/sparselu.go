@@ -19,6 +19,16 @@
 // disappear entirely — tasks from step kk+1 start as soon as their
 // actual predecessors finish, while unrelated bmod updates from step
 // kk are still in flight.
+//
+// bmod, the O(bs³) trailing update, is where the factorization spends
+// its time. It is register-blocked: two rows of the inner block at a
+// time, with k unrolled by four, so a col word is loaded once for both
+// rows and an inner word once per four k. The result is bit-identical
+// to the C original's one-row, one-k loop: each element still
+// subtracts its products one at a time in ascending k (the sum is
+// written ia[j] - a0*x0 - a1*x1 - a2*x2 - a3*x3, which rounds left to
+// right), and a row pair with any zero row entry takes the one-row
+// loop, which skips that entry as the original does.
 package sparselu
 
 import (
@@ -139,32 +149,29 @@ func bdiv(diag, b []float64, bs int) int64 {
 	return int64(bs) * int64(bs) * int64(bs) / 2
 }
 
-// bmod computes inner -= row·col (the trailing update). It updates
-// two rows of inner at a time with k unrolled by four, so each col
-// word is loaded once for both rows and each inner word once per four
-// k. Every element still subtracts its row·col products one at a time
-// in ascending k, left to right, and a row pair with a zero row entry
-// takes the one-row loop, which skips that k as the C original does
-// (x - 0·c is not x when x is -0), so the result is bit-identical to
-// the plain triple loop (TestBmodMatchesPlainRecurrence).
+// bmod computes inner -= row·col (the trailing update), two rows at a
+// time (package doc). A zero row entry must be skipped, not multiplied:
+// -0 - 0·c is +0 when c < 0. TestBmodMatchesPlainRecurrence holds bmod
+// to the one-row loop bit for bit.
 func bmod(row, col, inner []float64, bs int) int64 {
-	i := 0
-	for ; i+1 < bs; i += 2 {
-		r0, r1 := row[i*bs:i*bs+bs], row[(i+1)*bs:(i+1)*bs+bs]
-		in0, in1 := inner[i*bs:i*bs+bs], inner[(i+1)*bs:(i+1)*bs+bs]
-		if hasZero(r0) || hasZero(r1) {
-			bmodRow(r0, col, in0)
-			bmodRow(r1, col, in1)
-			continue
+	for i := 0; i < bs; i += 2 {
+		r0, in0 := row[i*bs:][:bs], inner[i*bs:][:bs]
+		k := 0 // the k below which the pair's rows are done
+		if i+1 < bs {
+			r1, in1 := row[(i+1)*bs:][:bs], inner[(i+1)*bs:][:bs]
+			if !hasZero(r0) && !hasZero(r1) {
+				for ; k+4 <= bs; k += 4 {
+					sub4(in0, in1, col[k*bs:(k+4)*bs], (*[4]float64)(r0[k:k+4]), (*[4]float64)(r1[k:k+4]))
+				}
+			}
+			bmodRow(r1[k:], col[k*bs:], in1)
 		}
-		bmodPair(r0, r1, col, in0, in1)
-	}
-	if i < bs {
-		bmodRow(row[i*bs:i*bs+bs], col, inner[i*bs:i*bs+bs])
+		bmodRow(r0[k:], col[k*bs:], in0)
 	}
 	return int64(bs) * int64(bs) * int64(bs)
 }
 
+// hasZero reports whether r has an entry equal to zero, +0 or -0.
 func hasZero(r []float64) bool {
 	for _, v := range r {
 		if v == 0 {
@@ -174,7 +181,8 @@ func hasZero(r []float64) bool {
 	return false
 }
 
-// bmodRow updates one row of inner, skipping zero entries of r.
+// bmodRow subtracts from in its products of r with the rows of col,
+// one k at a time, skipping zero entries of r.
 func bmodRow(r, col, in []float64) {
 	for k, rk := range r {
 		if rk == 0 {
@@ -187,29 +195,10 @@ func bmodRow(r, col, in []float64) {
 	}
 }
 
-// bmodPair updates rows in0 and in1 of inner from row entries r0 and
-// r1, none of them zero.
-func bmodPair(r0, r1, col, in0, in1 []float64) {
-	bs := len(in0)
-	in1 = in1[:bs]
-	k := 0
-	for ; k+4 <= bs; k += 4 {
-		sub4(in0, in1, col[k*bs:(k+4)*bs], (*[4]float64)(r0[k:k+4]), (*[4]float64)(r1[k:k+4]))
-	}
-	for ; k < bs; k++ {
-		a, b := r0[k], r1[k]
-		x := col[k*bs:][:bs]
-		for j := range in0 {
-			in0[j] -= a * x[j]
-			in1[j] -= b * x[j]
-		}
-	}
-}
-
 // sub4 subtracts from in0 and in1 their products of a and b with the
-// four rows of x, in row order. It is a function of its own so the
-// register allocator keeps its six row pointers and eight factors in
-// registers.
+// four rows of x, in row order, left to right. It is a function of its
+// own so the register allocator keeps its six row pointers and eight
+// factors in registers.
 func sub4(in0, in1, x []float64, a, b *[4]float64) {
 	bs := len(in0)
 	in1 = in1[:bs]
