@@ -10,8 +10,8 @@ import (
 
 // Digest is the verification digest the kernels report: an FNV-64a of
 // their output values, each as its little-endian bytes, in order.
-// Values are staged in a buffer of a few KiB and hashed a buffer at a
-// time rather than with one hash.Write per value.
+// Values are staged in a 4 KiB buffer and hashed a buffer at a time,
+// so the hash is called once per buffer, not once per value.
 type Digest struct {
 	h   hash.Hash64
 	n   int
