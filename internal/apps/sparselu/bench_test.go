@@ -19,14 +19,14 @@ func BenchmarkKernels(b *testing.B) {
 		row := inputs.Block(bs, 1, 0, 2, inputSeed)
 		col := inputs.Block(bs, 0, 1, 2, inputSeed)
 		inner := inputs.Block(bs, 1, 1, 2, inputSeed)
-		scratch := make([]float64, bs*bs)
+		buf := make([]float64, bs*bs)
 		kernels := []struct {
 			name string
 			run  func()
 		}{
-			{"lu0", func() { lu0(append(scratch[:0], inner...), bs) }},
-			{"fwd", func() { fwd(diag, append(scratch[:0], col...), bs) }},
-			{"bdiv", func() { bdiv(diag, append(scratch[:0], row...), bs) }},
+			{"lu0", func() { lu0(append(buf[:0], inner...), bs) }},
+			{"fwd", func() { fwd(diag, append(buf[:0], col...), bs) }},
+			{"bdiv", func() { bdiv(diag, append(buf[:0], row...), bs) }},
 			{"bmod", func() { bmod(row, col, inner, bs) }},
 		}
 		for _, k := range kernels {
