@@ -21,6 +21,9 @@ import (
 // sparselu is here for its trailing update bmod, the O(bs³) loop of
 // the factorization: dep-tied at medium is the recording sim.replay
 // sets up, and for-tied at small is the version region.coarse runs.
+// nqueens is here for its free-column scan: manual-untied is the
+// version region.coarse runs and none-untied the one
+// region.finegrain runs, which spawns every node of the search.
 var kernelGolden = []kernelPin{
 	{"fft", "untied", core.Medium, "3b559854cdbcf4fe", 10485760, "3b559854cdbcf4fe", 4094, "e383b08642223fd6"},
 	{"sort", "untied", core.Medium, "b5c57319aa4cc8ec", 50331648, "b5c57319aa4cc8ec", 71293, "b4bca9ea58f3aaae"},
@@ -28,6 +31,8 @@ var kernelGolden = []kernelPin{
 	{"strassen", "none-tied", core.Medium, "e6f310a437b05d65", 96772096, "e6f310a437b05d65", 399, "0c26358ae85c5539"},
 	{"sparselu", "dep-tied", core.Medium, "63b7ece3622841e5", 1041629184, "63b7ece3622841e5", 9905, "8c7f634c451b8997"},
 	{"sparselu", "for-tied", core.Small, "0a8d3a33878c2a16", 34056864, "0a8d3a33878c2a16", 1141, "97e6d2553b9c7db6"},
+	{"nqueens", "manual-untied", core.Medium, "nqueens(12)=14200", 8214717, "nqueens(12)=14200", 879, "6955e30f1519a1a1"},
+	{"nqueens", "none-untied", core.Medium, "nqueens(12)=14200", 8214717, "nqueens(12)=14200", 856189, "192c75fcfcee8371"},
 }
 
 // kernelPin is one version's pinned figures at one class.
@@ -53,12 +58,25 @@ func TestKernelGoldenMedium(t *testing.T) { checkKernelGolden(t, core.Medium) }
 
 func TestKernelGoldenSmall(t *testing.T) { checkKernelGolden(t, core.Small) }
 
-// checkKernelGolden checks every kernelGolden row at class.
+// checkKernelGolden checks every kernelGolden row at class. A
+// benchmark with more than one row at class names its subtests by
+// version.
 func checkKernelGolden(t *testing.T, class core.Class) {
+	rows := map[string]int{}
 	for _, g := range kernelGolden {
 		if g.class == class {
-			t.Run(g.bench, func(t *testing.T) { checkKernelPin(t, g) })
+			rows[g.bench]++
 		}
+	}
+	for _, g := range kernelGolden {
+		if g.class != class {
+			continue
+		}
+		name := g.bench
+		if rows[g.bench] > 1 {
+			name += "/" + g.version
+		}
+		t.Run(name, func(t *testing.T) { checkKernelPin(t, g) })
 	}
 }
 
