@@ -1,9 +1,16 @@
 package nqueens
 
-import "testing"
+import (
+	"testing"
 
-func BenchmarkSeq10(b *testing.B) {
+	"bots/internal/core"
+)
+
+// BenchmarkSeq times the sequential search on the medium class's
+// board, the one region.coarse and region.finegrain run.
+func BenchmarkSeq(b *testing.B) {
+	n := classN[core.Medium]
 	for i := 0; i < b.N; i++ {
-		Seq(10)
+		Seq(n)
 	}
 }

@@ -12,6 +12,7 @@ package nqueens
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"bots/internal/core"
@@ -35,16 +36,19 @@ var classN = map[core.Class]int{
 // versions (rows beyond this are explored without creating tasks).
 const DefaultCutoffDepth = 3
 
-// ok reports whether a queen may be placed in column col of row row,
-// given the columns of the queens in rows [0, row).
-func ok(board []int8, row int, col int8) bool {
-	for i := 0; i < row; i++ {
-		d := board[i] - col
-		if d == 0 || d == int8(row-i) || d == int8(i-row) {
-			return false
-		}
+// free returns the columns of row len(prefix) of an n-column board
+// that no queen of prefix attacks, as a set whose bit c stands for
+// column c: one pass over the prefix marks each queen's column and
+// both its diagonals. Bits are offset by maxN so that a diagonal left
+// of column 0 lands on a bit of its own rather than a negative shift.
+func free(prefix []int8, n int) uint64 {
+	row := len(prefix)
+	var attacked uint64
+	for i, q := range prefix {
+		c, d := uint(q)+maxN, uint(row-i)
+		attacked |= 1<<c | 1<<(c+d) | 1<<(c-d)
 	}
-	return true
+	return ^(attacked >> maxN) & (1<<n - 1)
 }
 
 // seqCount counts solutions extending the first row rows of board,
@@ -56,11 +60,9 @@ func seqCount(board []int8, row int, work *int64) int64 {
 		return 1
 	}
 	var total int64
-	for col := int8(0); col < int8(n); col++ {
-		if ok(board, row, col) {
-			board[row] = col
-			total += seqCount(board, row+1, work)
-		}
+	for f := free(board[:row], n); f != 0; f &= f - 1 {
+		board[row] = int8(bits.TrailingZeros64(f))
+		total += seqCount(board, row+1, work)
 	}
 	return total
 }
@@ -120,11 +122,8 @@ func (r *run) par(c *omp.Context, nd *node) {
 		*r.counts.Get(c)++
 		return
 	}
-	for col := int8(0); col < int8(n); col++ {
-		if !ok(b[:], row, col) {
-			continue
-		}
-		child := b.with(row, col)
+	for f := free(b[:row], n); f != 0; f &= f - 1 {
+		child := b.with(row, int8(bits.TrailingZeros64(f)))
 		opts := r.opts
 		if row >= r.cutoff {
 			switch r.variant.Cutoff {

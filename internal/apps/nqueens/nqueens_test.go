@@ -15,6 +15,44 @@ func TestSeqKnownCounts(t *testing.T) {
 	}
 }
 
+// ok, the oracle free is tested against, reports whether a queen may
+// be placed in column col of row row, given the columns of the queens
+// in rows [0, row).
+func ok(board []int8, row int, col int8) bool {
+	for i := 0; i < row; i++ {
+		d := board[i] - col
+		if d == 0 || d == int8(row-i) || d == int8(i-row) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFreeColumnsMatchOk checks free against ok, column by column, at
+// every board prefix the search reaches for n up to 10.
+func TestFreeColumnsMatchOk(t *testing.T) {
+	for n := 1; n <= 10; n++ {
+		board := make([]int8, n)
+		var walk func(row int)
+		walk = func(row int) {
+			if row == n {
+				return
+			}
+			f := free(board[:row], n)
+			for col := int8(0); col < int8(n); col++ {
+				if got, want := f&(1<<col) != 0, ok(board, row, col); got != want {
+					t.Fatalf("n=%d prefix %v: column %d free = %v, ok = %v", n, board[:row], col, got, want)
+				}
+				if ok(board, row, col) {
+					board[row] = col
+					walk(row + 1)
+				}
+			}
+		}
+		walk(0)
+	}
+}
+
 func TestOkRejectsAttacks(t *testing.T) {
 	board := []int8{0, 2, 4, 0} // queens at (0,0), (1,2), (2,4)
 	// legal holds what row 3 allows, worked out apart from ok.
