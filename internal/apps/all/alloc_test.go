@@ -30,7 +30,7 @@ func TestSustainedAllocsPerTask(t *testing.T) {
 		// Score allocates one DP row (m, ix, iy and b's weight column
 		// per cell) per pair task. (2.31)
 		{"alignment", "untied", 2.9},
-		{"fft", "untied", 2.0},        // (1.62)
+		{"fft", "untied", 2.0},        // (1.19)
 		{"fib", "manual-tied", 0.066}, // (0.053)
 		{"fib", "none-tied", 0.002},   // every spawn is a task (0.0012)
 		{"fib", "none-untied", 0.002}, // (0.0015)

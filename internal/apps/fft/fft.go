@@ -8,7 +8,11 @@
 // topology with a single generic recursion.) As in the original's
 // compute_w_coefficients, the twiddle factors are computed once per
 // run, n/2 math.Sincos calls, into a table every level of the
-// recursion reads.
+// recursion reads. As the original's fft_aux does, a sub-transform
+// of more than unshuffleSize points first unshuffles its input, even
+// elements into one contiguous half of a scratch buffer and odd ones
+// into the other, so that no leaf gathers its input at a stride of
+// up to n/2.
 package fft
 
 import (
@@ -36,6 +40,13 @@ var classN = map[core.Class]int{
 }
 
 const capturedBytes = 56 // two slice headers + stride/size ints
+
+// unshuffleSize is the sub-transform size above which the recursion
+// unshuffles its input into contiguous halves before recursing: at
+// and below it, a sub-transform's strided input (64 KiB of complex128
+// at 4 096 points) stays in cache. 4 096 measured best on a 2-CPU
+// Xeon VM.
+const unshuffleSize = 4096
 
 // twiddles returns the twiddle factors of every level of a size-n
 // transform (n a power of two), level by level: the m/2 factors
@@ -66,9 +77,10 @@ func twiddles(n int) []complex128 {
 
 // seqFFT computes the DFT of in (viewed with the given stride) into
 // out, recursively, and returns the work performed. tw is the
-// twiddle table of the whole transform. It is both the sequential
-// reference and the leaf case of the parallel version, so sequential
-// and parallel runs produce bit-identical results.
+// twiddle table of the whole transform. It is both the lower levels
+// of the sequential transform and the leaf case of the parallel
+// version, so sequential and parallel runs produce bit-identical
+// results.
 func seqFFT(in, out, tw []complex128, n, stride int) int64 {
 	if n == 1 {
 		out[0] = in[0]
@@ -77,6 +89,45 @@ func seqFFT(in, out, tw []complex128, n, stride int) int64 {
 	h := n / 2
 	work := seqFFT(in, out[:h], tw, n/2, stride*2) +
 		seqFFT(in[stride:], out[h:], tw, n/2, stride*2)
+	return work + combine(out, tw, n)
+}
+
+// unshuffle copies the even elements of in[:len(dst)] into the first
+// half of dst and the odd ones into the second.
+func unshuffle(dst, in []complex128) {
+	h := len(dst) / 2
+	ev, od, in := dst[:h], dst[h:], in[:len(dst)]
+	for k := range ev {
+		ev[k] = in[2*k]
+		od[k] = in[2*k+1]
+	}
+}
+
+// scratch returns the two buffers a size-n transform unshuffles
+// through, nil when it never unshuffles.
+func scratch(n int) (a, b []complex128) {
+	if n <= unshuffleSize {
+		return nil, nil
+	}
+	return make([]complex128, n), make([]complex128, n)
+}
+
+// seqTransform computes the DFT of the contiguous in into out and
+// returns the work performed. Above unshuffleSize it unshuffles in
+// into a, whose halves are then the contiguous inputs of the two
+// half-size transforms; each of those unshuffles, in turn, into its
+// half of b and takes its own half of a, already read, as the next
+// level's scratch. It computes what seqFFT(in, out, tw, len(in), 1)
+// does, bit for bit: the copies move values, not arithmetic.
+func seqTransform(in, out, tw, a, b []complex128) int64 {
+	n := len(in)
+	if n <= unshuffleSize {
+		return seqFFT(in, out, tw, n, 1)
+	}
+	h := n / 2
+	unshuffle(a, in)
+	work := seqTransform(a[:h], out[:h], tw, b[:h], a[:h]) +
+		seqTransform(a[h:], out[h:], tw, b[h:], a[h:])
 	return work + combine(out, tw, n)
 }
 
@@ -99,7 +150,8 @@ func combine(out, tw []complex128, n int) int64 {
 // the work performed.
 func Seq(src []complex128) ([]complex128, int64) {
 	out := make([]complex128, len(src))
-	w := seqFFT(src, out, twiddles(len(src)), len(src), 1)
+	a, b := scratch(len(src))
+	w := seqTransform(src, out, twiddles(len(src)), a, b)
 	return out, w
 }
 
@@ -122,17 +174,46 @@ func Naive(src []complex128) []complex128 {
 
 // Inverse computes the inverse FFT (for round-trip verification).
 func Inverse(src []complex128) []complex128 {
+	a, b := scratch(len(src))
+	return inverse(src, twiddles(len(src)), a, b)
+}
+
+// inverse is Inverse with the forward transform's twiddle table tw
+// and scratch a and b: it conjugates, transforms forward and
+// conjugates back.
+func inverse(src, tw, a, b []complex128) []complex128 {
 	n := len(src)
 	conj := make([]complex128, n)
 	for i, v := range src {
 		conj[i] = complex(real(v), -imag(v))
 	}
-	out, _ := Seq(conj)
+	out := make([]complex128, n)
+	seqTransform(conj, out, tw, a, b)
 	inv := 1 / float64(n)
 	for i, v := range out {
 		out[i] = complex(real(v)*inv, -imag(v)*inv)
 	}
 	return out
+}
+
+// parTransform is seqTransform's task-parallel counterpart: a node
+// above unshuffleSize unshuffles its input before it spawns the two
+// half-size transforms, and the levels below are parFFT's. Its tasks,
+// work and writes are parFFT(c, in, out, tw, len(in), 1, untied)'s.
+func parTransform(c *omp.Context, in, out, tw, a, b []complex128, untied bool) {
+	n := len(in)
+	if n <= unshuffleSize {
+		parFFT(c, in, out, tw, n, 1, untied)
+		return
+	}
+	h := n / 2
+	unshuffle(a, in)
+	opts := core.TaskOpts(capturedBytes, untied, omp.TaskOpt{})
+	c.Task(func(c *omp.Context) { parTransform(c, a[:h], out[:h], tw, b[:h], a[:h], untied) }, opts[:]...)
+	c.Task(func(c *omp.Context) { parTransform(c, a[h:], out[h:], tw, b[h:], a[h:], untied) }, opts[:]...)
+	c.Taskwait()
+	c.AddWork(combine(out, tw, n))
+	c.AddWrites(0, int64(n))
 }
 
 // parFFT is the task-parallel recursion: each division spawns two
@@ -144,12 +225,9 @@ func parFFT(c *omp.Context, in, out, tw []complex128, n, stride int, untied bool
 		return
 	}
 	h := n / 2
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if untied {
-		opts = append(opts, omp.Untied())
-	}
-	c.Task(func(c *omp.Context) { parFFT(c, in, out[:h], tw, h, stride*2, untied) }, opts...)
-	c.Task(func(c *omp.Context) { parFFT(c, in[stride:], out[h:], tw, h, stride*2, untied) }, opts...)
+	opts := core.TaskOpts(capturedBytes, untied, omp.TaskOpt{})
+	c.Task(func(c *omp.Context) { parFFT(c, in, out[:h], tw, h, stride*2, untied) }, opts[:]...)
+	c.Task(func(c *omp.Context) { parFFT(c, in[stride:], out[h:], tw, h, stride*2, untied) }, opts[:]...)
 	c.Taskwait()
 	c.AddWork(combine(out, tw, n))
 	c.AddWrites(0, int64(n))
@@ -164,11 +242,14 @@ func digest(a []complex128) string {
 func seqRun(class core.Class) (*core.SeqResult, error) {
 	n := classN[class]
 	src := inputs.ComplexVector(n, inputSeed)
+	out := make([]complex128, n)
+	a, b := scratch(n)
 	start := time.Now()
-	out, work := Seq(src)
+	tw := twiddles(n)
+	work := seqTransform(src, out, tw, a, b)
 	elapsed := time.Since(start)
 	// Output validation: the round trip must recover the input.
-	back := Inverse(out)
+	back := inverse(out, tw, a, b)
 	for i := range src {
 		if d := back[i] - src[i]; math.Abs(real(d)) > 1e-9 || math.Abs(imag(d)) > 1e-9 {
 			return nil, fmt.Errorf("fft: inverse round-trip error at %d: %v", i, d)
@@ -193,10 +274,11 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	}
 	src := inputs.ComplexVector(n, inputSeed)
 	out := make([]complex128, n)
+	a, b := scratch(n)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			parFFT(c, src, out, twiddles(n), n, 1, variant.Untied)
+			parTransform(c, src, out, twiddles(n), a, b, variant.Untied)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)
