@@ -225,14 +225,6 @@ func OpenJournal(path string) (*Journal, *Recovery, error) {
 	return &Journal{path: path, f: f, nextSweep: maxID}, rec, nil
 }
 
-// Path returns the journal's backing file path.
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
-}
-
 // Close closes the journal. Later appends become no-ops, so a closed
 // journal is safe to leave wired into a still-draining dispatcher.
 func (j *Journal) Close() error {

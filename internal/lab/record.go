@@ -122,15 +122,6 @@ type Record struct {
 	VerifyError string `json:"verify_error,omitempty"`
 }
 
-// Speedup is the record's headline number: the simulated speedup over
-// the measured sequential baseline.
-func (r *Record) Speedup() float64 {
-	if r.Sim == nil {
-		return 0
-	}
-	return r.Sim.Speedup
-}
-
 // WriteJSON writes the record as a single JSON object.
 func (r *Record) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

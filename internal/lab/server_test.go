@@ -2,6 +2,7 @@ package lab_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -470,5 +472,57 @@ func TestServerRetiredSweep(t *testing.T) {
 	}
 	if got := disp.Counts(); got != counts {
 		t.Errorf("Counts() = %+v after DELETE of finished sweeps, want %+v", got, counts)
+	}
+}
+
+// TestServerWorkersGauge reads the fleet's workers by state
+// (FleetStatus.WorkersByState) through the bots_lab_workers gauge: one
+// worker holding a lease is busy, the other idle.
+func TestServerWorkersGauge(t *testing.T) {
+	f := testFleet(t, newFakeClock(), nil)
+	busy := f.Register("alpha", 1)
+	f.Register("beta", 1)
+	f.Enqueue(testSpec("fib", 1))
+	if leases, err := f.Lease(busy, 1); err != nil || len(leases) != 1 {
+		t.Fatalf("lease: %d leases, err %v", len(leases), err)
+	}
+	ts := httptest.NewServer((&lab.Server{Fleet: f}).Handler())
+	t.Cleanup(ts.Close)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		`bots_lab_workers{state="idle"} 1`,
+		`bots_lab_workers{state="busy"} 1`,
+		`bots_lab_workers{state="dead"} 0`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("metrics missing %q in:\n%s", want, body)
+		}
+	}
+}
+
+// TestWorkerClientReportsCoordinatorStatus checks the error a worker
+// returns when the coordinator refuses its registration with a 4xx:
+// it names the status and the coordinator's reason, and is not
+// retried.
+func TestWorkerClientReportsCoordinatorStatus(t *testing.T) {
+	var posts atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		http.Error(w, "capacity must be positive", http.StatusBadRequest)
+	}))
+	t.Cleanup(ts.Close)
+	w := &lab.WorkerClient{Coordinator: ts.URL, Name: "w", Logf: t.Logf}
+	err := w.Run(context.Background())
+	want := "lab: registering with " + ts.URL + ": lab: coordinator returned 400: capacity must be positive"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run error = %v, want %q", err, want)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("coordinator saw %d posts, want 1", n)
 	}
 }

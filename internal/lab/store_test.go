@@ -131,6 +131,10 @@ func TestStoreSelectFilters(t *testing.T) {
 	if got := len(s.Select(lab.Filter{Verified: &f})); got != 0 {
 		t.Errorf("verified=false filter matched %d, want 0", got)
 	}
+	want := "bench=fib version= class= threads=2 key="
+	if got := (lab.Filter{Bench: "fib", Threads: 2}).String(); got != want {
+		t.Errorf("Filter.String() = %q, want %q", got, want)
+	}
 }
 
 // writeStoreRecords populates a fresh store file with n fib records

@@ -260,9 +260,8 @@ lease:
 	return nil
 }
 
-// Done and Failed report lifetime execution counts.
-func (c *WorkerClient) Done() int64   { return c.done.Load() }
-func (c *WorkerClient) Failed() int64 { return c.failed.Load() }
+// Done reports how many leases this worker has executed to a record.
+func (c *WorkerClient) Done() int64 { return c.done.Load() }
 
 // execute runs one lease and reports the outcome. Results are posted
 // with a background context: a drain (SIGTERM) must still deliver
