@@ -20,8 +20,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -37,46 +40,75 @@ import (
 )
 
 func main() {
+	os.Exit(exitCode(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// errUsage marks a command-line mistake.
+var errUsage = errors.New("usage")
+
+// exitCode reports err on stderr and maps it to the exit status: 0
+// on success or -h, 2 on a usage error, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintln(stderr, "bots:", err)
+	if errors.Is(err, errUsage) {
+		return 2
+	}
+	return 1
+}
+
+// run is the driver. A run has no point at which it could stop early,
+// so ctx goes unread and Ctrl-C keeps its default effect.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bots", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list      = flag.Bool("list", false, "list benchmarks and versions")
-		bench     = flag.String("bench", "", "benchmark name")
-		className = flag.String("class", "small", "input class: test/small/medium/large")
-		version   = flag.String("version", "", "version to run (default: the benchmark's best version)")
-		threads   = flag.Int("threads", 4, "team size")
-		cutoff    = flag.Int("cutoff", 0, "application depth cut-off override (0 = default)")
-		rtCutoff  = flag.String("runtime-cutoff", "none", "runtime cut-off: "+strings.Join(omp.Cutoffs(), "/"))
-		policy    = flag.String("policy", "workfirst", "task scheduler: "+strings.Join(omp.Schedulers(), "/"))
-		verify    = flag.Bool("verify", true, "run the sequential reference and verify the parallel result")
-		simulate  = flag.Int("simulate", 0, "also record a task graph and simulate this many virtual threads (0 = off)")
-		jsonOut   = flag.Bool("json", false, "run the full lab pipeline (seq reference + verify + simulate; -simulate 0 means the recording team size) and emit the machine-readable lab Record instead of text")
-		storePath = flag.String("store", "", "with -json: persist the record in (and answer cache hits from) this lab store")
-		obsDump   = flag.Bool("obs", false, "after the run, dump its runtime counters as bots_run_* Prometheus text exposition on stdout")
-		procs     = flag.Int("procs", 0, "set GOMAXPROCS for the run — the oversubscription axis (0 = runtime default; -threads greater than -procs oversubscribes)")
-		pin       = flag.Bool("pin", false, "wire each team worker to an OS thread for the run (the pinning axis)")
+		list      = fs.Bool("list", false, "list benchmarks and versions")
+		bench     = fs.String("bench", "", "benchmark name")
+		className = fs.String("class", "small", "input class: test/small/medium/large")
+		version   = fs.String("version", "", "version to run (default: the benchmark's best version)")
+		threads   = fs.Int("threads", 4, "team size")
+		cutoff    = fs.Int("cutoff", 0, "application depth cut-off override (0 = default)")
+		rtCutoff  = fs.String("runtime-cutoff", "none", "runtime cut-off: "+strings.Join(omp.Cutoffs(), "/"))
+		policy    = fs.String("policy", "workfirst", "task scheduler: "+strings.Join(omp.Schedulers(), "/"))
+		verify    = fs.Bool("verify", true, "run the sequential reference and verify the parallel result")
+		simulate  = fs.Int("simulate", 0, "also record a task graph and simulate this many virtual threads (0 = off)")
+		jsonOut   = fs.Bool("json", false, "run the full lab pipeline (seq reference + verify + simulate; -simulate 0 means the recording team size) and emit the machine-readable lab Record instead of text")
+		storePath = fs.String("store", "", "with -json: persist the record in (and answer cache hits from) this lab store")
+		obsDump   = fs.Bool("obs", false, "after the run, dump its runtime counters as bots_run_* Prometheus text exposition on stdout")
+		procs     = fs.Int("procs", 0, "set GOMAXPROCS for the run — the oversubscription axis (0 = runtime default; -threads greater than -procs oversubscribes)")
+		pin       = fs.Bool("pin", false, "wire each team worker to an OS thread for the run (the pinning axis)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	if *list {
 		for _, b := range core.All() {
-			fmt.Printf("%-10s best=%-14s versions=%s\n", b.Name, b.BestVersion, strings.Join(b.Versions, ","))
+			fmt.Fprintf(stdout, "%-10s best=%-14s versions=%s\n", b.Name, b.BestVersion, strings.Join(b.Versions, ","))
 		}
-		return
+		return nil
 	}
 	if *bench == "" {
-		fmt.Fprintln(os.Stderr, "bots: -bench is required (or -list); see -h")
-		os.Exit(2)
+		return fmt.Errorf("%w: -bench is required (or -list); see -h", errUsage)
 	}
 	b, err := core.Get(*bench)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	class, err := core.ParseClass(*className)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	v := *version
 	if v == "" {
 		v = b.BestVersion
 	}
 	if !b.HasVersion(v) {
-		fatal(fmt.Errorf("benchmark %q has no version %q (have %s)",
-			b.Name, v, strings.Join(b.Versions, ", ")))
+		return fmt.Errorf("benchmark %q has no version %q (have %s)",
+			b.Name, v, strings.Join(b.Versions, ", "))
 	}
 
 	if *jsonOut {
@@ -86,7 +118,7 @@ func main() {
 		// the simulator) and always simulates; flags that would skip
 		// those stages in text mode do not apply here.
 		if !*verify {
-			fmt.Fprintln(os.Stderr, "bots: note: -json always runs the sequential reference and verification; -verify=false is ignored")
+			fmt.Fprintln(stderr, "bots: note: -json always runs the sequential reference and verification; -verify=false is ignored")
 		}
 		spec := lab.JobSpec{
 			Bench:         b.Name,
@@ -103,18 +135,23 @@ func main() {
 		var runner lab.Runner = lab.NewDirectRunner()
 		if *storePath != "" {
 			store, err := lab.OpenStore(*storePath)
-			fatal(err)
+			if err != nil {
+				return err
+			}
 			defer store.Close()
 			runner = lab.NewCachedRunner(store, runner)
 		}
 		rec, err := runner.Run(spec)
-		fatal(err)
-		fatal(rec.WriteJSON(os.Stdout))
-		if !rec.Verified {
-			fmt.Fprintf(os.Stderr, "bots: verification failed: %s\n", rec.VerifyError)
-			os.Exit(1)
+		if err != nil {
+			return err
 		}
-		return
+		if err := rec.WriteJSON(stdout); err != nil {
+			return err
+		}
+		if !rec.Verified {
+			return fmt.Errorf("verification failed: %s", rec.VerifyError)
+		}
+		return nil
 	}
 
 	cfg := core.RunConfig{
@@ -127,24 +164,25 @@ func main() {
 		PinWorkers:  *pin,
 	}
 	if *procs > 0 {
-		// The process exits after the run, so no restore is needed;
-		// setting it before the sequential reference keeps both sides
-		// of a -verify run under the same proc count.
-		runtime.GOMAXPROCS(*procs)
+		// Set before the sequential reference, so both sides of a
+		// -verify run use the same proc count.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(*procs))
 	}
 	// Both name vocabularies resolve through omp's constructors, the
 	// same single source of truth lab manifests validate against.
-	rc, err := omp.NewCutoff(*rtCutoff)
-	fatal(err)
-	cfg.RuntimeCutoff = rc
-	_, err = omp.NewScheduler(*policy)
-	fatal(err)
+	if cfg.RuntimeCutoff, err = omp.NewCutoff(*rtCutoff); err != nil {
+		return err
+	}
+	if _, err := omp.NewScheduler(*policy); err != nil {
+		return err
+	}
 
 	var seq *core.SeqResult
 	if *verify || *simulate > 0 {
-		seq, err = b.Seq(class)
-		fatal(err)
-		fmt.Printf("sequential: %v (work=%d units, mem≈%d bytes)\n", seq.Elapsed, seq.Work, seq.MemBytes)
+		if seq, err = b.Seq(class); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "sequential: %v (work=%d units, mem≈%d bytes)\n", seq.Elapsed, seq.Work, seq.MemBytes)
 	}
 
 	var rec *trace.Recorder
@@ -152,21 +190,23 @@ func main() {
 		rec = trace.NewRecorder()
 		cfg.Threads = *simulate
 		cfg.Recorder = rec
-		fmt.Printf("note: -simulate records on a %d-thread team\n", *simulate)
+		fmt.Fprintf(stdout, "note: -simulate records on a %d-thread team\n", *simulate)
 	}
 	res, err := b.Run(cfg)
-	fatal(err)
-	fmt.Printf("parallel %s/%s on %d threads: %v\n", b.Name, v, cfg.Threads, res.Elapsed)
-	fmt.Printf("  %s\n", res.Stats)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "parallel %s/%s on %d threads: %v\n", b.Name, v, cfg.Threads, res.Elapsed)
+	fmt.Fprintf(stdout, "  %s\n", res.Stats)
 	if res.Metric > 0 {
-		fmt.Printf("  metric: %.0f (nodes visited; throughput = %.0f nodes/s)\n",
+		fmt.Fprintf(stdout, "  metric: %.0f (nodes visited; throughput = %.0f nodes/s)\n",
 			res.Metric, res.Metric/res.Elapsed.Seconds())
 	}
 	if *verify {
 		if err := b.Check(seq, res); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("  verification: OK")
+		fmt.Fprintln(stdout, "  verification: OK")
 	}
 	if *obsDump {
 		// One-shot exposition dump of the finished region's counters —
@@ -175,23 +215,19 @@ func main() {
 		// different cells can be concatenated and still be valid.
 		reg := obs.NewRegistry()
 		st := *res.Stats
-		omp.RegisterStats(reg, "bots_run", func() omp.Stats { return st },
-			obs.Label{Name: "bench", Value: b.Name},
-			obs.Label{Name: "version", Value: v},
-			obs.Label{Name: "scheduler", Value: *policy},
-			obs.Label{Name: "threads", Value: strconv.Itoa(cfg.Threads)})
+		cell := []obs.Label{{Name: "bench", Value: b.Name}, {Name: "version", Value: v},
+			{Name: "scheduler", Value: *policy}, {Name: "threads", Value: strconv.Itoa(cfg.Threads)}}
+		omp.RegisterStats(reg, "bots_run", func() omp.Stats { return st }, cell...)
 		reg.GaugeFunc("bots_run_elapsed_seconds", "Wall-clock time of the parallel run.",
-			func() float64 { return res.Elapsed.Seconds() },
-			obs.Label{Name: "bench", Value: b.Name},
-			obs.Label{Name: "version", Value: v},
-			obs.Label{Name: "scheduler", Value: *policy},
-			obs.Label{Name: "threads", Value: strconv.Itoa(cfg.Threads)})
-		fatal(reg.WritePrometheus(os.Stdout))
+			func() float64 { return res.Elapsed.Seconds() }, cell...)
+		if err := reg.WritePrometheus(stdout); err != nil {
+			return err
+		}
 	}
 	if *simulate > 0 {
 		tr := rec.Finish()
 		if err := tr.Validate(); err != nil {
-			fatal(err)
+			return err
 		}
 		p := sim.DefaultOverheads()
 		p.WorkUnitNS = float64(seq.Elapsed.Nanoseconds()) / float64(seq.Work)
@@ -199,14 +235,10 @@ func main() {
 		p.BandwidthCap = b.Profile.BandwidthCap
 		p.Scheduler = *policy // replay under the matching queue discipline
 		r, err := sim.Run(tr, *simulate, p)
-		fatal(err)
-		fmt.Printf("  simulated on %d virtual threads: %s\n", *simulate, r)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "  simulated on %d virtual threads: %s\n", *simulate, r)
 	}
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bots:", err)
-		os.Exit(1)
-	}
+	return nil
 }

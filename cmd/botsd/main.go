@@ -23,8 +23,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -40,35 +42,64 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(exitCode(err, os.Stderr))
+}
+
+// errUsage marks a command-line mistake.
+var errUsage = errors.New("usage")
+
+// exitCode reports err on stderr and maps it to the exit status: 0
+// on success, a drain or -h, 2 on a usage error, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintln(stderr, "botsd:", err)
+	if errors.Is(err, errUsage) {
+		return 2
+	}
+	return 1
+}
+
+// run is the daemon. Cancelling ctx drains it; run returns once the
+// worker has deregistered and the metrics listener has stopped.
+func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	defaultName, _ := os.Hostname()
 	if defaultName == "" {
 		defaultName = "botsd"
 	}
-	defaultName = fmt.Sprintf("%s-%d", defaultName, os.Getpid())
+	fs := flag.NewFlagSet("botsd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		coordinator    = flag.String("coordinator", "http://localhost:8080", "botslab coordinator base URL")
-		name           = flag.String("name", defaultName, "worker name recorded in result provenance")
-		capacity       = flag.Int("capacity", runtime.NumCPU(), "max concurrently executing leases")
-		poll           = flag.Duration("poll", 250*time.Millisecond, "idle lease-poll interval")
-		requestTimeout = flag.Duration("request-timeout", 5*time.Second, "per-request coordinator timeout")
-		wireRetries    = flag.Int("wire-retries", 2, "retries per coordinator request on transport errors and 5xx (never 4xx)")
-		startupRetries = flag.Int("startup-retries", 5, "registration retries (with backoff) while the coordinator is unreachable at startup")
-		metricsAddr    = flag.String("metrics-addr", "", "address to serve /metrics on (e.g. :9091); empty = no metrics endpoint")
+		coordinator    = fs.String("coordinator", "http://localhost:8080", "botslab coordinator base URL")
+		name           = fs.String("name", fmt.Sprintf("%s-%d", defaultName, os.Getpid()), "worker name recorded in result provenance")
+		capacity       = fs.Int("capacity", runtime.NumCPU(), "max concurrently executing leases")
+		poll           = fs.Duration("poll", 250*time.Millisecond, "idle lease-poll interval")
+		requestTimeout = fs.Duration("request-timeout", 5*time.Second, "per-request coordinator timeout")
+		wireRetries    = fs.Int("wire-retries", 2, "retries per coordinator request on transport errors and 5xx (never 4xx)")
+		startupRetries = fs.Int("startup-retries", 5, "registration retries (with backoff) while the coordinator is unreachable at startup")
+		metricsAddr    = fs.String("metrics-addr", "", "address to serve /metrics on (e.g. :9091); empty = no metrics endpoint")
 
-		chaosLatency = flag.Duration("chaos-latency", 0, "inject this base latency into every coordinator request")
-		chaosJitter  = flag.Duration("chaos-jitter", 0, "uniform ± jitter on the injected latency")
-		chaosDrop    = flag.Float64("chaos-drop", 0, "probability [0,1] a coordinator request or response is dropped")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic fault sequence")
-		chaosOffset  = flag.Duration("chaos-clock-offset", 0, "skew this worker's clock by the given offset")
+		chaosLatency = fs.Duration("chaos-latency", 0, "inject this base latency into every coordinator request")
+		chaosJitter  = fs.Duration("chaos-jitter", 0, "uniform ± jitter on the injected latency")
+		chaosDrop    = fs.Float64("chaos-drop", 0, "probability [0,1] a coordinator request or response is dropped")
+		chaosSeed    = fs.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic fault sequence")
+		chaosOffset  = fs.Duration("chaos-clock-offset", 0, "skew this worker's clock by the given offset")
 	)
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "botsd[%s]: %s\n", *name, fmt.Sprintf(format, args...))
+		fmt.Fprintf(stderr, "botsd[%s]: %s\n", *name, fmt.Sprintf(format, args...))
 	}
+	// A transport of its own, so no idle coordinator connection
+	// outlives run.
+	wire := http.DefaultTransport.(*http.Transport).Clone()
+	defer wire.CloseIdleConnections()
 	w := &lab.WorkerClient{
 		Coordinator:    *coordinator,
 		Name:           *name,
@@ -77,6 +108,7 @@ func main() {
 		RequestTimeout: *requestTimeout,
 		WireRetries:    *wireRetries,
 		StartupRetries: *startupRetries,
+		Client:         &http.Client{Transport: wire},
 		Logf:           logf,
 	}
 
@@ -87,7 +119,7 @@ func main() {
 			Jitter:   *chaosJitter,
 			DropRate: *chaosDrop,
 		})
-		w.Client = &http.Client{Transport: inj.Transport(nil)}
+		w.Client = &http.Client{Transport: inj.Transport(wire)}
 		logf("chaos wire enabled: latency=%s±%s drop=%.2f seed=%d", *chaosLatency, *chaosJitter, *chaosDrop, *chaosSeed)
 	}
 	if *chaosOffset != 0 {
@@ -103,15 +135,14 @@ func main() {
 		mux.Handle("/metrics", reg.Handler())
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "botsd:", err)
-			os.Exit(1)
+			return err
 		}
 		logf("metrics on http://%s/metrics", ln.Addr())
-		go http.Serve(ln, mux)
+		srv := &http.Server{Handler: mux}
+		served := make(chan struct{})
+		go func() { srv.Serve(ln); close(served) }()
+		defer func() { srv.Close(); <-served }()
 	}
 
-	if err := w.Run(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "botsd:", err)
-		os.Exit(1)
-	}
+	return w.Run(ctx)
 }

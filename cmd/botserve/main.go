@@ -20,12 +20,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -34,32 +36,61 @@ import (
 
 	"bots/internal/core"
 	"bots/internal/obs"
+	"bots/internal/obs/obshttp"
 	"bots/internal/serve"
 )
 
 func main() {
+	os.Exit(exitCode(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// errVerify marks a run in which requests failed verification.
+var errVerify = errors.New("requests failed verification")
+
+// exitCode reports err on stderr and maps it to the exit status: 0
+// on success or -h, 1 when requests failed verification, 2 on any
+// other error.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintln(stderr, "botserve:", err)
+	if errors.Is(err, errVerify) {
+		return 1
+	}
+	return 2
+}
+
+// run is the driver. The load generator has no point at which it
+// could stop early, so ctx goes unread and Ctrl-C keeps its default
+// effect. A -metrics-addr listener lives as long as run.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("botserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench     = flag.String("bench", "health", "service workload: "+strings.Join(serve.WorkloadNames(), ", "))
-		class     = flag.String("class", "test", "input class (test/small/medium/large)")
-		scheduler = flag.String("scheduler", "", "omp scheduler name (empty = default)")
-		cutoff    = flag.Int("cutoff", -1, "workload cutoff knob (-1 = workload default)")
-		workers   = flag.Int("workers", 0, "persistent-team size (0 = GOMAXPROCS)")
-		rate      = flag.Float64("rate", 100, "target mean arrival rate, requests/s")
-		arrivals  = flag.String("arrivals", "poisson", "arrival process: poisson, fixed, bursty")
-		duration  = flag.Duration("duration", 2*time.Second, "generation window (fixed-duration mode)")
-		requests  = flag.Int("requests", 0, "fixed-request mode when > 0 (overrides -duration)")
-		inflight  = flag.Int("max-inflight", 0, "admission cap before shedding (0 = 64×workers)")
-		seed      = flag.Uint64("seed", 1, "arrival-process RNG seed")
-		asJSON    = flag.Bool("json", false, "emit the bots-serve/v1 report as JSON on stdout")
-		metrics   = flag.String("metrics-addr", "", "listen address for GET /metrics + pprof + /debug/flightrec (empty = off)")
-		frCap     = flag.Int("flight-recorder", 0, "per-worker scheduler-event ring size (0 = off; implied 4096 when -metrics-addr is set)")
-		stallThr  = flag.Duration("stall-threshold", time.Second, "dump the flight recorder when live tasks sit unclaimed with all workers parked this long (needs -flight-recorder)")
+		bench     = fs.String("bench", "health", "service workload: "+strings.Join(serve.WorkloadNames(), ", "))
+		class     = fs.String("class", "test", "input class (test/small/medium/large)")
+		scheduler = fs.String("scheduler", "", "omp scheduler name (empty = default)")
+		cutoff    = fs.Int("cutoff", -1, "workload cutoff knob (-1 = workload default)")
+		workers   = fs.Int("workers", 0, "persistent-team size (0 = GOMAXPROCS)")
+		rate      = fs.Float64("rate", 100, "target mean arrival rate, requests/s")
+		arrivals  = fs.String("arrivals", "poisson", "arrival process: poisson, fixed, bursty")
+		duration  = fs.Duration("duration", 2*time.Second, "generation window (fixed-duration mode)")
+		requests  = fs.Int("requests", 0, "fixed-request mode when > 0 (overrides -duration)")
+		inflight  = fs.Int("max-inflight", 0, "admission cap before shedding (0 = 64×workers)")
+		seed      = fs.Uint64("seed", 1, "arrival-process RNG seed")
+		asJSON    = fs.Bool("json", false, "emit the bots-serve/v1 report as JSON on stdout")
+		metrics   = fs.String("metrics-addr", "", "listen address for GET /metrics + pprof + /debug/flightrec (empty = off)")
+		frCap     = fs.Int("flight-recorder", 0, "per-worker scheduler-event ring size (0 = off; implied 4096 when -metrics-addr is set)")
+		stallThr  = fs.Duration("stall-threshold", time.Second, "dump the flight recorder when live tasks sit unclaimed with all workers parked this long (needs -flight-recorder)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cls, err := core.ParseClass(*class)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	cfg := serve.Config{
@@ -88,51 +119,72 @@ func main() {
 		if cfg.FlightRecorderCap <= 0 {
 			cfg.FlightRecorderCap = 4096
 		}
-		startMetricsListener(*metrics, cfg.Obs, flightRec.Load)
+		mux := http.NewServeMux()
+		obshttp.Mount(mux, cfg.Obs)
+		mux.HandleFunc("GET /debug/flightrec", func(w http.ResponseWriter, r *http.Request) {
+			fr := flightRec.Load()
+			if fr == nil {
+				http.Error(w, "flight recorder not attached", http.StatusNotFound)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			fr.WriteJSON(w)
+		})
+		// Bound before the run starts, so a scrape racing it gets a
+		// connection, not a refusal.
+		ln, err := net.Listen("tcp", *metrics)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "botserve: metrics on http://%s/metrics\n", ln.Addr())
+		srv := &http.Server{Handler: mux}
+		served := make(chan struct{})
+		go func() { srv.Serve(ln); close(served) }()
+		defer func() { srv.Close(); <-served }()
 	}
 	if cfg.FlightRecorderCap > 0 {
 		cfg.OnRecorder = func(fr *obs.FlightRecorder) { flightRec.Store(fr) }
 		if *stallThr > 0 {
 			cfg.StallThreshold = *stallThr
 			cfg.OnStall = func(fr *obs.FlightRecorder) {
-				fmt.Fprintf(os.Stderr, "botserve: stall detected (live tasks with all workers parked > %v); flight-recorder dump:\n", *stallThr)
-				fr.WriteJSON(os.Stderr)
+				fmt.Fprintf(stderr, "botserve: stall detected (live tasks with all workers parked > %v); flight-recorder dump:\n", *stallThr)
+				fr.WriteJSON(stderr)
 			}
 		}
 	}
 
 	rep, err := serve.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := rep.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
-		printReport(rep)
+		printReport(stdout, rep)
 	}
 	if rep.VerifyFailures > 0 {
-		fmt.Fprintf(os.Stderr, "botserve: %d requests failed verification\n", rep.VerifyFailures)
-		os.Exit(1)
+		return fmt.Errorf("%d %w", rep.VerifyFailures, errVerify)
 	}
+	return nil
 }
 
-func printReport(r *serve.Report) {
-	fmt.Printf("botserve: %s/%s scheduler=%s arrivals=%s workers=%d\n",
+func printReport(stdout io.Writer, r *serve.Report) {
+	fmt.Fprintf(stdout, "botserve: %s/%s scheduler=%s arrivals=%s workers=%d\n",
 		r.Bench, r.Class, r.Scheduler, r.Arrivals, r.Workers)
-	fmt.Printf("  offered %.1f/s (target %.1f/s), completed %d, shed %d, throughput %.1f/s, elapsed %v\n",
+	fmt.Fprintf(stdout, "  offered %.1f/s (target %.1f/s), completed %d, shed %d, throughput %.1f/s, elapsed %v\n",
 		r.OfferedHz, r.RateHz, r.Completed, r.Shed, r.ThroughputHz, time.Duration(r.ElapsedNS).Round(time.Millisecond))
 	if r.VerifyFailures > 0 {
-		fmt.Printf("  VERIFY FAILURES: %d\n", r.VerifyFailures)
+		fmt.Fprintf(stdout, "  VERIFY FAILURES: %d\n", r.VerifyFailures)
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  latency\tp50\tp90\tp99\tp999\tmax\tmean")
 	for _, row := range []struct {
 		name string
@@ -142,47 +194,10 @@ func printReport(r *serve.Report) {
 			ms(row.s.P50), ms(row.s.P90), ms(row.s.P99), ms(row.s.P999), ms(row.s.Max), ms(row.s.Mean))
 	}
 	w.Flush()
-	fmt.Printf("  runtime: %d tasks, %d steals, %d parks\n",
+	fmt.Fprintf(stdout, "  runtime: %d tasks, %d steals, %d parks\n",
 		r.Runtime.TasksCreated, r.Runtime.TasksStolen, r.Runtime.IdleParks)
 }
 
 func ms(ns int64) string {
 	return time.Duration(ns).Round(time.Microsecond).String()
-}
-
-// startMetricsListener binds the observability endpoint immediately
-// (so a scrape racing process startup gets a connection, not a
-// refusal) and serves it for the life of the process:
-//
-//	GET /metrics           Prometheus text exposition of reg
-//	GET /debug/flightrec   bots-flightrec/v2 JSON dump (404 until the
-//	                       run attaches its recorder)
-//	GET /debug/pprof/...   net/http/pprof profiles
-func startMetricsListener(addr string, reg *obs.Registry, getFR func() *obs.FlightRecorder) {
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.HandleFunc("GET /debug/flightrec", func(w http.ResponseWriter, r *http.Request) {
-		fr := getFR()
-		if fr == nil {
-			http.Error(w, "flight recorder not attached", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fr.WriteJSON(w)
-	})
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	go http.Serve(ln, mux)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "botserve:", err)
-	os.Exit(2)
 }

@@ -4,7 +4,7 @@
 // content-addressed result store, and serves the whole thing over
 // HTTP (`bots serve`-style).
 //
-// One-shot sweep (CI smoke, batch measurement):
+// One-shot sweep (batch measurement):
 //
 //	botslab -manifest examples/manifests/ci-smoke.json -store /tmp/lab.jsonl
 //
@@ -31,12 +31,18 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
+	"sync"
+	"syscall"
 	"time"
 
 	_ "bots/internal/apps/all"
@@ -46,33 +52,64 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(exitCode(err, os.Stderr))
+}
+
+// errUsage marks a command-line mistake.
+var errUsage = errors.New("usage")
+
+// exitCode reports err on stderr and maps it to the exit status: 0
+// on success or -h, 2 on a usage error, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintln(stderr, "botslab:", err)
+	if errors.Is(err, errUsage) {
+		return 2
+	}
+	return 1
+}
+
+// run is the driver. Cancelling ctx cancels a -manifest sweep, or
+// ends -serve: either way run stops the listener and every unfinished
+// sweep before it returns, with the journal closed first, so a
+// restart on it resumes them as it would after a crash.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("botslab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		storePath   = flag.String("store", "bots-lab.jsonl", "lab result store (JSONL); empty = in-memory only")
-		manifest    = flag.String("manifest", "", "sweep manifest to run to completion")
-		serve       = flag.String("serve", "", "address to serve the lab HTTP API on (e.g. :8080); empty = run the manifest and exit")
-		workers     = flag.Int("workers", 0, "dispatcher worker-pool size (0 = NumCPU locally, 64 with -fleet)")
-		retries     = flag.Int("retries", 1, "per-job retries after a failure")
-		progress    = flag.Bool("progress", true, "print per-job progress lines for -manifest sweeps")
-		fleet       = flag.Bool("fleet", false, "dispatch cache misses to registered botsd workers instead of executing in-process (requires -serve)")
-		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "fleet lease lifetime without a heartbeat")
-		maxAttempts = flag.Int("max-attempts", 3, "fleet lease attempts per job before it fails")
-		journalPath = flag.String("journal", "", "fleet write-ahead journal for coordinator crash recovery (default <store>.journal with -fleet; 'off' disables)")
+		storePath   = fs.String("store", "bots-lab.jsonl", "lab result store (JSONL); empty = in-memory only")
+		manifest    = fs.String("manifest", "", "sweep manifest to run to completion")
+		serve       = fs.String("serve", "", "address to serve the lab HTTP API on (e.g. :8080); empty = run the manifest and exit")
+		workers     = fs.Int("workers", 0, "dispatcher worker-pool size (0 = NumCPU locally, 64 with -fleet)")
+		retries     = fs.Int("retries", 1, "per-job retries after a failure")
+		progress    = fs.Bool("progress", true, "print per-job progress lines for -manifest sweeps")
+		fleet       = fs.Bool("fleet", false, "dispatch cache misses to registered botsd workers instead of executing in-process (requires -serve)")
+		leaseTTL    = fs.Duration("lease-ttl", 10*time.Second, "fleet lease lifetime without a heartbeat")
+		maxAttempts = fs.Int("max-attempts", 3, "fleet lease attempts per job before it fails")
+		journalPath = fs.String("journal", "", "fleet write-ahead journal for coordinator crash recovery (default <store>.journal with -fleet; 'off' disables)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 	if *manifest == "" && *serve == "" {
-		fmt.Fprintln(os.Stderr, "botslab: nothing to do: pass -manifest and/or -serve; see -h")
-		os.Exit(2)
+		return fmt.Errorf("%w: nothing to do: pass -manifest and/or -serve; see -h", errUsage)
 	}
 	if *fleet && *serve == "" {
-		fmt.Fprintln(os.Stderr, "botslab: -fleet needs -serve: workers lease jobs over the HTTP API")
-		os.Exit(2)
+		return fmt.Errorf("%w: -fleet needs -serve: workers lease jobs over the HTTP API", errUsage)
 	}
 
 	store, err := lab.OpenStore(*storePath)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	defer store.Close()
 	if rep := store.TornTail(); rep != nil {
-		fmt.Fprintf(os.Stderr, "botslab: store %s recovered from a crash: %s\n", *storePath, rep.Reason)
+		fmt.Fprintf(stderr, "botslab: store %s recovered from a crash: %s\n", *storePath, rep.Reason)
 	}
 
 	// The write-ahead journal makes a -fleet coordinator restartable:
@@ -85,9 +122,9 @@ func main() {
 		jPath = *storePath + ".journal"
 	}
 	if jPath != "" && jPath != "off" {
-		journal, recovery, err = lab.OpenJournal(jPath)
-		fatal(err)
-		defer journal.Close()
+		if journal, recovery, err = lab.OpenJournal(jPath); err != nil {
+			return err
+		}
 	}
 
 	// The runner chain decides where a cache miss executes: in-process
@@ -120,23 +157,32 @@ func main() {
 	runner := lab.NewCachedRunner(store, next)
 	disp := lab.NewDispatcher(runner, poolSize, *retries)
 	disp.Journal = journal
-	defer disp.Close()
+	defer func() {
+		journal.Close()
+		for _, sw := range disp.Sweeps() {
+			disp.Cancel(sw.ID())
+		}
+		disp.Close()
+	}()
 
 	if recovery != nil && recovery.Events > 0 {
-		fmt.Fprintf(os.Stderr, "botslab: journal %s replayed %d events (%d grants, %d completions)\n",
+		fmt.Fprintf(stderr, "botslab: journal %s replayed %d events (%d grants, %d completions)\n",
 			jPath, recovery.Events, recovery.Grants, recovery.Completions)
 	}
 	if recovery != nil {
 		sweeps, cells, err := disp.Resume(recovery)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		if sweeps > 0 {
-			fmt.Fprintf(os.Stderr, "botslab: resumed %d unfinished sweep(s), %d cell(s) resubmitted\n", sweeps, cells)
+			fmt.Fprintf(stderr, "botslab: resumed %d unfinished sweep(s), %d cell(s) resubmitted\n", sweeps, cells)
 		}
 	}
 
 	// The server starts before any -manifest run: a fleet sweep needs
 	// the registration/lease endpoints up so workers can join, and a
 	// watcher can follow the sweep while it runs.
+	served := make(chan error, 1)
 	if *serve != "" {
 		server := &lab.Server{
 			Disp:   disp,
@@ -148,55 +194,67 @@ func main() {
 			Obs: obs.NewRegistry(),
 		}
 		ln, err := net.Listen("tcp", *serve)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		mode := "local"
 		if *fleet {
 			mode = "fleet"
 		}
-		fmt.Fprintf(os.Stderr, "botslab: serving on %s (%s mode, store %s, %d records; /metrics + pprof mounted)\n",
+		fmt.Fprintf(stderr, "botslab: serving on %s (%s mode, store %s, %d records; /metrics + pprof mounted)\n",
 			ln.Addr(), mode, *storePath, store.Len())
-		go func() { fatal(http.Serve(ln, server.Handler())) }()
+		srv := &http.Server{Handler: server.Handler()}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); served <- srv.Serve(ln) }()
+		defer func() { srv.Close(); wg.Wait() }()
 	}
 
 	if *manifest != "" {
 		f, err := os.Open(*manifest)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		spec, err := lab.ReadSweepSpec(f)
 		f.Close()
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		if *progress {
 			disp.OnProgress = func(ev lab.ProgressEvent) {
-				fmt.Fprintf(os.Stderr, "botslab: %s %-7s %s %s/%s class=%s threads=%d attempt=%d %s\n",
+				fmt.Fprintf(stderr, "botslab: %s %-7s %s %s/%s class=%s threads=%d attempt=%d %s\n",
 					ev.SweepID, ev.Job.Status, ev.Job.Key, ev.Job.Spec.Bench, ev.Job.Spec.Version,
 					ev.Job.Spec.Class, ev.Job.Spec.Threads, ev.Job.Attempts, ev.Job.Error)
 			}
 		}
 		sw, err := disp.Submit(spec)
-		fatal(err)
-		st := sw.Wait()
-		fmt.Printf("sweep %s (%s): %d jobs, %d done, %d failed; %d cache hits, %d executions; store=%d records\n",
+		if err != nil {
+			return err
+		}
+		select {
+		case <-sw.Done():
+		case <-ctx.Done():
+			return fmt.Errorf("sweep %s interrupted", sw.ID())
+		}
+		st := sw.Status()
+		fmt.Fprintf(stdout, "sweep %s (%s): %d jobs, %d done, %d failed; %d cache hits, %d executions; store=%d records\n",
 			st.ID, st.Name, st.Total, st.Done, st.Failed, runner.Hits(), direct.Exec.Executions(), store.Len())
-		if st.Failed > 0 {
-			for _, j := range st.Jobs {
-				if j.Status == lab.JobFailed {
-					fmt.Fprintf(os.Stderr, "botslab: failed %s %s/%s: %s\n",
-						j.Key, j.Spec.Bench, j.Spec.Version, j.Error)
-				}
+		for _, j := range st.Jobs {
+			if j.Status == lab.JobFailed {
+				fmt.Fprintf(stderr, "botslab: failed %s %s/%s: %s\n", j.Key, j.Spec.Bench, j.Spec.Version, j.Error)
 			}
-			if *serve == "" {
-				os.Exit(1)
-			}
+		}
+		if st.Failed > 0 && *serve == "" {
+			return fmt.Errorf("%d of %d jobs failed", st.Failed, st.Total)
 		}
 	}
 
 	if *serve != "" {
-		select {} // the HTTP goroutine serves until the process is killed
+		select {
+		case <-ctx.Done():
+		case err := <-served:
+			return err
+		}
 	}
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "botslab:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -17,9 +17,13 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -30,51 +34,79 @@ import (
 )
 
 func main() {
+	os.Exit(exitCode(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// errUsage marks a command-line mistake.
+var errUsage = errors.New("usage")
+
+// exitCode reports err on stderr and maps it to the exit status: 0
+// on success or -h, 2 on a usage error, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintln(stderr, "botsreport:", err)
+	if errors.Is(err, errUsage) {
+		return 2
+	}
+	return 1
+}
+
+// run is the driver. Rendering has no point at which it could stop
+// early, so ctx goes unread and Ctrl-C keeps its default effect.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("botsreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		className = flag.String("class", "medium", "input class for all experiments")
-		only      = flag.String("only", "", "comma-separated subset of: "+strings.Join(report.Artifacts(), ","))
-		threads   = flag.String("threads", "", "comma-separated thread axis (default 1,2,4,8,16,24,32)")
-		storePath = flag.String("store", "bots-lab.jsonl", "lab result store (JSONL); empty = in-memory only")
+		className = fs.String("class", "medium", "input class for all experiments")
+		only      = fs.String("only", "", "comma-separated subset of: "+strings.Join(report.Artifacts(), ","))
+		threads   = fs.String("threads", "", "comma-separated thread axis (default 1,2,4,8,16,24,32)")
+		storePath = fs.String("store", "bots-lab.jsonl", "lab result store (JSONL); empty = in-memory only")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	class, err := core.ParseClass(*className)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	var axis []int
 	if *threads != "" {
-		axis, err = parseThreadAxis(*threads)
-		fatal(err)
-	}
-	var selected []string
-	if *only == "" {
-		selected = report.Artifacts()
-	} else {
-		known := map[string]bool{}
-		for _, a := range report.Artifacts() {
-			known[a] = true
+		if axis, err = parseThreadAxis(*threads); err != nil {
+			return err
 		}
+	}
+	selected := report.Artifacts()
+	if *only != "" {
+		selected = nil
 		for _, part := range strings.Split(*only, ",") {
 			name := strings.TrimSpace(part)
-			if !known[name] {
-				fatal(fmt.Errorf("unknown artifact %q (have %s)", name, strings.Join(report.Artifacts(), ",")))
+			if !slices.Contains(report.Artifacts(), name) {
+				return fmt.Errorf("unknown artifact %q (have %s)", name, strings.Join(report.Artifacts(), ","))
 			}
 			selected = append(selected, name)
 		}
 	}
 
 	store, err := lab.OpenStore(*storePath)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	defer store.Close()
 	direct := lab.NewDirectRunner()
 	runner := lab.NewCachedRunner(store, direct)
 
 	for _, name := range selected {
-		fatal(report.Render(runner, os.Stdout, name, class, axis))
+		if err := report.Render(runner, stdout, name, class, axis); err != nil {
+			return err
+		}
 	}
-	fmt.Fprintf(os.Stderr, "botsreport: %d cache hits, %d executions (store %s, %d records)\n",
+	fmt.Fprintf(stderr, "botsreport: %d cache hits, %d executions (store %s, %d records)\n",
 		runner.Hits(), direct.Exec.Executions(), storeName(store), store.Len())
+	return nil
 }
-
 func storeName(s *lab.Store) string {
 	if s.Path() == "" {
 		return "in-memory"
@@ -97,11 +129,4 @@ func parseThreadAxis(s string) ([]int, error) {
 		axis = append(axis, t)
 	}
 	return axis, nil
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "botsreport:", err)
-		os.Exit(1)
-	}
 }

@@ -13,8 +13,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	_ "bots/internal/apps/all"
@@ -24,36 +27,72 @@ import (
 )
 
 func main() {
+	os.Exit(exitCode(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// errUsage marks a command-line mistake.
+var errUsage = errors.New("usage")
+
+// exitCode reports err on stderr and maps it to the exit status: 0
+// on success or -h, 2 on a usage error, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintln(stderr, "botstrace:", err)
+	if errors.Is(err, errUsage) {
+		return 2
+	}
+	return 1
+}
+
+// run is the driver. Recording and replay have no point at which they
+// could stop early, so ctx goes unread and Ctrl-C keeps its default
+// effect.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("botstrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench     = flag.String("bench", "", "benchmark to record")
-		className = flag.String("class", "small", "input class for -bench")
-		version   = flag.String("version", "", "version (default: best)")
-		record    = flag.Int("record-threads", 1, "team size for the recording run")
-		out       = flag.String("o", "", "write the recorded trace to this file")
-		analyze   = flag.String("analyze", "", "analyze a trace file ('-' with -bench: analyze the fresh recording)")
-		simulate  = flag.String("simulate", "", "simulate a trace file ('-' with -bench: the fresh recording)")
-		threads   = flag.Int("threads", 0, "virtual threads for -simulate (default: trace roots)")
-		gantt     = flag.Bool("gantt", false, "with -simulate: render an ASCII Gantt chart of the schedule")
-		chrome    = flag.String("chrome", "", "with -simulate: write a Chrome trace-event JSON file of the schedule")
+		bench     = fs.String("bench", "", "benchmark to record")
+		className = fs.String("class", "small", "input class for -bench")
+		version   = fs.String("version", "", "version (default: best)")
+		record    = fs.Int("record-threads", 1, "team size for the recording run")
+		out       = fs.String("o", "", "write the recorded trace to this file")
+		analyze   = fs.String("analyze", "", "analyze a trace file ('-' with -bench: analyze the fresh recording)")
+		simulate  = fs.String("simulate", "", "simulate a trace file ('-' with -bench: the fresh recording)")
+		threads   = fs.Int("threads", 0, "virtual threads for -simulate (default: trace roots)")
+		gantt     = fs.Bool("gantt", false, "with -simulate: render an ASCII Gantt chart of the schedule")
+		chrome    = fs.String("chrome", "", "with -simulate: write a Chrome trace-event JSON file of the schedule")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	if *bench == "" && *analyze == "" && *simulate == "" {
+		return fmt.Errorf("%w: nothing to do; see -h", errUsage)
+	}
 
 	var tr *trace.Trace
 	unitNS := 10.0 // default work-unit cost when simulating a bare file
 	if *bench != "" {
 		b, err := core.Get(*bench)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		class, err := core.ParseClass(*className)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		v := *version
 		if v == "" {
 			v = b.BestVersion
 		}
 		if !b.HasVersion(v) {
-			fatal(fmt.Errorf("benchmark %q has no version %q", b.Name, v))
+			return fmt.Errorf("benchmark %q has no version %q", b.Name, v)
 		}
 		seq, err := b.Seq(class)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		if seq.Work > 0 {
 			unitNS = float64(seq.Elapsed.Nanoseconds()) / float64(seq.Work)
 		}
@@ -61,42 +100,51 @@ func main() {
 		res, err := b.Run(core.RunConfig{
 			Class: class, Version: v, Threads: *record, Recorder: rec,
 		})
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		tr = rec.Finish()
-		fatal(tr.Validate())
-		fmt.Printf("recorded %s/%s (%s class, %d-thread team): %d tasks, %v\n",
+		if err := tr.Validate(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "recorded %s/%s (%s class, %d-thread team): %d tasks, %v\n",
 			*bench, v, class, *record, tr.NumTasks(), res.Elapsed)
 		if *out != "" {
-			f, err := os.Create(*out)
-			fatal(err)
-			n, err := tr.WriteTo(f)
-			fatal(err)
-			fatal(f.Close())
-			fmt.Printf("wrote %s (%d bytes, %.1f B/task)\n", *out, n, float64(n)/float64(len(tr.Tasks)))
+			n, err := writeFile(*out, tr.WriteTo)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s (%d bytes, %.1f B/task)\n", *out, n, float64(n)/float64(len(tr.Tasks)))
 		}
 	}
 
-	load := func(path string) *trace.Trace {
-		if path == "-" {
-			if tr == nil {
-				fatal(fmt.Errorf("'-' requires -bench to record a trace first"))
+	load := func(path string) (*trace.Trace, error) {
+		if path != "-" {
+			f, err := os.Open(path)
+			if err != nil {
+				return nil, err
 			}
-			return tr
+			defer f.Close()
+			return trace.ReadTrace(f)
 		}
-		f, err := os.Open(path)
-		fatal(err)
-		defer f.Close()
-		t, err := trace.ReadTrace(f)
-		fatal(err)
-		return t
+		if tr == nil {
+			return nil, errors.New("'-' requires -bench to record a trace first")
+		}
+		return tr, nil
 	}
 
 	if *analyze != "" {
-		t := load(*analyze)
-		fmt.Printf("\n%s", trace.Analyze(t))
+		t, err := load(*analyze)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\n%s", trace.Analyze(t))
 	}
 	if *simulate != "" {
-		t := load(*simulate)
+		t, err := load(*simulate)
+		if err != nil {
+			return err
+		}
 		n := *threads
 		if n == 0 {
 			n = t.NumRoots
@@ -104,29 +152,34 @@ func main() {
 		p := sim.DefaultOverheads()
 		p.WorkUnitNS = unitNS
 		res, tl, err := sim.RunWithTimeline(t, n, p)
-		fatal(err)
-		fmt.Printf("\nsimulated: %s (utilization %.0f%%)\n", res, 100*tl.Utilization())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nsimulated: %s (utilization %.0f%%)\n", res, 100*tl.Utilization())
 		if *gantt {
-			fmt.Println()
-			tl.WriteGantt(os.Stdout, 100)
+			fmt.Fprintln(stdout)
+			tl.WriteGantt(stdout, 100)
 		}
 		if *chrome != "" {
-			f, err := os.Create(*chrome)
-			fatal(err)
-			fatal(tl.WriteChromeTrace(f, t))
-			fatal(f.Close())
-			fmt.Printf("wrote %s (open in chrome://tracing or ui.perfetto.dev)\n", *chrome)
+			if _, err := writeFile(*chrome, func(w io.Writer) (int64, error) { return 0, tl.WriteChromeTrace(w, t) }); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s (open in chrome://tracing or ui.perfetto.dev)\n", *chrome)
 		}
 	}
-	if *bench == "" && *analyze == "" && *simulate == "" {
-		fmt.Fprintln(os.Stderr, "botstrace: nothing to do; see -h")
-		os.Exit(2)
-	}
+	return nil
 }
 
-func fatal(err error) {
+// writeFile creates path, writes it with write and closes it, so a
+// failed close (a full disk) is an error too.
+func writeFile(path string, write func(io.Writer) (int64, error)) (int64, error) {
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "botstrace:", err)
-		os.Exit(1)
+		return 0, err
 	}
+	n, err := write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
 }

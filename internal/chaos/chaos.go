@@ -1,9 +1,9 @@
 // Package chaos is the deterministic fault-injection layer of the
 // fleet's robustness story (DESIGN.md §14): it perturbs the
 // worker↔coordinator wire with latency, request drops, one-way and
-// two-way partitions, and clock offset, all driven by a seeded RNG
-// and an injectable clock so a chaos experiment replays the same
-// fault schedule run after run.
+// two-way partitions, and clock offset (OffsetClock), all driven by a
+// seeded RNG so a chaos experiment replays the same fault schedule
+// run after run.
 //
 // The injection point is Transport, an http.RoundTripper wrapper
 // that perturbs individual HTTP requests in-process — the workhorse
@@ -46,8 +46,6 @@ type Config struct {
 	// side with equal probability — the latter means the server
 	// processed it and only the caller is in the dark.
 	DropRate float64
-	// Clock replaces time.Now for delay bookkeeping (tests).
-	Clock func() time.Time
 }
 
 // Stats counts what an injector actually did, so a chaos test can
@@ -90,22 +88,12 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-func (i *Injector) now() time.Time {
-	if i.cfg.Clock != nil {
-		return i.cfg.Clock()
-	}
-	return time.Now()
-}
-
 // SetPartition switches the partition mode (PartitionNone/OneWay/
 // TwoWay) for all traffic through this injector.
 func (i *Injector) SetPartition(mode int32) { i.partition.Store(mode) }
 
 // Heal clears any partition.
 func (i *Injector) Heal() { i.partition.Store(PartitionNone) }
-
-// Partitioned reports the current partition mode.
-func (i *Injector) Partitioned() int32 { return i.partition.Load() }
 
 // Stats snapshots the injector's fault counters.
 func (i *Injector) Stats() Stats {

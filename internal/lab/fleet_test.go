@@ -101,6 +101,34 @@ func TestFleetLeaseGrantAndComplete(t *testing.T) {
 	}
 }
 
+// TestRemoteRunnerRun drives RemoteRunner through the plain Runner
+// interface, the one report.Render and CachedRunner hold: Run blocks
+// until a worker leases the cell and completes it, and returns that
+// worker's record.
+func TestRemoteRunnerRun(t *testing.T) {
+	f := testFleet(t, newFakeClock(), nil)
+	w := f.Register("alpha", 1)
+	type result struct {
+		rec *lab.Record
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		rec, err := lab.NewRemoteRunner(f).Run(testSpec("fib", 2))
+		got <- result{rec, err}
+	}()
+	var leases []lab.Lease
+	waitCond(t, 5*time.Second, func() bool {
+		leases, _ = f.Lease(w, 1)
+		return len(leases) == 1
+	})
+	f.Complete(leases[0].ID, fakeRecordFor(leases[0].Spec, "alpha"), "")
+	r := <-got
+	if r.err != nil || r.rec.Key != testSpec("fib", 2).Key() || r.rec.Host.Worker != "alpha" {
+		t.Fatalf("Run = %+v, %v; want alpha's record of %s", r.rec, r.err, testSpec("fib", 2).Key())
+	}
+}
+
 func TestFleetHeartbeatRenewsDeadline(t *testing.T) {
 	clock := newFakeClock()
 	f := testFleet(t, clock, nil)

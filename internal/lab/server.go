@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +14,7 @@ import (
 
 	"bots/internal/core"
 	"bots/internal/obs"
+	"bots/internal/obs/obshttp"
 )
 
 // ErrUnknownFigure is returned by a RenderFunc for a figure name it
@@ -100,12 +100,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /results", s.fleetHandler(s.handleResult))
 	mux.HandleFunc("GET /report/{figure}", s.handleReport)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /metrics", s.Obs.Handler())
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	obshttp.Mount(mux, s.Obs)
 	return http.MaxBytesHandler(mux, maxRequestBody)
 }
 

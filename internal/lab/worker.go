@@ -58,11 +58,13 @@ type WorkerClient struct {
 	// view of time.
 	Clock func() time.Time
 
+	// mu guards active, and workerID and ttl, which a re-registration
+	// on the lease loop rewrites while the heartbeat goroutine reads
+	// them.
+	mu       sync.Mutex
+	active   map[string]*leaseRun // leaseID → in-flight execution
 	workerID string
 	ttl      time.Duration
-
-	mu     sync.Mutex
-	active map[string]*leaseRun // leaseID → in-flight execution
 
 	done    atomic.Int64
 	failed  atomic.Int64
@@ -166,9 +168,10 @@ func (c *WorkerClient) Run(ctx context.Context) error {
 	hbCtx, hbCancel := context.WithCancel(context.Background())
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
+	beat := c.ttl / 3
 	go func() {
 		defer hbWG.Done()
-		t := time.NewTicker(c.ttl / 3)
+		t := time.NewTicker(beat)
 		defer t.Stop()
 		for {
 			select {
@@ -304,11 +307,13 @@ func (c *WorkerClient) register(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("lab: registering with %s: %w", c.Coordinator, err)
 	}
-	c.workerID = resp.WorkerID
-	c.ttl = time.Duration(resp.LeaseTTLNS)
-	if c.ttl <= 0 {
-		c.ttl = 10 * time.Second
+	ttl := time.Duration(resp.LeaseTTLNS)
+	if ttl <= 0 {
+		ttl = 10 * time.Second
 	}
+	c.mu.Lock()
+	c.workerID, c.ttl = resp.WorkerID, ttl
+	c.mu.Unlock()
 	return nil
 }
 
@@ -339,6 +344,7 @@ func (c *WorkerClient) lease(ctx context.Context, max int) ([]Lease, error) {
 // still lands in the store as an orphan — but we log the downgrade.
 func (c *WorkerClient) heartbeat() {
 	c.mu.Lock()
+	workerID := c.workerID
 	progress := make([]HeartbeatProgress, 0, len(c.active))
 	for id, run := range c.active {
 		progress = append(progress, HeartbeatProgress{ID: id, ElapsedNS: time.Since(run.start).Nanoseconds()})
@@ -348,7 +354,7 @@ func (c *WorkerClient) heartbeat() {
 		Renewed []string `json:"renewed"`
 		Lost    []string `json:"lost"`
 	}
-	err := c.post(context.Background(), "/heartbeats", map[string]any{"worker_id": c.workerID, "leases": progress}, &resp)
+	err := c.post(context.Background(), "/heartbeats", map[string]any{"worker_id": workerID, "leases": progress}, &resp)
 	if err != nil {
 		c.logf("heartbeat failed: %v", err)
 		return

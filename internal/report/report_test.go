@@ -284,11 +284,14 @@ func TestSecondRenderIsAllCacheHits(t *testing.T) {
 // botsreport and the HTTP /report endpoint.
 func TestRenderDispatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Render(testRunner, &buf, "table1", core.Test, []int{1}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Table I") {
-		t.Error("dispatching table1 rendered something else")
+	for artifact, title := range map[string]string{"table1": "Table I", "extensions": "Extensions —"} {
+		buf.Reset()
+		if err := Render(testRunner, &buf, artifact, core.Test, []int{1}); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), title) {
+			t.Errorf("dispatching %s rendered something else:\n%s", artifact, buf.String())
+		}
 	}
 	err := Render(testRunner, &buf, "fig99", core.Test, []int{1})
 	if err == nil || !strings.Contains(err.Error(), "unknown report figure") {

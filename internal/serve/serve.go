@@ -117,8 +117,8 @@ type Report struct {
 }
 
 // Validate checks structural sanity of a report: accounting balances
-// and monotone latency quantiles. CI's service-smoke job asserts the
-// same properties from the JSON side.
+// and monotone latency quantiles. TestEveryScheduler (cmd/botserve)
+// asserts the same properties from the JSON side.
 func (r *Report) Validate() error {
 	if r.Schema != Schema {
 		return fmt.Errorf("serve: schema %q, want %q", r.Schema, Schema)
@@ -314,8 +314,8 @@ func Run(cfg Config) (*Report, error) {
 // counters over the run's atomics, the three latency histograms, and
 // scrape-time quantile gauges of the total (scheduled-arrival →
 // completion) latency. The quantile gauges inherit the histogram's
-// max-clamping, so p50 ≤ p90 ≤ p99 ≤ p999 at every scrape — CI's
-// service-smoke job asserts that from the /metrics side.
+// max-clamping, so p50 ≤ p90 ≤ p99 ≤ p999 at every scrape —
+// TestMetricsScrape (cmd/botserve) asserts that from /metrics.
 func registerServeObs(reg *obs.Registry, pt *omp.PersistentTeam,
 	qHist, sHist, tHist *obs.Histogram,
 	submitted, shed, completed, verifyFails, inflight *atomic.Int64) {
