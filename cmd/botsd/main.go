@@ -79,7 +79,7 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		capacity       = fs.Int("capacity", runtime.NumCPU(), "max concurrently executing leases")
 		poll           = fs.Duration("poll", 250*time.Millisecond, "idle lease-poll interval")
 		requestTimeout = fs.Duration("request-timeout", 5*time.Second, "per-request coordinator timeout")
-		wireRetries    = fs.Int("wire-retries", 2, "retries per coordinator request on transport errors and 5xx (never 4xx)")
+		wireRetries    = fs.Int("wire-retries", 2, "retries per coordinator request on transport errors and 5xx (never 4xx); 0 disables")
 		startupRetries = fs.Int("startup-retries", 5, "registration retries (with backoff) while the coordinator is unreachable at startup")
 		metricsAddr    = fs.String("metrics-addr", "", "address to serve /metrics on (e.g. :9091); empty = no metrics endpoint")
 
@@ -100,13 +100,19 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	// outlives run.
 	wire := http.DefaultTransport.(*http.Transport).Clone()
 	defer wire.CloseIdleConnections()
+	// WorkerClient reads a zero WireRetries as its default; a negative
+	// one is how it says none.
+	retries := *wireRetries
+	if retries == 0 {
+		retries = -1
+	}
 	w := &lab.WorkerClient{
 		Coordinator:    *coordinator,
 		Name:           *name,
 		Capacity:       *capacity,
 		Poll:           *poll,
 		RequestTimeout: *requestTimeout,
-		WireRetries:    *wireRetries,
+		WireRetries:    retries,
 		StartupRetries: *startupRetries,
 		Client:         &http.Client{Transport: wire},
 		Logf:           logf,

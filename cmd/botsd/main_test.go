@@ -194,6 +194,17 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestWireRetriesZeroDisables holds -wire-retries 0 to one attempt per
+// coordinator request: against a closed port, registration fails at
+// once instead of after two backoffs.
+func TestWireRetriesZeroDisables(t *testing.T) {
+	t.Parallel()
+	err := run(context.Background(), []string{"-coordinator", "http://127.0.0.1:1", "-startup-retries", "0", "-wire-retries", "0"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "after 1 attempts") {
+		t.Fatalf("botsd -wire-retries 0: %v, want an error after 1 attempts", err)
+	}
+}
+
 // TestSIGTERMDrains runs botsd as its own process: after it has
 // executed a sweep, SIGTERM makes it deregister and exit 0.
 func TestSIGTERMDrains(t *testing.T) {

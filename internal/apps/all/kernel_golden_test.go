@@ -21,7 +21,8 @@ import (
 // sparselu is here for its trailing update bmod, the O(bs³) loop of
 // the factorization: dep-tied at medium is the recording sim.replay
 // sets up, and for-tied at small is the version region.coarse runs.
-// nqueens is here for its free-column scan: manual-untied is the
+// nqueens is here for its search, which finds each node's free columns
+// from the attack masks it carries down the tree: manual-untied is the
 // version region.coarse runs and none-untied the one
 // region.finegrain runs, which spawns every node of the search.
 var kernelGolden = []kernelPin{

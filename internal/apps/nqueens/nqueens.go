@@ -7,11 +7,15 @@
 // kernel counts all solutions rather than stopping at the first, and
 // per-thread solution counters (threadprivate) are reduced under a
 // critical section at the end of the region — both exactly as §III-B
-// describes. A node finds the free columns of its next row in one pass
-// over its board prefix, marking each placed queen's column and
-// diagonals, and visits them in ascending order: the children, counts
-// and work of a per-column test, at a cost linear in the row rather
-// than in row times n.
+// describes. The search carries its attack state down the tree: three
+// column masks (queens' columns, and the columns their left and right
+// diagonals reach in the next row), from which a child gets its own in
+// O(1) by placing one queen and shifting the diagonals a row on. A
+// node's free columns are the clear bits of the three, visited in
+// ascending order: the children, counts and work of a per-column test.
+// Each task still receives its own copy of the board although the
+// search never reads it, because that copy is the captured
+// environment whose cost the paper measures.
 package nqueens
 
 import (
@@ -40,33 +44,34 @@ var classN = map[core.Class]int{
 // versions (rows beyond this are explored without creating tasks).
 const DefaultCutoffDepth = 3
 
-// free returns the columns of row len(prefix) of an n-column board
-// that no queen of prefix attacks, as a set whose bit c stands for
-// column c: one pass over the prefix marks each queen's column and
-// both its diagonals. Bits are offset by maxN so that a diagonal left
-// of column 0 lands on a bit of its own rather than a negative shift.
-func free(prefix []int8, n int) uint64 {
-	row := len(prefix)
-	var attacked uint64
-	for i, q := range prefix {
-		c, d := uint(q)+maxN, uint(row-i)
-		attacked |= 1<<c | 1<<(c+d) | 1<<(c-d)
-	}
-	return ^(attacked >> maxN) & (1<<n - 1)
+// attacks is the attack state of one row of the search: bit c of cols
+// is set when a queen stands in column c, and bit c of left (right)
+// when a queen's diagonal toward higher (lower) columns reaches column
+// c in this row. Diagonals that leave the board shift out of the mask.
+type attacks struct{ cols, left, right uint16 }
+
+// free returns the columns of an n-column row that no queen attacks,
+// as a set whose bit c stands for column c.
+func (a attacks) free(n int) uint {
+	return ^uint(a.cols|a.left|a.right) & (1<<n - 1)
 }
 
-// seqCount counts solutions extending the first row rows of board,
-// accumulating visited-node work in *work.
-func seqCount(board []int8, row int, work *int64) int64 {
-	n := len(board)
+// place returns the attack state of the next row after a queen is
+// placed on column bit of this one.
+func (a attacks) place(bit uint16) attacks {
+	return attacks{a.cols | bit, (a.left | bit) << 1, (a.right | bit) >> 1}
+}
+
+// seqCount counts solutions below a node of row row of an n-row board
+// with attack state a, accumulating visited-node work in *work.
+func seqCount(a attacks, row, n int, work *int64) int64 {
 	*work += int64(row) + 1
 	if row == n {
 		return 1
 	}
 	var total int64
-	for f := free(board[:row], n); f != 0; f &= f - 1 {
-		board[row] = int8(bits.TrailingZeros64(f))
-		total += seqCount(board, row+1, work)
+	for f := a.free(n); f != 0; f &= f - 1 {
+		total += seqCount(a.place(uint16(f&-f)), row+1, n, work)
 	}
 	return total
 }
@@ -74,12 +79,12 @@ func seqCount(board []int8, row int, work *int64) int64 {
 // Seq counts all n-queens solutions sequentially, returning the count
 // and the work performed (in visited-node units).
 func Seq(n int) (solutions, work int64) {
-	board := make([]int8, n)
-	solutions = seqCount(board, 0, &work)
+	solutions = seqCount(attacks{}, 0, n, &work)
 	return solutions, work
 }
 
-// maxN bounds the board size (knownSolutions stops at 15).
+// maxN bounds the board size (knownSolutions stops at 15), and with it
+// the width of the attack masks.
 const maxN = 16
 
 // board holds the column of the queen in each placed row. It is a
@@ -89,11 +94,12 @@ const maxN = 16
 // allocation in this package.
 type board [maxN]int8
 
-// node is one task's firstprivate environment: the board prefix and
-// the row to place next.
+// node is one task's firstprivate environment: the board prefix, its
+// attack state and the row to place next, 24 bytes in all.
 type node struct {
 	b   board
-	row int
+	a   attacks
+	row uint8
 }
 
 // with returns b with a queen placed in column col of row row.
@@ -116,33 +122,34 @@ type run struct {
 
 // par explores one node of the search tree. Each viable placement in
 // the next row becomes a child task with a private copy of the board
-// prefix. Solutions are accumulated into the executing thread's slot
-// of counts.
+// prefix and the child's attack state. Solutions are accumulated into
+// the executing thread's slot of counts.
 func (r *run) par(c *omp.Context, nd *node) {
-	n, b, row := r.n, &nd.b, nd.row
+	n, b, a, row := r.n, &nd.b, nd.a, int(nd.row)
 	c.AddWork(int64(row) + 1)
 	c.AddWrites(int64(row), 0) // the board copy is written into task-private memory
 	if row == n {
 		*r.counts.Get(c)++
 		return
 	}
-	for f := free(b[:row], n); f != 0; f &= f - 1 {
-		child := b.with(row, int8(bits.TrailingZeros64(f)))
+	for f := a.free(n); f != 0; f &= f - 1 {
+		col := bits.TrailingZeros(f)
+		child := a.place(1 << col)
 		opts := r.opts
 		if row >= r.cutoff {
 			switch r.variant.Cutoff {
 			case "manual":
 				// Manual cut-off: continue on this thread without any
-				// task, searching the whole subtree in one buffer.
+				// task, searching the whole subtree from its masks.
 				var w int64
-				*r.counts.Get(c) += seqCount(child[:n], row+1, &w)
+				*r.counts.Get(c) += seqCount(child, row+1, n, &w)
 				c.AddWork(w)
 				continue
 			case "if":
 				opts = r.cutOpts
 			}
 		}
-		r.tasks.Task(c, node{child, row + 1}, opts...)
+		r.tasks.Task(c, node{b.with(row, int8(col)), child, uint8(row + 1)}, opts...)
 	}
 	c.Taskwait()
 }

@@ -1,7 +1,9 @@
 package nqueens
 
 import (
+	"math/bits"
 	"testing"
+	"unsafe"
 
 	"bots/internal/core"
 )
@@ -15,9 +17,9 @@ func TestSeqKnownCounts(t *testing.T) {
 	}
 }
 
-// ok, the oracle free is tested against, reports whether a queen may
-// be placed in column col of row row, given the columns of the queens
-// in rows [0, row).
+// ok, the oracle the attack masks are tested against, reports whether
+// a queen may be placed in column col of row row, given the columns of
+// the queens in rows [0, row).
 func ok(board []int8, row int, col int8) bool {
 	for i := 0; i < row; i++ {
 		d := board[i] - col
@@ -28,28 +30,76 @@ func ok(board []int8, row int, col int8) bool {
 	return true
 }
 
-// TestFreeColumnsMatchOk checks free against ok, column by column, at
-// every board prefix the search reaches for n up to 10.
+// checkFree fails t at the first column of row row whose bit in the
+// free set of a disagrees with ok on board, or if the set has a bit
+// past column n-1.
+func checkFree(t *testing.T, n int, board []int8, row int, a attacks) {
+	t.Helper()
+	f := a.free(n)
+	if f>>n != 0 {
+		t.Fatalf("n=%d prefix %v: free set %b has bits past column %d", n, board[:row], f, n-1)
+	}
+	for col := int8(0); col < int8(n); col++ {
+		if got, want := f&(1<<col) != 0, ok(board, row, col); got != want {
+			t.Fatalf("n=%d prefix %v: column %d free = %v, ok = %v", n, board[:row], col, got, want)
+		}
+	}
+}
+
+// TestFreeColumnsMatchOk walks every board prefix the search reaches
+// for n up to 10, carrying the attack state as the search does, and
+// checks its free columns against ok, column by column.
 func TestFreeColumnsMatchOk(t *testing.T) {
 	for n := 1; n <= 10; n++ {
 		board := make([]int8, n)
-		var walk func(row int)
-		walk = func(row int) {
+		var walk func(row int, a attacks)
+		walk = func(row int, a attacks) {
 			if row == n {
 				return
 			}
-			f := free(board[:row], n)
-			for col := int8(0); col < int8(n); col++ {
-				if got, want := f&(1<<col) != 0, ok(board, row, col); got != want {
-					t.Fatalf("n=%d prefix %v: column %d free = %v, ok = %v", n, board[:row], col, got, want)
-				}
-				if ok(board, row, col) {
-					board[row] = col
-					walk(row + 1)
-				}
+			checkFree(t, n, board, row, a)
+			for f := a.free(n); f != 0; f &= f - 1 {
+				col := bits.TrailingZeros(f)
+				board[row] = int8(col)
+				walk(row+1, a.place(1<<col))
 			}
 		}
-		walk(0)
+		walk(0, attacks{})
+	}
+}
+
+// FuzzQueenAttacks plays a script down one path of an n-row search, n
+// from 1 to maxN: at each row it checks the carried attack state
+// against ok, then places the queen on the k-th free column, k the
+// script's next byte modulo the number of free columns. It stops at a
+// dead end, past the last row or when the script runs out. At n = 16 a
+// left diagonal from column 15 must shift out of the masks.
+func FuzzQueenAttacks(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nb uint8, script []byte) {
+		n := 1 + int(nb)%maxN
+		board := make([]int8, n)
+		var a attacks
+		for row := 0; row < n; row++ {
+			checkFree(t, n, board, row, a)
+			free := a.free(n)
+			if free == 0 || row == len(script) {
+				break
+			}
+			for k := script[row] % byte(bits.OnesCount(free)); k > 0; k-- {
+				free &= free - 1
+			}
+			col := bits.TrailingZeros(free)
+			board[row] = int8(col)
+			a = a.place(1 << col)
+		}
+	})
+}
+
+// TestNodeSize holds a task's cell to 24 bytes: the board, its attack
+// state and the row, with no padding beyond the struct's alignment.
+func TestNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size > 24 {
+		t.Fatalf("unsafe.Sizeof(node{}) = %d, want at most 24", size)
 	}
 }
 

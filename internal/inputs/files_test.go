@@ -147,3 +147,67 @@ func TestHealthParamsDefaultsSeed(t *testing.T) {
 		t.Fatalf("default seed = %d, want 1", p.Seed)
 	}
 }
+
+// The three fuzz targets below feed arbitrary bytes to a reader. It
+// must not panic, and whatever it accepts must come back equal after
+// the matching writer and a second read.
+
+func FuzzReadProteins(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		seqs, err := ReadProteins(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteProteins(&out, seqs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadProteins(&out)
+		if err != nil {
+			t.Fatalf("re-reading written proteins: %v", err)
+		}
+		if !reflect.DeepEqual(seqs, back) {
+			t.Fatalf("WriteProteins then ReadProteins changed %q into %q", seqs, back)
+		}
+	})
+}
+
+func FuzzReadFloorplanCells(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		cells, err := ReadFloorplanCells(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteFloorplanCells(&out, cells); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFloorplanCells(&out)
+		if err != nil {
+			t.Fatalf("re-reading written cells: %v", err)
+		}
+		if !reflect.DeepEqual(cells, back) {
+			t.Fatalf("WriteFloorplanCells then ReadFloorplanCells changed %v into %v", cells, back)
+		}
+	})
+}
+
+func FuzzReadHealthParams(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		p, err := ReadHealthParams(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteHealthParams(&out, p); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadHealthParams(&out)
+		if err != nil {
+			t.Fatalf("re-reading written parameters: %v", err)
+		}
+		if back != p {
+			t.Fatalf("WriteHealthParams then ReadHealthParams changed %+v into %+v", p, back)
+		}
+	})
+}
