@@ -15,7 +15,7 @@
 //
 // The -chaos-* flags route the daemon's coordinator traffic through
 // the internal/chaos fault injector (DESIGN.md §14) — deterministic,
-// seeded latency, drops, and clock offset for resilience experiments:
+// seeded latency and drops for resilience experiments:
 //
 //	botsd -coordinator http://host:8080 \
 //	  -chaos-latency 500ms -chaos-jitter 150ms -chaos-drop 0.1 -chaos-seed 7
@@ -87,7 +87,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		chaosJitter  = fs.Duration("chaos-jitter", 0, "uniform ± jitter on the injected latency")
 		chaosDrop    = fs.Float64("chaos-drop", 0, "probability [0,1] a coordinator request or response is dropped")
 		chaosSeed    = fs.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic fault sequence")
-		chaosOffset  = fs.Duration("chaos-clock-offset", 0, "skew this worker's clock by the given offset")
 	)
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
@@ -127,10 +126,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		})
 		w.Client = &http.Client{Transport: inj.Transport(wire)}
 		logf("chaos wire enabled: latency=%s±%s drop=%.2f seed=%d", *chaosLatency, *chaosJitter, *chaosDrop, *chaosSeed)
-	}
-	if *chaosOffset != 0 {
-		w.Clock = chaos.OffsetClock(nil, *chaosOffset)
-		logf("chaos clock enabled: offset=%s", *chaosOffset)
 	}
 
 	if *metricsAddr != "" {

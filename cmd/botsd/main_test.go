@@ -29,8 +29,8 @@ func TestMain(m *testing.M) {
 }
 
 // newCoordinator serves the stack `botslab -serve -fleet` runs: a
-// store, a fleet behind a CachedRunner, a dispatcher and the lab
-// server with its metrics.
+// store, a fleet behind a CachedRunner, a dispatcher with botslab's
+// default 2 retries and the lab server with its metrics.
 func newCoordinator(t *testing.T) string {
 	t.Helper()
 	store, err := lab.OpenStore(filepath.Join(t.TempDir(), "lab.jsonl"))
@@ -38,7 +38,7 @@ func newCoordinator(t *testing.T) string {
 		t.Fatal(err)
 	}
 	fleet := lab.NewFleet(lab.FleetConfig{Store: store})
-	disp := lab.NewDispatcher(lab.NewCachedRunner(store, lab.NewRemoteRunner(fleet)), 64, 1)
+	disp := lab.NewDispatcher(lab.NewCachedRunner(store, lab.NewRemoteRunner(fleet)), 64, 2)
 	ts := httptest.NewServer((&lab.Server{Disp: disp, Store: store, Fleet: fleet, Obs: obs.NewRegistry()}).Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -152,7 +152,7 @@ func TestFleet(t *testing.T) {
 
 // TestChaosWire runs two daemons whose coordinator wire goes through
 // the chaos flags (50 ms ± 25 ms latency, 15 % drops, retried up to
-// six times, and a skewed clock): the sweep still finishes verified,
+// six times): the sweep still finishes verified,
 // and each daemon's /metrics shows that it retried dropped requests
 // (both seeds drop one of their first three).
 func TestChaosWire(t *testing.T) {
@@ -161,10 +161,9 @@ func TestChaosWire(t *testing.T) {
 	var daemons []*daemon
 	for i, seed := range []string{"7", "23"} {
 		d := startDaemon(coordinator, fmt.Sprint("chaos-", i), "-metrics-addr", "127.0.0.1:0", "-wire-retries", "6",
-			"-chaos-latency", "50ms", "-chaos-jitter", "25ms", "-chaos-drop", "0.15", "-chaos-seed", seed, "-chaos-clock-offset", "1m")
+			"-chaos-latency", "50ms", "-chaos-jitter", "25ms", "-chaos-drop", "0.15", "-chaos-seed", seed)
 		defer d.drain(t)
 		d.log.Await(t, `chaos wire enabled: latency=50ms±25ms drop=0.15 seed=`+seed)
-		d.log.Await(t, `chaos clock enabled: offset=1m0s`)
 		daemons = append(daemons, d)
 	}
 	awaitWorkers(t, coordinator, 2)

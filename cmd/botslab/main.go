@@ -86,11 +86,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		manifest    = fs.String("manifest", "", "sweep manifest to run to completion")
 		serve       = fs.String("serve", "", "address to serve the lab HTTP API on (e.g. :8080); empty = run the manifest and exit")
 		workers     = fs.Int("workers", 0, "dispatcher worker-pool size (0 = NumCPU locally, 64 with -fleet)")
-		retries     = fs.Int("retries", 1, "per-job retries after a failure")
+		retries     = fs.Int("retries", 2, "per-job retries after a failure (with -fleet, a failed or lost lease is one)")
 		progress    = fs.Bool("progress", true, "print per-job progress lines for -manifest sweeps")
 		fleet       = fs.Bool("fleet", false, "dispatch cache misses to registered botsd workers instead of executing in-process (requires -serve)")
 		leaseTTL    = fs.Duration("lease-ttl", 10*time.Second, "fleet lease lifetime without a heartbeat")
-		maxAttempts = fs.Int("max-attempts", 3, "fleet lease attempts per job before it fails")
 		journalPath = fs.String("journal", "", "fleet write-ahead journal for coordinator crash recovery (default <store>.journal with -fleet; 'off' disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -136,10 +135,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	poolSize := *workers
 	if *fleet {
 		coord = lab.NewFleet(lab.FleetConfig{
-			LeaseTTL:    *leaseTTL,
-			MaxAttempts: *maxAttempts,
-			Store:       store,
-			Journal:     journal,
+			LeaseTTL: *leaseTTL,
+			Store:    store,
+			Journal:  journal,
 		})
 		defer coord.Close()
 		next = lab.NewRemoteRunner(coord)
@@ -159,9 +157,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	disp.Journal = journal
 	defer func() {
 		journal.Close()
-		for _, sw := range disp.Sweeps() {
-			disp.Cancel(sw.ID())
-		}
 		disp.Close()
 	}()
 

@@ -85,9 +85,9 @@ func drainClose(resp *http.Response) {
 }
 
 // OffsetClock returns a clock running `offset` away from base — the
-// clock-skew axis. Hand it to lab.FleetConfig.Clock (a coordinator
-// living in the future or past relative to its workers) or to a
-// WorkerClient to skew the other side.
+// clock-skew axis. Hand it to lab.FleetConfig.Clock: a coordinator
+// living in the future or past relative to its workers, whose own
+// clocks the lease protocol never reads.
 func OffsetClock(base func() time.Time, offset time.Duration) func() time.Time {
 	if base == nil {
 		base = time.Now

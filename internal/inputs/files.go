@@ -34,7 +34,9 @@ func ReadProteins(r io.Reader) ([][]byte, error) {
 		}
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// No initial buffer: the scanner starts small and grows only for
+	// long lines, up to 16 MiB.
+	sc.Buffer(nil, 1<<24)
 	line := 0
 	for sc.Scan() {
 		line++

@@ -45,6 +45,20 @@ MFPSTWYV
 	}
 }
 
+// TestReadProteinsLongLine reads back one 2 MiB sequence line, past
+// bufio.Scanner's 64 KiB default token limit: the reader's buffer,
+// which starts empty, grows to fit it under its 16 MiB cap.
+func TestReadProteinsLongLine(t *testing.T) {
+	seq := bytes.Repeat([]byte("ARNDCQEGHILKMFPS"), 2<<20/16)
+	seqs, err := ReadProteins(strings.NewReader(">long\n" + string(seq) + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) != 1 || !bytes.Equal(seqs[0], seq) {
+		t.Fatalf("read back %d sequences, want the one %d-residue line", len(seqs), len(seq))
+	}
+}
+
 func TestReadProteinsErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":           "",

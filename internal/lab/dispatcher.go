@@ -243,6 +243,12 @@ type Dispatcher struct {
 	closed bool
 	wg     sync.WaitGroup
 
+	// backoff holds the timers of cells waiting out a retry backoff,
+	// so Cancel and Close can resolve them at once; timers counts the
+	// callbacks not yet stopped or finished, which Close waits for.
+	backoff map[dispJob]*time.Timer
+	timers  sync.WaitGroup
+
 	// unretired holds, in no order, the sweeps that still keep their
 	// job views: every unfinished sweep plus terminal, the newest
 	// retainTerminal finished ones, oldest first. retired sums the
@@ -275,6 +281,7 @@ func NewDispatcher(runner Runner, workers, retries int) *Dispatcher {
 		RetryBase: 250 * time.Millisecond,
 		RetryCap:  10 * time.Second,
 		sweeps:    map[string]*Sweep{},
+		backoff:   map[dispJob]*time.Timer{},
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.wg.Add(workers)
@@ -284,9 +291,10 @@ func NewDispatcher(runner Runner, workers, retries int) *Dispatcher {
 	return d
 }
 
-// backoffDelay is the shared retry schedule of the dispatcher and the
-// fleet: base*2^(attempt-1) capped at max, jittered ±25% so a burst
-// of same-cause failures doesn't re-arrive in lockstep.
+// backoffDelay is the retry schedule of the dispatcher (and of the
+// worker's wire retries): base*2^(attempt-1) capped at max, jittered
+// ±25% so a burst of same-cause failures doesn't re-arrive in
+// lockstep.
 func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		base = 250 * time.Millisecond
@@ -503,20 +511,38 @@ func (d *Dispatcher) Cancel(id string) (SweepStatus, error) {
 		}
 	}
 	d.queue = kept
+	for q, t := range d.backoff {
+		if q.sweep == sw && t.Stop() {
+			delete(d.backoff, q)
+			d.timers.Done()
+			dropped = append(dropped, q)
+		}
+	}
 	d.mu.Unlock()
 
 	sw.mu.Lock()
-	already := sw.cancelled
+	first := !sw.cancelled
 	sw.cancelled = true
 	sw.mu.Unlock()
-	if !already {
-		sw.cancel() // wake context-aware runners
-		d.Journal.SweepCancelled(sw.journalID)
+	if first {
+		d.announceCancel(sw)
 	}
-	for _, j := range dropped {
-		d.setStatus(j, JobCancelled, sw.jobs[j.idx].Attempts, "sweep cancelled")
-	}
+	d.dropCancelled(dropped)
 	return sw.Status(), nil
+}
+
+// announceCancel wakes a newly cancelled sweep's context-aware runners
+// and journals the cancellation.
+func (d *Dispatcher) announceCancel(sw *Sweep) {
+	sw.cancel()
+	d.Journal.SweepCancelled(sw.journalID)
+}
+
+// dropCancelled resolves cells taken off the queue by a cancel.
+func (d *Dispatcher) dropCancelled(dropped []dispJob) {
+	for _, j := range dropped {
+		d.setStatus(j, JobCancelled, j.sweep.jobs[j.idx].Attempts, "sweep cancelled")
+	}
 }
 
 // Counts is the dispatcher-wide job accounting across every sweep,
@@ -598,10 +624,13 @@ func (d *Dispatcher) Sweeps() []*Sweep {
 	return out
 }
 
-// Close stops accepting submissions, drains the remaining queue, and
-// waits for in-flight jobs to finish. Jobs waiting out a retry
-// backoff when Close is called fail at their scheduled time instead
-// of re-running.
+// Close stops accepting submissions and cancels every unfinished
+// sweep: queued cells, those waiting out a retry backoff included,
+// become cancelled, and context-aware runners (a RemoteRunner waiting
+// on the fleet) abandon their wait. It returns once the cells still
+// running have finished and every cell has resolved. The cancellations
+// are journaled like Cancel's, so an owner that wants a restart to
+// resume its unfinished sweeps closes the journal first.
 func (d *Dispatcher) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -609,9 +638,38 @@ func (d *Dispatcher) Close() {
 		return
 	}
 	d.closed = true
+	dropped := d.queue
+	d.queue = nil
+	sweeps := slices.Clone(d.unretired)
 	d.cond.Broadcast()
 	d.mu.Unlock()
+	for _, sw := range sweeps {
+		sw.mu.Lock()
+		first := !sw.cancelled && sw.remaining > 0
+		if first {
+			sw.cancelled = true
+		}
+		sw.mu.Unlock()
+		if first {
+			d.announceCancel(sw)
+		}
+	}
+	d.dropCancelled(dropped)
 	d.wg.Wait()
+	// No worker is left to start a backoff timer: stop the ones
+	// running. A timer that already fired cancels its own cell.
+	d.mu.Lock()
+	var waiting []dispJob
+	for q, t := range d.backoff {
+		if t.Stop() {
+			d.timers.Done()
+			waiting = append(waiting, q)
+		}
+	}
+	clear(d.backoff)
+	d.mu.Unlock()
+	d.dropCancelled(waiting)
+	d.timers.Wait()
 }
 
 // worker pops runnable jobs: the oldest queued cell whose sweep is
@@ -734,30 +792,25 @@ func (d *Dispatcher) runJob(j dispJob) {
 	delay := backoffDelay(d.RetryBase, d.RetryCap, attempt)
 	next := time.Now().Add(delay)
 	d.setStatusAt(j, JobQueued, attempt, err.Error(), &next)
-	time.AfterFunc(delay, func() { d.requeue(j) })
+	d.mu.Lock()
+	d.timers.Add(1)
+	d.backoff[j] = time.AfterFunc(delay, func() { d.requeue(j) })
+	d.mu.Unlock()
 }
 
 // requeue returns a backed-off job to the queue when its timer fires.
-// A sweep cancelled or a dispatcher closed in the meantime resolves
-// the job terminally instead.
+// A sweep cancelled or a dispatcher closed in the meantime cancels the
+// job instead.
 func (d *Dispatcher) requeue(j dispJob) {
-	sw := j.sweep
-	sw.mu.Lock()
-	attempts := sw.jobs[j.idx].Attempts
-	lastErr := sw.jobs[j.idx].Error
-	cancelled := sw.cancelled
-	sw.mu.Unlock()
-	if cancelled {
-		d.setStatus(j, JobCancelled, attempts, "sweep cancelled")
-		return
-	}
+	defer d.timers.Done()
 	d.mu.Lock()
-	if d.closed {
+	delete(d.backoff, j)
+	if !d.closed && !j.sweep.isCancelled() {
+		d.queue = append(d.queue, j)
+		d.cond.Broadcast()
 		d.mu.Unlock()
-		d.setStatus(j, JobFailed, attempts, lastErr+" (dispatcher closed before retry)")
 		return
 	}
-	d.queue = append(d.queue, j)
-	d.cond.Broadcast()
 	d.mu.Unlock()
+	d.setStatus(j, JobCancelled, j.sweep.jobs[j.idx].Attempts, "sweep cancelled")
 }

@@ -276,6 +276,78 @@ func TestDispatcherRejectsAfterClose(t *testing.T) {
 	}
 }
 
+// TestDispatcherCloseOverWorkerlessFleet closes a one-worker
+// dispatcher whose first cell waits on a fleet no worker ever polls
+// and whose second is still queued. Close cancels both and returns;
+// the abandoned cell leaves the fleet's queue.
+func TestDispatcherCloseOverWorkerlessFleet(t *testing.T) {
+	f := lab.NewFleet(lab.FleetConfig{})
+	defer f.Close()
+	d := lab.NewDispatcher(lab.NewRemoteRunner(f), 1, 0)
+	sw, err := d.SubmitJobs("stranded", []lab.JobSpec{testSpec("fib", 1), testSpec("fib", 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, 5*time.Second, func() bool { return f.Status().QueueDepth == 1 })
+	closed := make(chan struct{})
+	go func() {
+		d.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still blocked after 5s on a fleet with no worker")
+	}
+	if st := sw.Status(); st.State != lab.SweepCancelled || st.Cancelled != 2 {
+		t.Fatalf("sweep after Close = %+v, want both cells cancelled", st)
+	}
+	if depth := f.Status().QueueDepth; depth != 0 {
+		t.Fatalf("fleet queue depth after Close = %d, want 0", depth)
+	}
+}
+
+// TestDispatcherCancelAndCloseStopBackoff parks one cell of each of
+// two sweeps in an hour-long retry backoff. Cancel resolves its
+// sweep's cell at once, and Close the other's before it returns: no
+// backoff timer outlives them to settle a cell later.
+func TestDispatcherCancelAndCloseStopBackoff(t *testing.T) {
+	fake := &fakeRunner{}
+	fake.failN.Store(2)
+	d := lab.NewDispatcher(fake, 1, 1)
+	d.RetryBase, d.RetryCap = time.Hour, time.Hour
+	cancelled, err := d.SubmitJobs("cancelled", []lab.JobSpec{testSpec("fib", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := d.SubmitJobs("closed", []lab.JobSpec{testSpec("fib", 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sw := range []*lab.Sweep{cancelled, closed} {
+		waitCond(t, 5*time.Second, func() bool { return sw.Status().Jobs[0].NextAttempt != nil })
+	}
+	if _, err := d.Cancel(cancelled.ID()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-cancelled.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("cancelled sweep still waiting out its backoff: %+v", cancelled.Status())
+	}
+	d.Close()
+	select {
+	case <-closed.Done():
+	default:
+		t.Fatalf("Close returned with a cell still in backoff: %+v", closed.Status())
+	}
+	for _, sw := range []*lab.Sweep{cancelled, closed} {
+		if j := sw.Status().Jobs[0]; j.Status != lab.JobCancelled || j.Attempts != 1 {
+			t.Fatalf("%s: cell = %+v, want cancelled after 1 attempt", sw.Status().Name, j)
+		}
+	}
+}
+
 func TestDispatcherRejectsEmptySweep(t *testing.T) {
 	d := lab.NewDispatcher(&fakeRunner{}, 1, 0)
 	defer d.Close()

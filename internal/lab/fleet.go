@@ -11,19 +11,21 @@ import (
 // (DESIGN.md §13): a lease-based job queue in the mold of simq's
 // dispatcher/simd protocol. Worker daemons (cmd/botsd, or an
 // in-process WorkerClient) register with a capacity, pull pending
-// JobSpecs as *leases* (job + deadline), renew them with heartbeats
-// while executing, and ship the finished Record back. A lease whose
-// deadline passes — dead worker, missed heartbeats — returns its job
-// to the queue for re-dispatch with bounded attempts and jittered
-// exponential backoff, so a sweep survives worker churn without
-// losing cells.
+// JobSpecs as *leases* (a job the coordinator holds for them until a
+// deadline), renew them with heartbeats while executing, and ship the
+// finished Record back.
 //
-// The fleet is transport-agnostic about results: completed Records
-// are delivered to the waiter that enqueued the job (a RemoteRunner
-// blocked in RunContext). A record that arrives after its waiter is
-// gone (abandoned job, expired lease racing a slow worker) is not
-// discarded: it is written straight to the configured Store, where
-// content-addressed keys make the duplicate write idempotent.
+// Each enqueued job is leased at most once and gets exactly one
+// outcome, delivered to the waiter that enqueued it (a RemoteRunner
+// blocked in RunContext): the worker's record, or an error when the
+// worker reports a failure, its lease expires (dead worker, missed
+// heartbeats) or it deregisters holding the lease. The fleet keeps no
+// attempt count of its own: the dispatcher above the RemoteRunner
+// decides whether and when a cell is tried again. A record that
+// arrives after its waiter is gone (abandoned job, expired lease
+// racing a slow worker) is not discarded: it is written straight to
+// the configured Store, where content-addressed keys make the
+// duplicate write idempotent and the dispatcher's retry a store hit.
 type Fleet struct {
 	cfg FleetConfig
 
@@ -34,12 +36,11 @@ type Fleet struct {
 	leases  map[string]*fleetLease
 
 	// lifetime counters behind the bots_lab_* fleet metrics
-	granted      int64 // leases handed out
-	expired      int64 // leases lost to a missed deadline
-	redispatched int64 // jobs returned to the queue (expiry or failed attempt)
-	completed    int64 // jobs finished with a record
-	failedJobs   int64 // jobs that exhausted their attempts
-	orphans      int64 // records landed after their waiter left
+	granted    int64 // leases handed out
+	expired    int64 // leases lost to a missed deadline or a deregistration
+	completed  int64 // jobs finished with a record
+	failedJobs int64 // jobs whose lease ended without a record
+	orphans    int64 // records landed after their waiter left
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -50,19 +51,11 @@ type FleetConfig struct {
 	// LeaseTTL is how long a lease stays valid without a heartbeat
 	// (default 10s). Workers are told to heartbeat at TTL/3.
 	LeaseTTL time.Duration
-	// MaxAttempts bounds how many times one job may be leased before
-	// the fleet gives up and fails it (default 3).
-	MaxAttempts int
-	// RetryBase/RetryCap shape the re-dispatch backoff: a job going
-	// back to the queue waits base*2^(attempt-1), jittered ±25%,
-	// capped (defaults 250ms / 10s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// Store, when non-nil, receives orphan records (results whose
 	// waiter is gone) so finished work is never thrown away.
 	Store *Store
 	// Journal, when non-nil, receives lease traffic (grants, renewals,
-	// completions, re-queues) for crash-recovery accounting.
+	// completions) for crash-recovery accounting.
 	Journal *Journal
 	// Clock replaces time.Now for tests. When set, the fleet does NOT
 	// run its background expiry ticker; the test drives ExpireDue.
@@ -77,15 +70,6 @@ func (c *FleetConfig) withDefaults() FleetConfig {
 	out := *c
 	if out.LeaseTTL <= 0 {
 		out.LeaseTTL = 10 * time.Second
-	}
-	if out.MaxAttempts < 1 {
-		out.MaxAttempts = 3
-	}
-	if out.RetryBase <= 0 {
-		out.RetryBase = 250 * time.Millisecond
-	}
-	if out.RetryCap <= 0 {
-		out.RetryCap = 10 * time.Second
 	}
 	return out
 }
@@ -148,14 +132,12 @@ type fleetWorker struct {
 	failed     int
 }
 
-// fleetJob is one enqueued cell waiting for (or out on) a lease.
+// fleetJob is one enqueued cell waiting for (or out on) its lease.
 type fleetJob struct {
 	id        string
 	spec      JobSpec
 	key       string
-	attempts  int       // lease grants so far
-	notBefore time.Time // backoff gate for re-dispatch
-	result    chan jobOutcome
+	result    chan jobOutcome // buffered 1: the job's one outcome, sent under f.mu
 	abandoned bool
 }
 
@@ -169,25 +151,19 @@ type fleetLease struct {
 	id       string
 	job      *fleetJob
 	workerID string
-	granted  time.Time
 	deadline time.Time
 	elapsed  time.Duration // worker-reported progress, via heartbeats
 }
 
-// Lease is the wire form of a grant: the job, which attempt this is,
-// and how long the worker has to complete or renew. TTLNS is the
-// authoritative lifetime — it is *relative*, so a worker whose clock
-// is minutes off the coordinator's still measures the same window
-// from its own clock (DESIGN.md §14). Deadline is the coordinator's
-// absolute view, kept for humans and dashboards; workers must not
-// compare it against their own clocks.
+// Lease is the wire form of a grant. It carries no deadline: only the
+// coordinator measures a lease's lifetime, on its own clock, so clock
+// skew between the hosts cannot strand one (DESIGN.md §14). The worker
+// heartbeats at a third of the TTL it learned at registration and
+// hears of a lost lease in the heartbeat's reply.
 type Lease struct {
-	ID       string    `json:"id"`
-	Key      string    `json:"key"`
-	Spec     JobSpec   `json:"spec"`
-	Attempt  int       `json:"attempt"`
-	TTLNS    int64     `json:"ttl_ns"`
-	Deadline time.Time `json:"deadline"`
+	ID   string  `json:"id"`
+	Key  string  `json:"key"`
+	Spec JobSpec `json:"spec"`
 }
 
 // FleetTicket tracks one enqueued job for the party awaiting its
@@ -269,9 +245,9 @@ func (f *Fleet) Register(name string, capacity int) string {
 }
 
 // Deregister removes a worker. Any leases it still holds expire
-// immediately, returning their jobs to the queue — a graceful drain
-// (botsd on SIGTERM) completes its leases *before* deregistering, so
-// reaching this with live leases means the worker is giving up.
+// immediately and fail their jobs — a graceful drain (botsd on
+// SIGTERM) completes its leases *before* deregistering, so reaching
+// this with live leases means the worker is giving up.
 func (f *Fleet) Deregister(workerID string) {
 	f.mu.Lock()
 	w, ok := f.workers[workerID]
@@ -280,36 +256,25 @@ func (f *Fleet) Deregister(workerID string) {
 		return
 	}
 	delete(f.workers, workerID)
-	var fails []*fleetJob
-	for id, l := range w.leases {
-		delete(f.leases, id)
-		f.expired++
-		if j := f.requeueLocked(l.job, "worker deregistered"); j != nil {
-			fails = append(fails, j)
-		}
+	for _, l := range w.leases {
+		f.loseLocked(l, fmt.Errorf("lab: job %s lost: worker %s deregistered holding lease %s", l.job.key, workerID, l.id))
 	}
 	f.mu.Unlock()
-	for _, j := range fails {
-		f.deliver(j, jobOutcome{err: fmt.Errorf("lab: job %s failed after %d lease attempts (worker %s deregistered)", j.key, j.attempts, workerID)})
-	}
 }
 
-// requeueLocked returns a leased job to the queue with backoff, or —
-// when its attempts are exhausted — returns it for failure delivery
-// (delivery happens outside the lock). Abandoned jobs are dropped.
-func (f *Fleet) requeueLocked(job *fleetJob, reason string) (failed *fleetJob) {
-	if job.abandoned {
-		return nil
+// loseLocked drops a lease that ends without a record (expiry or
+// deregistration), counts it, and fails its job with err. Like every
+// outcome it is sent under f.mu, so abandon and the send are ordered;
+// the send cannot block, since a job has one lease, one outcome and a
+// one-slot channel.
+func (f *Fleet) loseLocked(l *fleetLease, err error) {
+	delete(f.leases, l.id)
+	if w := f.workers[l.workerID]; w != nil {
+		delete(w.leases, l.id)
 	}
-	if job.attempts >= f.cfg.MaxAttempts {
-		f.failedJobs++
-		return job
-	}
-	job.notBefore = f.now().Add(backoffDelay(f.cfg.RetryBase, f.cfg.RetryCap, job.attempts))
-	f.queue = append(f.queue, job)
-	f.redispatched++
-	f.cfg.Journal.JobRequeued(job.key, reason)
-	return nil
+	f.expired++
+	f.failedJobs++
+	l.job.result <- jobOutcome{err: err}
 }
 
 // ErrUnknownWorker is returned by Lease/Heartbeat for a worker ID the
@@ -317,9 +282,8 @@ func (f *Fleet) requeueLocked(job *fleetJob, reason string) (failed *fleetJob) {
 // should re-register.
 var ErrUnknownWorker = fmt.Errorf("lab: unknown fleet worker")
 
-// Lease grants up to max pending jobs to the worker, each with a
-// fresh deadline. Jobs still inside their re-dispatch backoff window
-// are skipped. An empty grant means "poll again later".
+// Lease grants up to max pending jobs, oldest first, to the worker,
+// each with a fresh deadline. An empty grant means "poll again later".
 func (f *Fleet) Lease(workerID string, max int) ([]Lease, error) {
 	if max < 1 {
 		max = 1
@@ -332,29 +296,26 @@ func (f *Fleet) Lease(workerID string, max int) ([]Lease, error) {
 		return nil, fmt.Errorf("%w %q", ErrUnknownWorker, workerID)
 	}
 	w.lastSeen = now
-	var grants []Lease
-	kept := f.queue[:0]
-	for _, job := range f.queue {
-		if len(grants) >= max || now.Before(job.notBefore) {
-			kept = append(kept, job)
-			continue
-		}
+	n := min(max, len(f.queue))
+	grants := make([]Lease, n)
+	for i, job := range f.queue[:n] {
 		f.nextID++
-		job.attempts++
 		l := &fleetLease{
 			id:       fmt.Sprintf("l%d", f.nextID),
 			job:      job,
 			workerID: w.id,
-			granted:  now,
 			deadline: now.Add(f.cfg.LeaseTTL),
 		}
 		f.leases[l.id] = l
 		w.leases[l.id] = l
 		f.granted++
-		f.cfg.Journal.LeaseGranted(l.id, job.key, w.id, job.attempts)
-		grants = append(grants, Lease{ID: l.id, Key: job.key, Spec: job.spec, Attempt: job.attempts, TTLNS: int64(f.cfg.LeaseTTL), Deadline: l.deadline})
+		// Every lease is its job's only one; the dispatcher counts a
+		// cell's attempts.
+		f.cfg.Journal.LeaseGranted(l.id, job.key, w.id, 1)
+		grants[i] = Lease{ID: l.id, Key: job.key, Spec: job.spec}
 	}
-	f.queue = kept
+	clear(f.queue[:n])
+	f.queue = f.queue[n:]
 	return grants, nil
 }
 
@@ -366,8 +327,8 @@ type HeartbeatProgress struct {
 
 // Heartbeat marks the worker live and renews the named leases,
 // recording reported progress. It returns the renewed lease IDs and
-// the ones the fleet no longer recognizes (already expired and
-// re-dispatched) so the worker knows which executions became orphans.
+// the ones the fleet no longer recognizes (already expired) so the
+// worker knows which executions became orphans.
 func (f *Fleet) Heartbeat(workerID string, progress []HeartbeatProgress) (renewed, lost []string, err error) {
 	now := f.now()
 	f.mu.Lock()
@@ -391,12 +352,11 @@ func (f *Fleet) Heartbeat(workerID string, progress []HeartbeatProgress) (renewe
 	return renewed, lost, nil
 }
 
-// Complete finishes a lease: a record delivers the job; an error
-// message counts the attempt against the job's budget and re-queues
-// it with backoff. A completion for an unknown lease (expired while
-// the worker kept running) is an orphan: its record, if any, still
-// goes to the store, where the content-addressed key keeps the
-// duplicate write idempotent.
+// Complete finishes a lease: a record delivers the job, an error
+// message fails it. A completion for an unknown lease (expired while
+// the worker kept running, or a retried post) is an orphan: its
+// record, if any, still goes to the store, where the
+// content-addressed key keeps the duplicate write idempotent.
 func (f *Fleet) Complete(leaseID string, rec *Record, errMsg string) {
 	f.mu.Lock()
 	l, ok := f.leases[leaseID]
@@ -414,48 +374,30 @@ func (f *Fleet) Complete(leaseID string, rec *Record, errMsg string) {
 	}
 	job := l.job
 	f.cfg.Journal.LeaseCompleted(leaseID, job.key, errMsg == "" && rec != nil)
-	var outcome *jobOutcome
 	var orphan *Record
-	switch {
-	case errMsg == "" && rec != nil:
+	if errMsg == "" && rec != nil {
 		f.completed++
 		if w != nil {
 			w.done++
 		}
 		if job.abandoned {
-			orphan = rec
+			orphan = rec // the waiter left; keep the record anyway
 		} else {
-			outcome = &jobOutcome{rec: rec}
+			job.result <- jobOutcome{rec: rec}
 		}
-	default:
+	} else {
+		f.failedJobs++
 		if w != nil {
 			w.failed++
 		}
 		if errMsg == "" {
 			errMsg = "worker returned neither record nor error"
 		}
-		if failed := f.requeueLocked(job, "attempt failed: "+errMsg); failed != nil {
-			outcome = &jobOutcome{err: fmt.Errorf("lab: job %s failed after %d lease attempts: %s", job.key, job.attempts, errMsg)}
-		}
+		job.result <- jobOutcome{err: fmt.Errorf("lab: job %s failed on worker %s: %s", job.key, l.workerID, errMsg)}
 	}
 	f.mu.Unlock()
 	if orphan != nil {
 		f.storeOrphan(orphan)
-	}
-	if outcome != nil {
-		f.deliver(job, *outcome)
-	}
-}
-
-func (f *Fleet) deliver(job *fleetJob, out jobOutcome) {
-	select {
-	case job.result <- out:
-	default:
-		// Result already delivered (an expired lease's re-dispatch
-		// finished first); keep the record anyway.
-		if out.rec != nil {
-			f.storeOrphan(out.rec)
-		}
 	}
 }
 
@@ -469,32 +411,20 @@ func (f *Fleet) storeOrphan(rec *Record) {
 	}
 }
 
-// ExpireDue scans for leases past their deadline and returns their
-// jobs to the queue (or fails them when attempts are exhausted). It
-// reports how many leases expired. The background ticker calls this
-// every LeaseTTL/4; tests with a fake clock call it directly.
+// ExpireDue scans for leases past their deadline and fails their
+// jobs. It reports how many leases expired. The background ticker
+// calls this every LeaseTTL/4; tests with a fake clock call it
+// directly.
 func (f *Fleet) ExpireDue() int {
 	now := f.now()
 	f.mu.Lock()
-	var fails []*fleetJob
+	defer f.mu.Unlock()
 	n := 0
-	for id, l := range f.leases {
-		if now.Before(l.deadline) {
-			continue
+	for _, l := range f.leases {
+		if !now.Before(l.deadline) {
+			f.loseLocked(l, fmt.Errorf("lab: job %s lost: lease %s expired (worker dead or stalled)", l.job.key, l.id))
+			n++
 		}
-		delete(f.leases, id)
-		if w := f.workers[l.workerID]; w != nil {
-			delete(w.leases, id)
-		}
-		f.expired++
-		n++
-		if j := f.requeueLocked(l.job, "lease expired"); j != nil {
-			fails = append(fails, j)
-		}
-	}
-	f.mu.Unlock()
-	for _, j := range fails {
-		f.deliver(j, jobOutcome{err: fmt.Errorf("lab: job %s failed after %d lease attempts: final lease expired (worker dead or stalled)", j.key, j.attempts)})
 	}
 	return n
 }
@@ -523,7 +453,6 @@ type WorkerView struct {
 type RunningLease struct {
 	LeaseID   string    `json:"lease_id"`
 	Key       string    `json:"key"`
-	Attempt   int       `json:"attempt"`
 	Deadline  time.Time `json:"deadline"`
 	ElapsedNS int64     `json:"elapsed_ns,omitempty"`
 }
@@ -531,15 +460,14 @@ type RunningLease struct {
 // FleetStatus is a point-in-time snapshot of the coordinator: the
 // GET /workers body and the source of the fleet metrics.
 type FleetStatus struct {
-	Workers          []WorkerView `json:"workers"`
-	QueueDepth       int          `json:"queue_depth"`
-	LeasesActive     int          `json:"leases_active"`
-	LeasesGranted    int64        `json:"leases_granted"`
-	LeasesExpired    int64        `json:"leases_expired"`
-	JobsRedispatched int64        `json:"jobs_redispatched"`
-	JobsCompleted    int64        `json:"jobs_completed"`
-	JobsFailed       int64        `json:"jobs_failed"`
-	OrphanResults    int64        `json:"orphan_results"`
+	Workers       []WorkerView `json:"workers"`
+	QueueDepth    int          `json:"queue_depth"`
+	LeasesActive  int          `json:"leases_active"`
+	LeasesGranted int64        `json:"leases_granted"`
+	LeasesExpired int64        `json:"leases_expired"`
+	JobsCompleted int64        `json:"jobs_completed"`
+	JobsFailed    int64        `json:"jobs_failed"`
+	OrphanResults int64        `json:"orphan_results"`
 }
 
 // WorkersByState counts workers per state, for the workers gauge.
@@ -557,15 +485,14 @@ func (f *Fleet) Status() FleetStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := FleetStatus{
-		Workers:          []WorkerView{},
-		QueueDepth:       len(f.queue),
-		LeasesActive:     len(f.leases),
-		LeasesGranted:    f.granted,
-		LeasesExpired:    f.expired,
-		JobsRedispatched: f.redispatched,
-		JobsCompleted:    f.completed,
-		JobsFailed:       f.failedJobs,
-		OrphanResults:    f.orphans,
+		Workers:       []WorkerView{},
+		QueueDepth:    len(f.queue),
+		LeasesActive:  len(f.leases),
+		LeasesGranted: f.granted,
+		LeasesExpired: f.expired,
+		JobsCompleted: f.completed,
+		JobsFailed:    f.failedJobs,
+		OrphanResults: f.orphans,
 	}
 	for _, w := range f.workers {
 		v := WorkerView{
@@ -583,7 +510,7 @@ func (f *Fleet) Status() FleetStatus {
 		}
 		for id, l := range w.leases {
 			v.Running = append(v.Running, RunningLease{
-				LeaseID: id, Key: l.job.key, Attempt: l.job.attempts,
+				LeaseID: id, Key: l.job.key,
 				Deadline: l.deadline, ElapsedNS: int64(l.elapsed),
 			})
 		}

@@ -21,7 +21,9 @@ import (
 // `botslab -serve -fleet` does: store → RemoteRunner(fleet) under a
 // CachedRunner → dispatcher → HTTP handler with the coordinator
 // endpoints mounted. Workers then join over HTTP like botsd would.
-func newFleetServer(t *testing.T, cfg lab.FleetConfig) (*httptest.Server, *lab.Fleet, *lab.Store) {
+// retries is the dispatcher's, the one budget of lease attempts per
+// cell, and its backoff is kept short (10 ms doubling to 50 ms).
+func newFleetServer(t *testing.T, cfg lab.FleetConfig, retries int) (*httptest.Server, *lab.Fleet, *lab.Store) {
 	t.Helper()
 	store, err := lab.OpenStore(filepath.Join(t.TempDir(), "lab.jsonl"))
 	if err != nil {
@@ -30,7 +32,8 @@ func newFleetServer(t *testing.T, cfg lab.FleetConfig) (*httptest.Server, *lab.F
 	cfg.Store = store
 	fleet := lab.NewFleet(cfg)
 	runner := lab.NewCachedRunner(store, lab.NewRemoteRunner(fleet))
-	disp := lab.NewDispatcher(runner, 32, 1)
+	disp := lab.NewDispatcher(runner, 32, retries)
+	disp.RetryBase, disp.RetryCap = 10*time.Millisecond, 50*time.Millisecond
 	srv := &lab.Server{
 		Disp:         disp,
 		Store:        store,
@@ -113,7 +116,7 @@ func waitSweepDone(t *testing.T, ts *httptest.Server, id string, within time.Dur
 // of the same manifest is answered entirely from the cache — zero new
 // leases, zero new executions.
 func TestFleetEndToEnd(t *testing.T) {
-	ts, fleet, store := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second})
+	ts, fleet, store := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second}, 1)
 	alpha, _ := startWorker(t, ts, "alpha", 2)
 	beta, _ := startWorker(t, ts, "beta", 2)
 
@@ -185,15 +188,10 @@ func TestFleetEndToEnd(t *testing.T) {
 
 // TestFleetWorkerDeathRedispatch kills a worker mid-sweep: a "doomed"
 // worker leases a cell and goes silent (no heartbeat, no result); its
-// lease expires and the cell is re-dispatched to the surviving
-// worker, so the sweep still converges with no cell lost.
+// lease expires, the dispatcher retries the cell, and the surviving
+// worker runs it, so the sweep still converges with no cell lost.
 func TestFleetWorkerDeathRedispatch(t *testing.T) {
-	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{
-		LeaseTTL:    300 * time.Millisecond,
-		MaxAttempts: 5,
-		RetryBase:   10 * time.Millisecond,
-		RetryCap:    50 * time.Millisecond,
-	})
+	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{LeaseTTL: 300 * time.Millisecond}, 4)
 
 	// The doomed worker speaks the Fleet API directly so the test
 	// controls exactly what it does: lease one job, then vanish.
@@ -230,8 +228,10 @@ func TestFleetWorkerDeathRedispatch(t *testing.T) {
 	if fst.LeasesExpired < 1 {
 		t.Fatalf("leases expired = %d, want >= 1", fst.LeasesExpired)
 	}
-	if fst.JobsRedispatched < 1 {
-		t.Fatalf("jobs redispatched = %d, want >= 1", fst.JobsRedispatched)
+	for _, j := range st.Jobs {
+		if j.Key == grabbed[0].Key && j.Attempts != 2 {
+			t.Fatalf("the doomed worker's cell took %d attempts, want 2: %+v", j.Attempts, j)
+		}
 	}
 	var all []lab.Record
 	getJSON(t, ts.URL+"/results", &all)
@@ -272,7 +272,7 @@ func TestFleetEndpointsWithoutFleet(t *testing.T) {
 // TestFleetWireProtocol round-trips the raw coordinator wire format —
 // what a non-Go worker would speak.
 func TestFleetWireProtocol(t *testing.T) {
-	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second})
+	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second}, 1)
 
 	post := func(path, body string, out any) *http.Response {
 		t.Helper()
@@ -341,7 +341,7 @@ func TestFleetWireProtocol(t *testing.T) {
 // gets a 4xx and changes nothing: no sweep is added, and the lease the
 // oversized result names stays active.
 func TestServerRejectsOversizedBodies(t *testing.T) {
-	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second})
+	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second}, 1)
 	worker := fleet.Register("big", 1)
 	fleet.Enqueue(testSpec("fib", 2))
 	leases, err := fleet.Lease(worker, 1)
@@ -380,7 +380,7 @@ func TestServerRejectsOversizedBodies(t *testing.T) {
 // lab.MaxSweepCells cells gets a 4xx from POST /sweeps, and neither
 // the sweep list nor the fleet changes.
 func TestServerRejectsOversizedSweep(t *testing.T) {
-	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second})
+	ts, fleet, _ := newFleetServer(t, lab.FleetConfig{LeaseTTL: 10 * time.Second}, 1)
 	var sweepsBefore, sweepsAfter []lab.SweepStatus
 	getJSON(t, ts.URL+"/sweeps", &sweepsBefore)
 	fleetBefore := fleet.Status()

@@ -38,12 +38,9 @@ func (c *fakeClock) Advance(d time.Duration) {
 func testFleet(t *testing.T, clock *fakeClock, store *lab.Store) *lab.Fleet {
 	t.Helper()
 	f := lab.NewFleet(lab.FleetConfig{
-		LeaseTTL:    10 * time.Second,
-		MaxAttempts: 3,
-		RetryBase:   time.Millisecond, // keep re-dispatch gates tiny vs. Advance steps
-		RetryCap:    2 * time.Millisecond,
-		Store:       store,
-		Clock:       clock.Now,
+		LeaseTTL: 10 * time.Second,
+		Store:    store,
+		Clock:    clock.Now,
 	})
 	t.Cleanup(f.Close)
 	return f
@@ -77,11 +74,12 @@ func TestFleetLeaseGrantAndComplete(t *testing.T) {
 		t.Fatalf("got %d leases, want 1", len(leases))
 	}
 	l := leases[0]
-	if l.Attempt != 1 || l.Key != testSpec("fib", 2).Key() {
+	if l.Key != testSpec("fib", 2).Key() {
 		t.Fatalf("lease = %+v", l)
 	}
-	if want := clock.Now().Add(10 * time.Second); !l.Deadline.Equal(want) {
-		t.Fatalf("deadline = %v, want %v", l.Deadline, want)
+	running := f.Status().Workers[0].Running
+	if want := clock.Now().Add(10 * time.Second); len(running) != 1 || running[0].LeaseID != l.ID || !running[0].Deadline.Equal(want) {
+		t.Fatalf("running = %+v, want lease %s with deadline %v", running, l.ID, want)
 	}
 
 	f.Complete(l.ID, fakeRecordFor(l.Spec, "alpha"), "")
@@ -147,65 +145,115 @@ func TestFleetHeartbeatRenewsDeadline(t *testing.T) {
 	if n := f.ExpireDue(); n != 0 {
 		t.Fatalf("expired %d leases after renewal, want 0", n)
 	}
-	// 10 more seconds without a heartbeat: now it expires.
+	// 10 more seconds without a heartbeat: now it expires, and the
+	// ticket gets the loss at once; the fleet queues nothing again.
 	clock.Advance(10 * time.Second)
 	if n := f.ExpireDue(); n != 1 {
 		t.Fatalf("expired %d leases, want 1", n)
 	}
-	// The job is back in the queue for another worker.
-	clock.Advance(time.Second)
-	leases2, _ := f.Lease(w, 1)
-	if len(leases2) != 1 || leases2[0].Attempt != 2 {
-		t.Fatalf("re-dispatch leases = %+v", leases2)
+	if _, err := waitTicket(t, ticket); err == nil || !strings.Contains(err.Error(), "expired") {
+		t.Fatalf("err = %v, want the lease's expiry", err)
 	}
-	f.Complete(leases2[0].ID, fakeRecordFor(leases2[0].Spec, "alpha"), "")
-	if _, err := waitTicket(t, ticket); err != nil {
-		t.Fatal(err)
+	if again, _ := f.Lease(w, 1); len(again) != 0 {
+		t.Fatalf("expired job leased again: %+v", again)
 	}
 	st := f.Status()
-	if st.LeasesExpired != 1 || st.JobsRedispatched != 1 {
+	if st.LeasesExpired != 1 || st.JobsFailed != 1 || st.QueueDepth != 0 {
 		t.Fatalf("status = %+v", st)
 	}
 }
 
-func TestFleetFailureRetryBackoffAndExhaustion(t *testing.T) {
+// TestFleetOneRetryBudget runs one cell through a dispatcher with
+// retries 2 over a fleet whose only worker fails every lease. The
+// dispatcher's budget is the only one: the fleet grants exactly 3
+// leases, one per attempt, and the cell ends failed after 3 attempts.
+func TestFleetOneRetryBudget(t *testing.T) {
 	clock := newFakeClock()
 	f := testFleet(t, clock, nil)
-	w := f.Register("alpha", 1)
-	ticket := f.Enqueue(testSpec("fib", 1))
-
-	for attempt := 1; attempt <= 3; attempt++ {
-		// The retry backoff gates the job: immediately after a failure
-		// the queue offers nothing.
+	w := f.Register("flaky", 1)
+	d := lab.NewDispatcher(lab.NewRemoteRunner(f), 1, 2)
+	d.RetryBase, d.RetryCap = time.Millisecond, time.Millisecond
+	defer d.Close()
+	sw, err := d.SubmitJobs("budget", []lab.JobSpec{testSpec("fib", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The worker fails whatever it leases. Advancing the fake clock
+	// opens any backoff gate the fleet might keep; with no expiry
+	// ticker under a fake clock, no lease expires.
+	for done := false; !done; {
 		leases, err := f.Lease(w, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if attempt > 1 && len(leases) == 0 {
-			t.Fatalf("attempt %d: job still gated after backoff window", attempt)
+		for _, l := range leases {
+			f.Complete(l.ID, nil, "bench exploded")
 		}
+		clock.Advance(time.Second)
+		select {
+		case <-sw.Done():
+			done = true
+		case <-time.After(time.Millisecond):
+		}
+	}
+	st := sw.Status()
+	if j := st.Jobs[0]; j.Status != lab.JobFailed || j.Attempts != 3 || !strings.Contains(j.Error, "bench exploded") {
+		t.Fatalf("cell = %+v, want failed after 3 attempts with the worker's error", j)
+	}
+	if fst := f.Status(); fst.LeasesGranted != 3 || fst.JobsFailed != 3 || fst.QueueDepth != 0 {
+		t.Fatalf("fleet status = %+v, want 3 leases granted and failed, nothing queued", fst)
+	}
+}
+
+// TestFleetExpireRacesComplete races ExpireDue against the worker's
+// Complete on one overdue lease, many times. Whichever takes the lease
+// decides the ticket's one outcome: the record, or the expiry with the
+// record landing as an orphan. A second delivery would block its
+// sender on the ticket's one-slot channel.
+func TestFleetExpireRacesComplete(t *testing.T) {
+	outcomes := map[bool]int{}
+	for i := 0; i < 200; i++ {
+		clock := newFakeClock()
+		f := testFleet(t, clock, nil)
+		w := f.Register("alpha", 1)
+		ticket := f.Enqueue(testSpec("fib", 2))
+		leases, _ := f.Lease(w, 1)
 		if len(leases) != 1 {
-			t.Fatalf("attempt %d: got %d leases", attempt, len(leases))
+			t.Fatalf("got %d leases, want 1", len(leases))
 		}
-		if leases[0].Attempt != attempt {
-			t.Fatalf("lease attempt = %d, want %d", leases[0].Attempt, attempt)
+		clock.Advance(11 * time.Second)
+		racers := []func(){
+			func() { f.ExpireDue() },
+			func() { f.Complete(leases[0].ID, fakeRecordFor(leases[0].Spec, "alpha"), "") },
 		}
-		f.Complete(leases[0].ID, nil, "bench exploded")
-		if attempt < 3 {
-			if got, _ := f.Lease(w, 1); len(got) != 0 {
-				t.Fatalf("attempt %d: leased again inside backoff window", attempt)
-			}
-			clock.Advance(50 * time.Millisecond) // well past the tiny RetryCap
+		if i%2 == 1 {
+			racers[0], racers[1] = racers[1], racers[0]
+		}
+		start, both := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		for _, race := range racers {
+			wg.Add(1)
+			go func() { defer wg.Done(); <-start; race() }()
+		}
+		go func() { wg.Wait(); close(both) }()
+		close(start)
+		select {
+		case <-both:
+		case <-time.After(5 * time.Second):
+			t.Fatal("ExpireDue or Complete blocked delivering a second outcome")
+		}
+		rec, err := waitTicket(t, ticket)
+		st := f.Status()
+		expired := err != nil
+		outcomes[expired]++
+		switch {
+		case !expired && rec != nil && st.JobsCompleted == 1 && st.LeasesExpired == 0 && st.OrphanResults == 0:
+		case expired && st.JobsCompleted == 0 && st.LeasesExpired == 1 && st.OrphanResults == 1:
+		default:
+			t.Fatalf("round %d: ticket = %v, %v; status = %+v", i, rec, err, st)
 		}
 	}
-	_, err := waitTicket(t, ticket)
-	if err == nil || !strings.Contains(err.Error(), "after 3 lease attempts") {
-		t.Fatalf("err = %v, want attempts-exhausted failure", err)
-	}
-	st := f.Status()
-	if st.JobsFailed != 1 || st.JobsRedispatched != 2 {
-		t.Fatalf("status = %+v", st)
-	}
+	t.Logf("completed first %d times, expired first %d times", outcomes[false], outcomes[true])
 }
 
 func TestFleetAbandonAndOrphanResult(t *testing.T) {
@@ -266,9 +314,10 @@ func TestFleetUnknownWorker(t *testing.T) {
 	if _, _, err := f.Heartbeat("w999", nil); !errors.Is(err, lab.ErrUnknownWorker) {
 		t.Fatalf("heartbeat err = %v, want ErrUnknownWorker", err)
 	}
-	// Deregistering a live worker expires its leases back to the queue.
+	// Deregistering a live worker expires its leases and fails their
+	// jobs at once.
 	w := f.Register("alpha", 1)
-	f.Enqueue(testSpec("fib", 1))
+	ticket := f.Enqueue(testSpec("fib", 1))
 	if leases, _ := f.Lease(w, 1); len(leases) != 1 {
 		t.Fatalf("got %d leases", len(leases))
 	}
@@ -276,8 +325,11 @@ func TestFleetUnknownWorker(t *testing.T) {
 	if _, err := f.Lease(w, 1); !errors.Is(err, lab.ErrUnknownWorker) {
 		t.Fatalf("post-deregister lease err = %v, want ErrUnknownWorker", err)
 	}
+	if _, err := waitTicket(t, ticket); err == nil || !strings.Contains(err.Error(), "deregistered") {
+		t.Fatalf("ticket err = %v, want the worker's deregistration", err)
+	}
 	st := f.Status()
-	if len(st.Workers) != 0 || st.LeasesExpired != 1 || st.QueueDepth == 0 {
+	if len(st.Workers) != 0 || st.LeasesExpired != 1 || st.JobsFailed != 1 || st.QueueDepth != 0 {
 		t.Fatalf("status = %+v", st)
 	}
 }

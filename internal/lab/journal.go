@@ -11,14 +11,14 @@ import (
 // §14): an append-only, checksum-framed JSONL log of every durable
 // state transition — sweep submissions, cancellations, per-cell
 // terminal outcomes, and the fleet's lease traffic (grants, renewals,
-// completions, re-queues). Its job is crash recovery: a `botslab
+// completions). Its job is crash recovery: a `botslab
 // -fleet` coordinator killed mid-sweep reopens the journal, learns
 // which sweeps were unfinished, and resubmits exactly the cells that
 // never reached `done`. Cells that DID finish have their records in
 // the result store, so the cache layer makes their "re-run" free —
 // the journal never needs to persist results, only intent.
 //
-// Lease events (grant/renew/complete/requeue) are observability for
+// Lease events (grant/renew/complete) are observability for
 // the wire: replay counts them so a recovery can report how much
 // traffic the dead incarnation had seen, and chaos tests can assert
 // the journal actually witnessed the sweep. They carry no recovery
@@ -46,7 +46,7 @@ type Journal struct {
 // journalEvent is the wire form of one journal line. One struct for
 // every event type keeps replay trivial; unused fields stay omitted.
 type journalEvent struct {
-	T string `json:"t"` // "sweep" | "cancel" | "job" | "grant" | "renew" | "complete" | "requeue"
+	T string `json:"t"` // "sweep" | "cancel" | "job" | "grant" | "renew" | "complete"
 
 	// sweep / cancel
 	ID        string    `json:"id,omitempty"` // journal-scoped sweep id ("js<n>")
@@ -64,7 +64,6 @@ type journalEvent struct {
 	Worker  string `json:"worker,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
 	OK      bool   `json:"ok,omitempty"`
-	Reason  string `json:"reason,omitempty"`
 }
 
 // RecoveredSweep is one unfinished sweep reconstructed from the
@@ -118,7 +117,6 @@ type Recovery struct {
 	Grants      int
 	Renewals    int
 	Completions int
-	Requeues    int
 }
 
 // OpenJournal opens (creating if needed) the journal at path, replays
@@ -150,6 +148,9 @@ func OpenJournal(path string) (*Journal, *Recovery, error) {
 			return nil, nil, fmt.Errorf("lab: journal %s event %d: %w", path, i+1, err)
 		}
 		rec.Events++
+		// A kind not named here (the `requeue` frames of journals
+		// written before the dispatcher owned retries) counts as an
+		// event and is otherwise ignored.
 		switch ev.T {
 		case "sweep":
 			sw := &RecoveredSweep{
@@ -176,8 +177,6 @@ func OpenJournal(path string) (*Journal, *Recovery, error) {
 			rec.Renewals++
 		case "complete":
 			rec.Completions++
-		case "requeue":
-			rec.Requeues++
 		}
 	}
 	for _, id := range order {
@@ -310,10 +309,4 @@ func (j *Journal) LeaseRenewed(leaseID string) {
 // error (not ok).
 func (j *Journal) LeaseCompleted(leaseID, key string, ok bool) {
 	j.appendEvent(journalEvent{T: "complete", Lease: leaseID, Key: key, OK: ok})
-}
-
-// JobRequeued journals a queue transition: a cell going back to
-// pending after an expiry, failure, or worker loss.
-func (j *Journal) JobRequeued(key, reason string) {
-	j.appendEvent(journalEvent{T: "requeue", Key: key, Reason: reason})
 }

@@ -1,6 +1,8 @@
 package lab_test
 
 import (
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,7 +37,9 @@ func waitCond(t *testing.T, timeout time.Duration, cond func() bool) {
 
 // TestJournalRoundTripRecovery is the core recovery contract: a
 // journal that saw a sweep submitted and some cells finish replays
-// into a Recovery whose Pending() is exactly the unfinished cells.
+// into a Recovery whose Pending() is exactly the unfinished cells. Its
+// last frame is a `requeue` event, which journals written while the
+// fleet kept its own retries still hold: replay counts it and reads on.
 func TestJournalRoundTripRecovery(t *testing.T) {
 	path := journalPath(t)
 	j, rec, err := lab.OpenJournal(path)
@@ -58,8 +62,17 @@ func TestJournalRoundTripRecovery(t *testing.T) {
 	j.LeaseRenewed("l1")
 	j.LeaseCompleted("l1", jobs[0].Key(), true)
 	j.JobDone(id, jobs[0].Key(), lab.JobDone)
-	j.JobRequeued(jobs[1].Key(), "lease expired")
 	j.Close()
+	requeue := `{"t":"requeue","key":"` + jobs[1].Key() + `","reason":"lease expired"}`
+	frame := fmt.Sprintf(`{"crc":"%08x","p":%s}`+"\n", crc32.Checksum([]byte(requeue), crc32.MakeTable(crc32.Castagnoli)), requeue)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(frame); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	_, rec2, err := lab.OpenJournal(path)
 	if err != nil {
@@ -68,7 +81,7 @@ func TestJournalRoundTripRecovery(t *testing.T) {
 	if rec2.Events != 6 {
 		t.Fatalf("replayed %d events, want 6", rec2.Events)
 	}
-	if rec2.Grants != 1 || rec2.Renewals != 1 || rec2.Completions != 1 || rec2.Requeues != 1 {
+	if rec2.Repair != nil || rec2.Grants != 1 || rec2.Renewals != 1 || rec2.Completions != 1 {
 		t.Fatalf("lease counts = %+v", rec2)
 	}
 	if len(rec2.Sweeps) != 1 {

@@ -166,8 +166,6 @@ func (s *Server) registerObs(reg *obs.Registry) {
 		func() float64 { return float64(s.Fleet.Status().LeasesGranted) })
 	reg.CounterFunc("bots_lab_leases_expired_total", "Fleet leases lost to a missed deadline.",
 		func() float64 { return float64(s.Fleet.Status().LeasesExpired) })
-	reg.CounterFunc("bots_lab_jobs_redispatched_total", "Fleet jobs returned to the queue for another lease.",
-		func() float64 { return float64(s.Fleet.Status().JobsRedispatched) })
 }
 
 // fleetHandler gates a coordinator route on the fleet being enabled.

@@ -54,9 +54,6 @@ type WorkerClient struct {
 	// is unreachable at startup — botsd racing `botslab -fleet` at
 	// boot. Default 0: fail fast, for tests and interactive use.
 	StartupRetries int
-	// Clock replaces time.Now for chaos tests that skew the worker's
-	// view of time.
-	Clock func() time.Time
 
 	// mu guards active, and workerID and ttl, which a re-registration
 	// on the lease loop rewrites while the heartbeat goroutine reads
@@ -72,26 +69,14 @@ type WorkerClient struct {
 }
 
 type leaseRun struct {
-	lease Lease
 	start time.Time
-	// expires is the lease deadline measured on the WORKER's clock
-	// from the coordinator-issued relative TTL — immune to clock skew
-	// between the two hosts (DESIGN.md §14).
-	expires time.Time
-	lost    bool // coordinator reported the lease expired under us
+	lost  bool // coordinator reported the lease expired under us
 }
 
 func (c *WorkerClient) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
 	}
-}
-
-func (c *WorkerClient) now() time.Time {
-	if c.Clock != nil {
-		return c.Clock()
-	}
-	return time.Now()
 }
 
 // Retries reports lifetime wire-level request retries.
@@ -235,15 +220,8 @@ lease:
 		}
 		for _, l := range leases {
 			l := l
-			ttl := time.Duration(l.TTLNS)
-			if ttl <= 0 {
-				ttl = c.ttl
-			}
 			c.mu.Lock()
-			// Expiry measured on OUR clock from the relative TTL — the
-			// coordinator's absolute Deadline is never consulted, so
-			// clock skew between the hosts cannot strand a lease.
-			c.active[l.ID] = &leaseRun{lease: l, start: time.Now(), expires: c.now().Add(ttl)}
+			c.active[l.ID] = &leaseRun{start: time.Now()}
 			c.mu.Unlock()
 			execWG.Add(1)
 			go func() {
@@ -270,8 +248,8 @@ func (c *WorkerClient) Done() int64 { return c.done.Load() }
 // with a background context: a drain (SIGTERM) must still deliver
 // work already paid for.
 func (c *WorkerClient) execute(l Lease) {
-	c.logf("lease %s: %s/%s %s t=%d (attempt %d)",
-		l.ID, l.Spec.Bench, l.Spec.Version, l.Spec.Class, l.Spec.Threads, l.Attempt)
+	c.logf("lease %s: %s/%s %s t=%d",
+		l.ID, l.Spec.Bench, l.Spec.Version, l.Spec.Class, l.Spec.Threads)
 	start := time.Now()
 	rec, err := c.Exec.Execute(l.Spec)
 	c.mu.Lock()
@@ -351,21 +329,14 @@ func (c *WorkerClient) heartbeat() {
 	}
 	c.mu.Unlock()
 	var resp struct {
-		Renewed []string `json:"renewed"`
-		Lost    []string `json:"lost"`
+		Lost []string `json:"lost"`
 	}
 	err := c.post(context.Background(), "/heartbeats", map[string]any{"worker_id": workerID, "leases": progress}, &resp)
 	if err != nil {
 		c.logf("heartbeat failed: %v", err)
 		return
 	}
-	now := c.now()
 	c.mu.Lock()
-	for _, id := range resp.Renewed {
-		if run := c.active[id]; run != nil {
-			run.expires = now.Add(c.ttl)
-		}
-	}
 	for _, id := range resp.Lost {
 		if run := c.active[id]; run != nil && !run.lost {
 			run.lost = true
