@@ -10,13 +10,22 @@ import (
 	"bots/internal/trace"
 )
 
-// replayDigest pins every Result field and the full start/complete
-// event sequence of Run over the corpus × disciplines × team sizes ×
-// Params grid below. It was computed on the event loop as of PR 20; a
-// change to sim.go that is meant to be a pure speed-up must leave it
-// unchanged, bit for bit. A change that means to alter simulated
-// schedules re-pins it and says why in CHANGES.md.
-const replayDigest uint64 = 0x27c5362bfa7094b7
+// replayDigests pins, per cost model of digestParams, every Result
+// field and the full start/complete event sequence of Run over the
+// corpus × disciplines × team sizes grid below. A change to sim.go
+// that is meant to be a pure speed-up must leave them unchanged, bit
+// for bit. A change that means to alter simulated schedules re-pins
+// them and says why in CHANGES.md.
+var replayDigests = [...]uint64{
+	0x98e369d1c7da2c5d, // default
+	0x103a3fd34158aad,  // bandwidth
+	0x100c764f0f6b9227, // queue
+	0x3572958059c33a85, // threadswitch
+}
+
+// digestModels names digestParams' cost models, in order, as the
+// subtests of TestReplayDigest.
+var digestModels = [...]string{"default", "bandwidth", "queue", "threadswitch"}
 
 // corpusTrace is one deterministic synthetic trace of the replay
 // corpus shared by TestReplayDigest and BenchmarkRun.
@@ -127,62 +136,77 @@ func hashResult(h hash.Hash64, r Result) {
 	hashU64(h, math.Float64bits(r.IdleNS))
 }
 
-// TestReplayDigest is the bit-identity contract of the event loop:
-// one FNV-64a over every Result and every OnStart/OnComplete event
-// (kind, task, worker, virtual time) of the whole grid, plus the
-// Timeline spans, compared against the pinned replayDigest.
+// TestReplayDigest is the bit-identity contract of the event loop,
+// one subtest per cost model: an FNV-64a over every Result and every
+// OnStart/OnComplete event (kind, task, worker, virtual time) of the
+// corpus × digestSchedulers × team sizes grid, plus the Timeline
+// spans, compared against that model's pinned replayDigests entry.
 func TestReplayDigest(t *testing.T) {
-	h := fnv.New64a()
-	runs := 0
-	for _, c := range replayCorpus() {
+	corpus := replayCorpus()
+	for _, c := range corpus {
 		if err := c.tr.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		for pi, base := range digestParams() {
-			for _, sched := range digestSchedulers {
-				for _, threads := range []int{1, 2, 3, 8, 32} {
-					if threads < c.tr.NumRoots {
-						continue
-					}
-					p := base
-					p.Scheduler = sched
-					plain, err := Run(c.tr, threads, p)
-					if err != nil {
-						t.Fatalf("%s p%d %s x%d: %v", c.name, pi, sched, threads, err)
-					}
-					p.OnStart = func(id int32, worker int, at float64) {
-						hashU64(h, 1)
-						hashU64(h, uint64(id))
-						hashU64(h, uint64(worker))
-						hashU64(h, math.Float64bits(at))
-					}
-					p.OnComplete = func(id int32, worker int, at float64) {
-						hashU64(h, 2)
-						hashU64(h, uint64(id))
-						hashU64(h, uint64(worker))
-						hashU64(h, math.Float64bits(at))
-					}
-					res, tl, err := RunWithTimeline(c.tr, threads, p)
-					if err != nil {
-						t.Fatalf("%s p%d %s x%d: %v", c.name, pi, sched, threads, err)
-					}
-					if res != plain {
-						t.Fatalf("%s p%d %s x%d: observed run %v differs from plain run %v", c.name, pi, sched, threads, res, plain)
-					}
-					hashResult(h, res)
-					hashU64(h, uint64(len(tl.Spans)))
-					for _, s := range tl.Spans {
-						hashU64(h, uint64(s.Task))
-						hashU64(h, uint64(s.Worker))
-						hashU64(h, math.Float64bits(s.StartNS))
-						hashU64(h, math.Float64bits(s.EndNS))
-					}
-					runs++
+	}
+	for mi, base := range digestParams() {
+		t.Run(digestModels[mi], func(t *testing.T) {
+			h := fnv.New64a()
+			runs := 0
+			forEachReplay(corpus, base, func(name string, tr *trace.Trace, threads int, p Params) {
+				plain, err := Run(tr, threads, p)
+				if err != nil {
+					t.Fatalf("%s %s x%d: %v", name, p.Scheduler, threads, err)
 				}
+				p.OnStart = func(id int32, worker int, at float64) {
+					hashU64(h, 1)
+					hashU64(h, uint64(id))
+					hashU64(h, uint64(worker))
+					hashU64(h, math.Float64bits(at))
+				}
+				p.OnComplete = func(id int32, worker int, at float64) {
+					hashU64(h, 2)
+					hashU64(h, uint64(id))
+					hashU64(h, uint64(worker))
+					hashU64(h, math.Float64bits(at))
+				}
+				res, tl, err := RunWithTimeline(tr, threads, p)
+				if err != nil {
+					t.Fatalf("%s %s x%d: %v", name, p.Scheduler, threads, err)
+				}
+				if res != plain {
+					t.Fatalf("%s %s x%d: observed run %v differs from plain run %v", name, p.Scheduler, threads, res, plain)
+				}
+				hashResult(h, res)
+				hashU64(h, uint64(len(tl.Spans)))
+				for _, s := range tl.Spans {
+					hashU64(h, uint64(s.Task))
+					hashU64(h, uint64(s.Worker))
+					hashU64(h, math.Float64bits(s.StartNS))
+					hashU64(h, math.Float64bits(s.EndNS))
+				}
+				runs++
+			})
+			if got, want := h.Sum64(), replayDigests[mi]; got != want {
+				t.Fatalf("replay digest over %d runs = %#x, want %#x: simulated schedules changed", runs, got, want)
+			}
+		})
+	}
+}
+
+// forEachReplay calls f for every run of the digest grid under cost
+// model base: corpus × digestSchedulers × {1, 2, 3, 8, 32} threads,
+// skipping team sizes below a trace's root count.
+func forEachReplay(corpus []corpusTrace, base Params, f func(name string, tr *trace.Trace, threads int, p Params)) {
+	for _, c := range corpus {
+		for _, sched := range digestSchedulers {
+			for _, threads := range []int{1, 2, 3, 8, 32} {
+				if threads < c.tr.NumRoots {
+					continue
+				}
+				p := base
+				p.Scheduler = sched
+				f(c.name, c.tr, threads, p)
 			}
 		}
-	}
-	if got := h.Sum64(); got != replayDigest {
-		t.Fatalf("replay digest over %d runs = %#x, want %#x: simulated schedules changed", runs, got, replayDigest)
 	}
 }
