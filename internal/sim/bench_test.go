@@ -63,24 +63,28 @@ func roundsTrace(rounds int) *trace.Trace {
 	return rec.Finish()
 }
 
-// replayAllocCeiling bounds the allocations of one 8-thread replay of
-// a dependence-free trace. It is pinned from the 10 k-task roundsTrace
-// (75–111 allocations per discipline: per-task state arrays, workers,
-// and the one-time growth of their stacks and queues), with headroom
-// for buffer growth only; allocating per task or per event would add
-// hundreds of thousands at 80 k tasks.
+// replayAllocCeiling bounds the allocations of one 8-thread replay. It
+// is pinned from the 10 k-task roundsTrace (75–111 allocations per
+// discipline: per-task state arrays, workers, and the one-time growth
+// of their stacks and queues), with headroom for buffer growth only;
+// allocating per task, per dependence edge or per event would add
+// tens of thousands at 64–80 k tasks.
 const replayAllocCeiling = 128
 
 // TestReplayAllocsFlat checks that the event loop allocates nothing per
-// event: an 8× larger replay fits under the ceiling the small one was
-// pinned from.
+// event and the dependence set-up nothing per edge: 8× larger replays
+// of a dependence-free trace and of a dependence chain fit under the
+// ceiling the small dependence-free one was pinned from.
 func TestReplayAllocsFlat(t *testing.T) {
-	small, large := roundsTrace(5), roundsTrace(40) // 10 235 and 81 880 tasks
+	traces := []*trace.Trace{
+		roundsTrace(5), roundsTrace(40), // 10 235 and 81 880 tasks
+		depChainTrace(8<<10, 3), depChainTrace(64<<10, 3), // one edge per task
+	}
 	for _, sched := range []string{"workfirst", "breadthfirst", "centralized", "locality"} {
 		p := DefaultOverheads()
 		p.WorkUnitNS = 1
 		p.Scheduler = sched
-		for _, tr := range []*trace.Trace{small, large} {
+		for _, tr := range traces {
 			allocs := testing.AllocsPerRun(1, func() {
 				if _, err := Run(tr, 8, p); err != nil {
 					t.Fatal(err)

@@ -10,20 +10,33 @@ import (
 
 // randomTrace builds a structurally valid random task graph from a
 // byte script: each byte picks a parent among existing tasks, a work
-// amount, tiedness, inlining, and occasionally a taskwait.
-func randomTrace(script []byte, roots int) *trace.Trace {
+// amount, tiedness, inlining, and occasionally a taskwait. With deps,
+// a byte's top bit also makes a deferred child depend on its parent's
+// previous deferred child, the sibling dependence mixedTree records.
+func randomTrace(script []byte, roots int, deps bool) *trace.Trace {
 	rec := trace.NewRecorder()
 	nodes := make([]*trace.Node, 0, len(script)+roots)
+	lastKid := make([]*trace.Node, 0, len(script)+roots) // per node: its last deferred child
 	for i := 0; i < roots; i++ {
 		r := rec.Root()
 		r.AddWork(int64(i%3) + 1)
 		nodes = append(nodes, r)
+		lastKid = append(lastKid, nil)
 	}
 	for _, b := range script {
-		parent := nodes[int(b)%len(nodes)]
-		child := rec.Spawn(parent, b%2 == 0, b%7 == 0, int(b%64))
+		pi := int(b) % len(nodes)
+		parent := nodes[pi]
+		inline := b%7 == 0
+		child := rec.Spawn(parent, b%2 == 0, inline, int(b%64))
 		child.AddWork(int64(b%23) + 1)
+		if deps && !inline {
+			if prev := lastKid[pi]; prev != nil && b&0x80 != 0 {
+				child.DependsOn(prev)
+			}
+			lastKid[pi] = child
+		}
 		nodes = append(nodes, child)
+		lastKid = append(lastKid, nil)
 		if b%3 == 0 {
 			parent.Taskwait()
 		}
@@ -44,7 +57,7 @@ func TestMakespanBounds(t *testing.T) {
 			return true
 		}
 		threads := int(tRaw%8) + 1
-		tr := randomTrace(script, threads)
+		tr := randomTrace(script, threads, false)
 		if err := tr.Validate(); err != nil {
 			t.Logf("invalid trace: %v", err)
 			return false
@@ -84,7 +97,7 @@ func TestOneThreadMakespanIsExact(t *testing.T) {
 		if len(script) == 0 {
 			return true
 		}
-		tr := randomTrace(script, 1)
+		tr := randomTrace(script, 1, false)
 		res, err := Run(tr, 1, Params{WorkUnitNS: 1})
 		if err != nil {
 			return false
@@ -132,7 +145,7 @@ func TestBandwidthNeverSpeedsUp(t *testing.T) {
 		if len(script) == 0 {
 			return true
 		}
-		tr := randomTrace(script, 4)
+		tr := randomTrace(script, 4, false)
 		free, err1 := Run(tr, 4, Params{WorkUnitNS: 1})
 		capped, err2 := Run(tr, 4, Params{WorkUnitNS: 1, MemFraction: 0.8, BandwidthCap: 1.5})
 		if err1 != nil || err2 != nil {

@@ -24,27 +24,32 @@
 //
 // Determinism is per trace, not per process. Run is a pure function
 // of (trace, threads, Params): the same recorded trace replays to the
-// same Result bit for bit, in any process and on any version that
-// keeps TestReplayDigest's pinned constant. Recording is not
-// deterministic — the real runtime's steals shape the graph — so two
-// processes that each record sort/untied or sparselu/dep-tied can get
-// different traces, and different simulated steal counts, from the
-// same source. Compare replays across versions on saved traces.
+// same Result bit for bit, in any process. Across versions, a replay
+// under an integral cost model (integral WorkUnitNS and overheads,
+// every simulated time an exactly represented integer) is
+// bit-identical on any version that keeps TestReplayDigest's pinned
+// digests; a non-integral one may differ only by rounding in the last
+// bits (TestBandwidthGolden). Recording is not deterministic — the
+// real runtime's steals shape the graph — so two processes that each
+// record sort/untied or sparselu/dep-tied can get different traces,
+// and different simulated steal counts, from the same source. Compare
+// replays across versions on saved traces.
 //
-// Cost of a replay: each event (a segment end) costs one pass over
-// the running workers' dense segment mirror plus work proportional to
-// the workers it touched; a dispatch pass with nothing queued is O(1)
-// (idle workers' failed victim draws are settled when they next look
-// for work), and an event of zero length visits only the touched
-// workers. No allocation happens per event. Before PR 23 every event
-// walked the whole team three times and every idle worker probed
-// every victim, O(P²) per event at P virtual threads.
+// Cost of a replay: every running worker's current segment sits once
+// in one of two min-heaps of absolute end times, compute segments on
+// the virtual clock and memory-bound ones on a memory clock that
+// advances by dt/slowFactor per event. An event reads both heap tops,
+// advances the clocks, pops every segment that ended and pushes the
+// next segment of each worker it touched: O(log P) per segment it
+// ends at P virtual threads, whatever the team size. A dispatch pass
+// with nothing queued is O(1) (idle workers' failed victim draws are
+// settled when they next look for work), and no allocation happens
+// per event or per dependence edge.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -197,9 +202,9 @@ type vworker struct {
 	rng        uint64
 	lastVictim int // last successful steal victim (locality), or -1
 
-	// synced is the state the team counters and the dense segment
-	// arrays last saw for this worker (see sim.sync); passMark is
-	// sim.idlePasses when the worker last settled its idle RNG draws.
+	// synced is the state the team counters last saw for this worker
+	// (see sim.sync); passMark is sim.idlePasses when the worker last
+	// settled its idle RNG draws.
 	synced   workerState
 	passMark uint64
 }
@@ -255,12 +260,14 @@ type sim struct {
 	liveTasks int
 
 	// Dependence state: depsLeft[i] counts unfinished predecessors of
-	// task i (from trace Deps edges), succs[i] lists its successors,
-	// and depWaiting[i] marks a spawned task held back until its last
+	// task i (from trace Deps edges), its successors are
+	// succList[succStart[i]:succStart[i+1]] in task order, and
+	// depWaiting[i] marks a spawned task held back until its last
 	// predecessor completes — mirroring the runtime's
 	// deferred-on-dependence state.
 	depsLeft   []int32
-	succs      [][]int32
+	succStart  []int32
+	succList   []int32
 	depWaiting []bool
 	now        float64
 	steals     int64
@@ -279,8 +286,8 @@ type sim struct {
 	queueFreeAt float64
 
 	// Event-loop bookkeeping, kept incrementally so that an event costs
-	// one pass over the running workers' dense segment mirror instead
-	// of several pointer walks over the whole team and its deques.
+	// O(log P) per segment it ends instead of walks over the whole team
+	// and its deques.
 	//
 	// queued counts ready tasks in all deques and the central queue:
 	// with none queued a thief can only fail. idle and active count
@@ -290,28 +297,87 @@ type sim struct {
 	// lazily (settleIdle) before the worker next looks for work.
 	queued, idle, active int
 	idlePasses           uint64
-	// running is a bitset of the workers in wRunning. rem[i] and
-	// kind[i] mirror the remaining time and kind (compute or
-	// memoryBound) of running worker i's current segment (rem = +Inf
-	// when not running); the decrement pass owns rem, and a running
-	// frame's remaining field is only written back when its segment
-	// finishes. mins[kind] is the smallest rem of that kind among the
-	// workers the last decrement left running; dirty lists the workers
-	// synced since, whose rem is folded in before the next event.
-	// finished is the per-event list of completed segments.
-	running  []uint64
-	rem      []float64
-	kind     []uint8
-	mins     [2]float64
-	dirty    []int32
+	// segs holds every running worker's current segment once, by kind,
+	// keyed on its absolute end: compute segments on now, memory-bound
+	// ones on memClock, the memory system's own clock, which advances
+	// by dt/slowFactor per event so that a bandwidth stretch applies
+	// per event as it happens. A running frame's remaining field keeps
+	// the segment's length and is zeroed when the segment ends.
+	// finished is the per-event list of workers whose segment ended.
+	segs     [2]segHeap
+	memClock float64
 	finished []int32
 }
 
-// Segment kinds, indexing sim.mins and the per-kind decrement.
+// Segment kinds, indexing sim.segs.
 const (
 	compute     = 0
 	memoryBound = 1
 )
+
+// segment is a running worker's current segment: the worker and the
+// clock reading at which the segment ends.
+type segment struct {
+	end float64
+	w   int32
+}
+
+// segHeap is a binary min-heap of segments on their end, in
+// seg[:n]. Run sizes seg to the team, which bounds n, so no push
+// allocates, and the heap's own writes store no pointer.
+type segHeap struct {
+	seg []segment
+	n   int
+}
+
+func (h *segHeap) push(end float64, w int32) {
+	q := h.seg
+	i := h.n
+	h.n++
+	for i > 0 {
+		p := (i - 1) / 2
+		if q[p].end <= end {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = segment{end, w}
+}
+
+// popEnded pops every segment that ends within the 1e-9 finishing
+// threshold of clock and appends its worker to done. A pop moves the
+// root's hole down along smaller children to a leaf and sifts the
+// last segment up from there: the last segment is a late one, so
+// that costs one comparison per level instead of two.
+func (h *segHeap) popEnded(clock float64, done []int32) []int32 {
+	q := h.seg
+	n := h.n
+	for n > 0 && q[0].end-clock <= 1e-9 {
+		done = append(done, q[0].w)
+		n--
+		last := q[n]
+		i := 0
+		for c := 1; c < n; c = 2*i + 1 {
+			if c+1 < n && q[c+1].end < q[c].end {
+				c++
+			}
+			q[i] = q[c]
+			i = c
+		}
+		for i > 0 {
+			p := (i - 1) / 2
+			if q[p].end <= last.end {
+				break
+			}
+			q[i] = q[p]
+			i = p
+		}
+		q[i] = last
+	}
+	h.n = n
+	return done
+}
 
 // queueAcquire returns the time an operation spends acquiring and
 // holding the central queue at virtual time s.now, advancing the
@@ -352,23 +418,16 @@ func Run(tr *trace.Trace, threads int, p Params) (Result, error) {
 		pending:    make([]int32, len(tr.Tasks)),
 		waiterOf:   make([]int32, len(tr.Tasks)),
 		depsLeft:   make([]int32, len(tr.Tasks)),
-		succs:      make([][]int32, len(tr.Tasks)),
+		succStart:  make([]int32, len(tr.Tasks)+1),
 		depWaiting: make([]bool, len(tr.Tasks)),
 	}
 	for i := range s.waiterOf {
 		s.waiterOf[i] = -1
 	}
-	for i := range tr.Tasks {
-		for _, d := range tr.Tasks[i].Deps {
-			s.depsLeft[i]++
-			s.succs[d] = append(s.succs[d], int32(i))
-		}
-	}
+	s.buildSuccs()
 	s.workers = make([]*vworker, threads)
-	s.running = make([]uint64, (threads+63)/64)
-	s.rem = make([]float64, threads)
-	s.kind = make([]uint8, threads)
-	s.mins = [2]float64{math.Inf(1), math.Inf(1)}
+	s.segs = [2]segHeap{{seg: make([]segment, threads)}, {seg: make([]segment, threads)}}
+	s.finished = make([]int32, 0, threads)
 	for i := 0; i < threads; i++ {
 		// synced starts as wBlocked, a state no counter tracks, so the
 		// sync below counts the worker as running or idle.
@@ -399,6 +458,36 @@ func Run(tr *trace.Trace, threads int, p Params) (Result, error) {
 		res.Speedup = serial / s.now
 	}
 	return res, nil
+}
+
+// buildSuccs lays the trace's dependence edges out as successor lists
+// in one array: counts per predecessor, their prefix sums as starts,
+// then (if there is an edge at all) a fill in task order that leaves
+// each start at the next list's, shifted back into place.
+func (s *sim) buildSuccs() {
+	off := s.succStart
+	for i := range s.tr.Tasks {
+		deps := s.tr.Tasks[i].Deps
+		s.depsLeft[i] = int32(len(deps))
+		for _, d := range deps {
+			off[d+1]++
+		}
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	if off[len(off)-1] == 0 {
+		return
+	}
+	s.succList = make([]int32, off[len(off)-1])
+	for i := range s.tr.Tasks {
+		for _, d := range s.tr.Tasks[i].Deps {
+			s.succList[off[d]] = int32(i)
+			off[d]++
+		}
+	}
+	copy(off[1:], off)
+	off[0] = 0
 }
 
 // startTask pushes a new frame for task id on w's stack, charging the
@@ -470,85 +559,49 @@ func (s *sim) run() error {
 		if s.liveTasks == 0 {
 			break
 		}
-		// Phase 2: advance virtual time to the next segment completion.
+		// Phase 2: advance virtual time to the next segment end. The
+		// bandwidth stretch is monotone, so the memory heap's top ends
+		// first among memory-bound segments under any factor. The clock
+		// of the kind that ends first is set to that end, so the event
+		// ends at least that segment.
 		if s.active == 0 {
 			return s.deadlock()
 		}
-		mins := s.mins
-		for _, i := range s.dirty {
-			// (& 1 lets the compiler drop the bounds check on mins[k].)
-			if k := s.kind[i] & 1; s.rem[i] < mins[k] {
-				mins[k] = s.rem[i]
-			}
-		}
-		// Scaling is monotone, so the scaled minimum of the memory-bound
-		// segments equals the minimum of the per-segment scaled times.
 		factor := s.slowFactor(s.active)
-		dt := mins[compute]
-		if d := mins[memoryBound] * factor; d < dt {
-			dt = d
+		comp, mem := &s.segs[compute], &s.segs[memoryBound]
+		dt, memFirst := math.Inf(1), false
+		if comp.n > 0 {
+			dt = comp.seg[0].end - s.now
 		}
-		s.now += dt
-		s.idleNS += dt * float64(len(s.workers)-s.active)
-		// Two passes: advance every running segment first, then fire
-		// completions. segmentDone may wake blocked workers and load
-		// fresh segments; those must not be decremented by a dt they
-		// never waited through.
-		finished := s.finished[:0]
-		if dt == 0 {
-			// Subtracting zero changes no segment, and every segment
-			// the last decrement left running is longer than the
-			// finishing threshold: only workers synced since can
-			// finish, so only they are visited.
-			mins = s.mins
-			for _, i := range s.dirty {
-				if k := s.kind[i] & 1; s.rem[i] <= 1e-9 {
-					finished = append(finished, i)
-				} else if s.rem[i] < mins[k] {
-					mins[k] = s.rem[i]
-				}
+		if mem.n > 0 {
+			if d := (mem.seg[0].end - s.memClock) * factor; d < dt {
+				dt, memFirst = d, true
 			}
-			slices.Sort(finished)
-			finished = slices.Compact(finished)
-			for _, i := range finished {
-				s.finish(i)
-			}
+		}
+		if memFirst {
+			s.now += dt
+			s.memClock = mem.seg[0].end
 		} else {
-			dec := [2]float64{compute: dt, memoryBound: dt / factor}
-			mins = [2]float64{math.Inf(1), math.Inf(1)}
-			for word, bitsLeft := range s.running {
-				for ; bitsLeft != 0; bitsLeft &= bitsLeft - 1 {
-					i := word<<6 | bits.TrailingZeros64(bitsLeft)
-					k := s.kind[i] & 1
-					if r := s.rem[i] - dec[k]; r <= 1e-9 {
-						finished = append(finished, int32(i))
-						s.finish(int32(i))
-					} else {
-						s.rem[i] = r
-						if r < mins[k] {
-							mins[k] = r
-						}
-					}
-				}
-			}
+			s.now = comp.seg[0].end
+			s.memClock += dt / factor
 		}
-		s.dirty = s.dirty[:0]
-		s.mins, s.finished = mins, finished
-		// A segmentDone never touches another running worker (see
-		// sync), so each finished worker is still at its segment's end
-		// when its turn comes.
+		s.idleNS += dt * float64(len(s.workers)-s.active)
+		// finished has room for the whole team, so it keeps its array.
+		finished := comp.popEnded(s.now, s.finished[:0])
+		finished = mem.popEnded(s.memClock, finished)
+		if len(finished) > 1 {
+			slices.Sort(finished)
+		}
+		// Finished workers go in ascending index. A segmentDone never
+		// touches another running worker (see sync), so each is still
+		// at its segment's end when its turn comes.
 		for _, i := range finished {
-			s.segmentDone(s.workers[i])
+			w := s.workers[i]
+			w.stack[len(w.stack)-1].remaining = 0
+			s.segmentDone(w)
 		}
 	}
 	return nil
-}
-
-// finish ends running worker i's segment at zero remaining time.
-func (s *sim) finish(i int32) {
-	s.rem[i] = 0
-	w := s.workers[i]
-	w.stack[len(w.stack)-1].remaining = 0
 }
 
 // deadlock reports a team with outstanding tasks and no running worker.
@@ -570,21 +623,18 @@ func (s *sim) deadlock() error {
 
 // sync publishes w's state after the event loop touched it: it keeps
 // the idle and active counts, starts the idle-draw count of a worker
-// that just went idle, and reloads w's dense segment mirror. Every
-// change to a worker ends in a segmentDone for it (or in Run's set-up),
-// which ends here. Only idle, blocked and just-finished workers are
-// ever touched — a worker mid-segment changes only by the decrement —
-// so the minima the decrement pass left stay valid for everyone not
-// listed in dirty.
+// that just went idle, and pushes a running worker's new segment.
+// Every change to a worker ends in a segmentDone for it (or in Run's
+// set-up), which ends here. Only idle, blocked and just-finished
+// workers are ever touched, and none of them is in a heap, so each
+// running worker is in one exactly once.
 func (s *sim) sync(w *vworker) {
 	if w.state != w.synced {
-		bit := &s.running[w.id>>6]
 		switch w.synced {
 		case wIdle:
 			s.idle--
 		case wRunning:
 			s.active--
-			*bit &^= 1 << (w.id & 63)
 		}
 		switch w.state {
 		case wIdle:
@@ -592,19 +642,17 @@ func (s *sim) sync(w *vworker) {
 			w.passMark = s.idlePasses
 		case wRunning:
 			s.active++
-			*bit |= 1 << (w.id & 63)
 		}
 		w.synced = w.state
 	}
-	s.rem[w.id], s.kind[w.id] = math.Inf(1), compute
 	if w.state == wRunning {
 		f := &w.stack[len(w.stack)-1]
-		s.rem[w.id] = f.remaining
 		if f.memBound {
-			s.kind[w.id] = memoryBound
+			s.segs[memoryBound].push(s.memClock+f.remaining, int32(w.id))
+		} else {
+			s.segs[compute].push(s.now+f.remaining, int32(w.id))
 		}
 	}
-	s.dirty = append(s.dirty, int32(w.id))
 }
 
 // settleIdle replays, before an idle worker looks for work again, the
@@ -962,7 +1010,7 @@ func (s *sim) stealFrom(w, v *vworker, constraint int32) bool {
 // released task could sit in the deque of a worker that parks while
 // every thread able to execute it is already blocked.
 func (s *sim) releaseDeps(w *vworker, id int32) {
-	for _, succ := range s.succs[id] {
+	for _, succ := range s.succList[s.succStart[id]:s.succStart[id+1]] {
 		s.depsLeft[succ]--
 		if s.depsLeft[succ] > 0 || !s.depWaiting[succ] {
 			continue

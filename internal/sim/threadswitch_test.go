@@ -72,7 +72,7 @@ func TestThreadSwitchPreservesCorrectnessBounds(t *testing.T) {
 		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
 		{200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 128, 64},
 	} {
-		tr := randomTrace(script, 3)
+		tr := randomTrace(script, 3, false)
 		res, err := Run(tr, 3, Params{WorkUnitNS: 1, ThreadSwitch: true})
 		if err != nil {
 			t.Fatal(err)
