@@ -303,10 +303,8 @@ type sim struct {
 	// by dt/slowFactor per event so that a bandwidth stretch applies
 	// per event as it happens. A running frame's remaining field keeps
 	// the segment's length and is zeroed when the segment ends.
-	// finished is the per-event list of workers whose segment ended.
 	segs     [2]segHeap
 	memClock float64
-	finished []int32
 }
 
 // Segment kinds, indexing sim.segs.
@@ -427,7 +425,6 @@ func Run(tr *trace.Trace, threads int, p Params) (Result, error) {
 	s.buildSuccs()
 	s.workers = make([]*vworker, threads)
 	s.segs = [2]segHeap{{seg: make([]segment, threads)}, {seg: make([]segment, threads)}}
-	s.finished = make([]int32, 0, threads)
 	for i := 0; i < threads; i++ {
 		// synced starts as wBlocked, a state no counter tracks, so the
 		// sync below counts the worker as running or idle.
@@ -532,6 +529,9 @@ func (s *sim) slowFactor(active int) float64 {
 
 func (s *sim) run() error {
 	const maxIter = 1 << 40
+	// finished lists the workers whose segment an event ended. It has
+	// room for the whole team, so it keeps its array.
+	finished := make([]int32, 0, len(s.workers))
 	for iter := 0; s.liveTasks > 0; iter++ {
 		if iter >= maxIter {
 			return fmt.Errorf("sim: exceeded %d iterations; scheduler stuck", maxIter)
@@ -586,8 +586,7 @@ func (s *sim) run() error {
 			s.memClock += dt / factor
 		}
 		s.idleNS += dt * float64(len(s.workers)-s.active)
-		// finished has room for the whole team, so it keeps its array.
-		finished := comp.popEnded(s.now, s.finished[:0])
+		finished = comp.popEnded(s.now, finished[:0])
 		finished = mem.popEnded(s.memClock, finished)
 		if len(finished) > 1 {
 			slices.Sort(finished)
