@@ -23,9 +23,7 @@ import (
 // re-pins them and says why in CHANGES.md.
 var replayDigests = [...]uint64{
 	0x98e369d1c7da2c5d, // default
-	// bandwidth: re-pinned when segment ends became absolute clock
-	// readings (end − now rounds unlike a chain of decrements).
-	0x247021d72bc76728,
+	0x247021d72bc76728, // bandwidth
 	0x100c764f0f6b9227, // queue
 	0x3572958059c33a85, // threadswitch
 }
