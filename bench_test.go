@@ -191,8 +191,7 @@ func BenchmarkTraceAndSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := sim.DefaultOverheads()
-	p.WorkUnitNS = float64(seq.Elapsed.Nanoseconds()) / float64(seq.Work)
+	p := lab.SimParams(bench, seq, lab.JobSpec{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := trace.NewRecorder()

@@ -84,3 +84,35 @@ func TestExitCodes(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateIsTheLabCell runs a text -simulate cell and then the
+// same flags with -json on one store: the text run records on
+// -threads, both name one key, and the second run is a cache hit. A
+// simulated team smaller than the recording team is refused.
+func TestSimulateIsTheLabCell(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "lab.jsonl")
+	args := []string{"-bench", "fib", "-class", "test", "-threads", "2", "-simulate", "4", "-store", store}
+	text := runBots(t, args...)
+	var rec lab.Record
+	if err := json.Unmarshal([]byte(runBots(t, append(args, "-json")...)), &rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"lab cell " + rec.Key + "\n", "recorded on 2 threads", "verification: OK",
+		"simulated on 4 virtual threads"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("text output lacks %q:\n%s", want, text)
+		}
+	}
+	s, err := lab.OpenStore(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 1 {
+		t.Errorf("%d records stored, want 1", s.Len())
+	}
+	bad := []string{"-bench", "fib", "-class", "test", "-threads", "4", "-simulate", "2"}
+	if got := exitCode(run(context.Background(), bad, io.Discard, io.Discard), io.Discard); got != 1 {
+		t.Errorf("bots %s: exit %d, want 1", strings.Join(bad, " "), got)
+	}
+}

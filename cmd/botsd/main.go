@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +36,7 @@ import (
 
 	_ "bots/internal/apps/all"
 	"bots/internal/chaos"
+	"bots/internal/cli"
 	"bots/internal/lab"
 	"bots/internal/obs"
 )
@@ -48,21 +48,7 @@ func main() {
 	os.Exit(exitCode(err, os.Stderr))
 }
 
-// errUsage marks a command-line mistake.
-var errUsage = errors.New("usage")
-
-// exitCode reports err on stderr and maps it to the exit status: 0
-// on success, a drain or -h, 2 on a usage error, 1 otherwise.
-func exitCode(err error, stderr io.Writer) int {
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return 0
-	}
-	fmt.Fprintln(stderr, "botsd:", err)
-	if errors.Is(err, errUsage) {
-		return 2
-	}
-	return 1
-}
+var exitCode = cli.ExitCode("botsd")
 
 // run is the daemon. Cancelling ctx drains it; run returns once the
 // worker has deregistered and the metrics listener has stopped.
@@ -89,7 +75,7 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		chaosSeed    = fs.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic fault sequence")
 	)
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err)
+		return fmt.Errorf("%w: %w", cli.ErrUsage, err)
 	}
 
 	logf := func(format string, args ...any) {

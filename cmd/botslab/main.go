@@ -32,7 +32,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,6 +45,7 @@ import (
 	"time"
 
 	_ "bots/internal/apps/all"
+	"bots/internal/cli"
 	"bots/internal/lab"
 	"bots/internal/obs"
 	"bots/internal/report"
@@ -58,21 +58,7 @@ func main() {
 	os.Exit(exitCode(err, os.Stderr))
 }
 
-// errUsage marks a command-line mistake.
-var errUsage = errors.New("usage")
-
-// exitCode reports err on stderr and maps it to the exit status: 0
-// on success or -h, 2 on a usage error, 1 otherwise.
-func exitCode(err error, stderr io.Writer) int {
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return 0
-	}
-	fmt.Fprintln(stderr, "botslab:", err)
-	if errors.Is(err, errUsage) {
-		return 2
-	}
-	return 1
-}
+var exitCode = cli.ExitCode("botslab")
 
 // run is the driver. Cancelling ctx cancels a -manifest sweep, or
 // ends -serve: either way run stops the listener and every unfinished
@@ -93,13 +79,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		journalPath = fs.String("journal", "", "fleet write-ahead journal for coordinator crash recovery (default <store>.journal with -fleet; 'off' disables)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err)
+		return fmt.Errorf("%w: %w", cli.ErrUsage, err)
 	}
 	if *manifest == "" && *serve == "" {
-		return fmt.Errorf("%w: nothing to do: pass -manifest and/or -serve; see -h", errUsage)
+		return fmt.Errorf("%w: nothing to do: pass -manifest and/or -serve; see -h", cli.ErrUsage)
 	}
 	if *fleet && *serve == "" {
-		return fmt.Errorf("%w: -fleet needs -serve: workers lease jobs over the HTTP API", errUsage)
+		return fmt.Errorf("%w: -fleet needs -serve: workers lease jobs over the HTTP API", cli.ErrUsage)
 	}
 
 	store, err := lab.OpenStore(*storePath)

@@ -17,8 +17,8 @@
 package main
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	_ "bots/internal/apps/all"
+	"bots/internal/cli"
 	"bots/internal/core"
 	"bots/internal/lab"
 	"bots/internal/report"
@@ -37,21 +38,7 @@ func main() {
 	os.Exit(exitCode(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
 }
 
-// errUsage marks a command-line mistake.
-var errUsage = errors.New("usage")
-
-// exitCode reports err on stderr and maps it to the exit status: 0
-// on success or -h, 2 on a usage error, 1 otherwise.
-func exitCode(err error, stderr io.Writer) int {
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return 0
-	}
-	fmt.Fprintln(stderr, "botsreport:", err)
-	if errors.Is(err, errUsage) {
-		return 2
-	}
-	return 1
-}
+var exitCode = cli.ExitCode("botsreport")
 
 // run is the driver. Rendering has no point at which it could stop
 // early, so ctx goes unread and Ctrl-C keeps its default effect.
@@ -65,7 +52,7 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 		storePath = fs.String("store", "bots-lab.jsonl", "lab result store (JSONL); empty = in-memory only")
 	)
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err)
+		return fmt.Errorf("%w: %w", cli.ErrUsage, err)
 	}
 
 	class, err := core.ParseClass(*className)
@@ -104,14 +91,8 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	fmt.Fprintf(stderr, "botsreport: %d cache hits, %d executions (store %s, %d records)\n",
-		runner.Hits(), direct.Exec.Executions(), storeName(store), store.Len())
+		runner.Hits(), direct.Exec.Executions(), cmp.Or(store.Path(), "in-memory"), store.Len())
 	return nil
-}
-func storeName(s *lab.Store) string {
-	if s.Path() == "" {
-		return "in-memory"
-	}
-	return s.Path()
 }
 
 // parseThreadAxis parses a strictly positive comma-separated thread

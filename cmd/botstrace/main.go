@@ -13,6 +13,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -21,7 +22,9 @@ import (
 	"os"
 
 	_ "bots/internal/apps/all"
+	"bots/internal/cli"
 	"bots/internal/core"
+	"bots/internal/lab"
 	"bots/internal/sim"
 	"bots/internal/trace"
 )
@@ -30,21 +33,7 @@ func main() {
 	os.Exit(exitCode(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
 }
 
-// errUsage marks a command-line mistake.
-var errUsage = errors.New("usage")
-
-// exitCode reports err on stderr and maps it to the exit status: 0
-// on success or -h, 2 on a usage error, 1 otherwise.
-func exitCode(err error, stderr io.Writer) int {
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return 0
-	}
-	fmt.Fprintln(stderr, "botstrace:", err)
-	if errors.Is(err, errUsage) {
-		return 2
-	}
-	return 1
-}
+var exitCode = cli.ExitCode("botstrace")
 
 // run is the driver. Recording and replay have no point at which they
 // could stop early, so ctx goes unread and Ctrl-C keeps its default
@@ -65,40 +54,35 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 		chrome    = fs.String("chrome", "", "with -simulate: write a Chrome trace-event JSON file of the schedule")
 	)
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err)
+		return fmt.Errorf("%w: %w", cli.ErrUsage, err)
 	}
 	if *bench == "" && *analyze == "" && *simulate == "" {
-		return fmt.Errorf("%w: nothing to do; see -h", errUsage)
+		return fmt.Errorf("%w: nothing to do; see -h", cli.ErrUsage)
 	}
 
 	var tr *trace.Trace
-	unitNS := 10.0 // default work-unit cost when simulating a bare file
+	// A bare file has no baseline to calibrate against; -bench
+	// calibrates the replay as the lab does its cells.
+	params := sim.DefaultOverheads()
+	params.WorkUnitNS = 10
 	if *bench != "" {
 		b, err := core.Get(*bench)
 		if err != nil {
 			return err
 		}
-		class, err := core.ParseClass(*className)
-		if err != nil {
+		spec := lab.JobSpec{Bench: b.Name, Version: cmp.Or(*version, b.BestVersion), Class: *className, Threads: *record}
+		if err := spec.Validate(); err != nil {
 			return err
 		}
-		v := *version
-		if v == "" {
-			v = b.BestVersion
-		}
-		if !b.HasVersion(v) {
-			return fmt.Errorf("benchmark %q has no version %q", b.Name, v)
-		}
+		class, _ := core.ParseClass(spec.Class) // Validate resolved it
 		seq, err := b.Seq(class)
 		if err != nil {
 			return err
 		}
-		if seq.Work > 0 {
-			unitNS = float64(seq.Elapsed.Nanoseconds()) / float64(seq.Work)
-		}
+		params = lab.SimParams(b, seq, spec)
 		rec := trace.NewRecorder()
 		res, err := b.Run(core.RunConfig{
-			Class: class, Version: v, Threads: *record, Recorder: rec,
+			Class: class, Version: spec.Version, Threads: *record, Recorder: rec,
 		})
 		if err != nil {
 			return err
@@ -108,7 +92,7 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "recorded %s/%s (%s class, %d-thread team): %d tasks, %v\n",
-			*bench, v, class, *record, tr.NumTasks(), res.Elapsed)
+			*bench, spec.Version, class, *record, tr.NumTasks(), res.Elapsed)
 		if *out != "" {
 			n, err := writeFile(*out, tr.WriteTo)
 			if err != nil {
@@ -145,17 +129,13 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		n := *threads
-		if n == 0 {
-			n = t.NumRoots
-		}
-		p := sim.DefaultOverheads()
-		p.WorkUnitNS = unitNS
-		res, tl, err := sim.RunWithTimeline(t, n, p)
+		res, tl, err := sim.RunWithTimeline(t, cmp.Or(*threads, t.NumRoots), params)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "\nsimulated: %s (utilization %.0f%%)\n", res, 100*tl.Utilization())
+		fmt.Fprintf(stdout, "\ncost model: work unit %.3g ns, mem fraction %g, bandwidth cap %g\n",
+			params.WorkUnitNS, params.MemFraction, params.BandwidthCap)
+		fmt.Fprintf(stdout, "simulated: %s (utilization %.0f%%)\n", res, 100*tl.Utilization())
 		if *gantt {
 			fmt.Fprintln(stdout)
 			tl.WriteGantt(stdout, 100)

@@ -44,6 +44,21 @@ func TestRecordAnalyzeSimulate(t *testing.T) {
 	}
 }
 
+// TestBenchReplayIsCalibrated checks that a replay of a fresh -bench
+// recording takes the lab's calibration, sort's memory profile
+// included, while a bare file keeps the uncalibrated default.
+func TestBenchReplayIsCalibrated(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "sort.trace")
+	out := runTrace(t, "-bench", "sort", "-class", "test", "-o", file, "-simulate", "-", "-threads", "4")
+	if !strings.Contains(out, ", mem fraction 0.55, bandwidth cap 8\n") {
+		t.Errorf("-bench replay is not calibrated with sort's profile:\n%s", out)
+	}
+	out = runTrace(t, "-simulate", file, "-threads", "4")
+	if !strings.Contains(out, "cost model: work unit 10 ns, mem fraction 0, bandwidth cap 0\n") {
+		t.Errorf("bare-file replay:\n%s", out)
+	}
+}
+
 func TestExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		args []string

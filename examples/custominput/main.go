@@ -1,8 +1,8 @@
 // Custominput example: run the Floorplan kernel on your own cell set.
-// Without arguments it writes a sample cell file, reads it back, and
-// solves it sequentially and with the task runtime — demonstrating
-// the BOTS-style input-file formats in internal/inputs and the public
-// application APIs on user-provided data.
+// Without arguments it solves a built-in sample cell set sequentially
+// and with the task runtime and checks that both find the same minimal
+// area — demonstrating the BOTS-style input-file formats in
+// internal/inputs and the public omp API on user-provided data.
 //
 //	go run ./examples/custominput                 # built-in sample
 //	go run ./examples/custominput -cells my.dat   # your cells
@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -20,7 +22,7 @@ import (
 	"bots/internal/omp"
 )
 
-// exploreState is the floorplan search state for this example: the
+// rect and node are the floorplan search state for this example: the
 // same branch-and-bound structure as internal/apps/floorplan, written
 // against the public omp API to show what user code looks like.
 type rect struct{ x, y, w, h int }
@@ -39,12 +41,12 @@ func fits(placed []rect, r rect) bool {
 	return true
 }
 
-func solve(c *omp.Context, cells []inputs.Cell, s node, idx, cutoff int, best *omp.ThreadPrivate[int64], globalBest *int64, critical func(func())) {
+func solve(c *omp.Context, cells []inputs.Cell, s node, idx, cutoff int, best *int64) {
 	if idx == len(cells) {
 		area := int64(s.w) * int64(s.h)
-		critical(func() {
-			if area < *globalBest {
-				*globalBest = area
+		c.Critical("best", func() {
+			if area < *best {
+				*best = area
 			}
 		})
 		return
@@ -71,17 +73,17 @@ func solve(c *omp.Context, cells []inputs.Cell, s node, idx, cutoff int, best *o
 				nh = r.y + r.h
 			}
 			var cur int64
-			critical(func() { cur = *globalBest })
+			c.Critical("best", func() { cur = *best })
 			if int64(nw)*int64(nh) >= cur {
 				continue
 			}
 			child := node{placed: append(append([]rect{}, s.placed...), r), w: nw, h: nh}
 			if idx < cutoff {
 				c.Task(func(c *omp.Context) {
-					solve(c, cells, child, idx+1, cutoff, best, globalBest, critical)
+					solve(c, cells, child, idx+1, cutoff, best)
 				})
 			} else {
-				solve(c, cells, child, idx+1, cutoff, best, globalBest, critical)
+				solve(c, cells, child, idx+1, cutoff, best)
 			}
 		}
 	}
@@ -89,52 +91,74 @@ func solve(c *omp.Context, cells []inputs.Cell, s node, idx, cutoff int, best *o
 }
 
 func main() {
-	cellsPath := flag.String("cells", "", "floorplan cell file (AKM-style format)")
-	dump := flag.String("dump", "", "write a sample cell file and exit")
-	threads := flag.Int("threads", 4, "team size")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run is the example: it solves the cell set once on a one-thread
+// team with no tasks and once with tasks on -threads, and fails if
+// the two minimal areas differ.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("custominput", flag.ContinueOnError)
+	cellsPath := fs.String("cells", "", "floorplan cell file (AKM-style format)")
+	dump := fs.String("dump", "", "write a sample cell file and exit")
+	threads := fs.Int("threads", 4, "team size")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	cells := inputs.FloorplanCells(8, 5, 2024)
 	if *dump != "" {
 		f, err := os.Create(*dump)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := inputs.WriteFloorplanCells(f, inputs.FloorplanCells(8, 5, 2024)); err != nil {
-			log.Fatal(err)
+		err = inputs.WriteFloorplanCells(f, cells)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("wrote %s — edit it and rerun with -cells %s\n", *dump, *dump)
-		return
+		fmt.Fprintf(stdout, "wrote %s — edit it and rerun with -cells %s\n", *dump, *dump)
+		return nil
 	}
-
-	var cells []inputs.Cell
 	if *cellsPath != "" {
 		f, err := os.Open(*cellsPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cells, err = inputs.ReadFloorplanCells(f)
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("loaded %d cells from %s\n", len(cells), *cellsPath)
+		fmt.Fprintf(stdout, "loaded %d cells from %s\n", len(cells), *cellsPath)
 	} else {
-		cells = inputs.FloorplanCells(8, 5, 2024)
-		fmt.Printf("using built-in sample (%d cells); -dump writes it to a file\n", len(cells))
+		fmt.Fprintf(stdout, "using built-in sample (%d cells); -dump writes it to a file\n", len(cells))
 	}
 
-	best := int64(1) << 62
-	tp := omp.NewThreadPrivate[int64](*threads)
+	seq, _ := minArea(cells, 1, 0)
+	fmt.Fprintf(stdout, "sequential minimal bounding area: %d\n", seq)
 	start := time.Now()
-	st := omp.Parallel(*threads, func(c *omp.Context) {
-		critical := func(body func()) { c.Critical("best", body) }
+	par, st := minArea(cells, *threads, 3)
+	fmt.Fprintf(stdout, "parallel minimal bounding area: %d (found in %v)\n", par, time.Since(start))
+	fmt.Fprintf(stdout, "runtime stats: %s\n", st)
+	if par != seq {
+		return fmt.Errorf("parallel area %d differs from the sequential %d", par, seq)
+	}
+	return nil
+}
+
+// minArea solves cells on a team of threads, creating tasks for the
+// first cutoff cells (0: plain recursion, no tasks).
+func minArea(cells []inputs.Cell, threads, cutoff int) (int64, *omp.Stats) {
+	best := int64(1) << 62
+	st := omp.Parallel(threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			solve(c, cells, node{}, 0, 3, tp, &best, critical)
+			solve(c, cells, node{}, 0, cutoff, &best)
 		})
 	})
-	fmt.Printf("minimal bounding area: %d (found in %v)\n", best, time.Since(start))
-	fmt.Printf("runtime stats: %s\n", st)
+	return best, st
 }

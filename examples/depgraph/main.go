@@ -7,20 +7,34 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"bots/internal/omp"
 	"bots/internal/trace"
 )
 
 func main() {
-	threads := flag.Int("threads", 4, "team size")
-	showTrace := flag.Bool("trace", false, "print the recorded dependence edges")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	const n = 8
-	data := make([][]float64, n)
+// run is the example: the pipeline's result, its statistics and, with
+// -trace, one line per task with dependences.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("depgraph", flag.ContinueOnError)
+	threads := fs.Int("threads", 4, "team size")
+	showTrace := fs.Bool("trace", false, "print the recorded dependence edges")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	data := make([][]float64, 8)
 	for i := range data {
 		data[i] = []float64{float64(i + 1)}
 	}
@@ -67,22 +81,22 @@ func main() {
 
 	// Wait already happened implicitly: the region-end barrier drained
 	// the graph, so the future is complete; Done shows that.
-	fmt.Printf("pipeline result: %.0f (future done: %v)\n", waitValue(sum, *threads), sum.Done())
-	fmt.Printf("stats: %s\n", stats)
+	fmt.Fprintf(stdout, "pipeline result: %.0f (future done: %v)\n", waitValue(sum), sum.Done())
+	fmt.Fprintf(stdout, "stats: %s\n", stats)
 
 	if *showTrace {
-		tr := rec.Finish()
-		for _, t := range tr.Tasks {
+		for _, t := range rec.Finish().Tasks {
 			if len(t.Deps) > 0 {
-				fmt.Printf("task %3d (prio %d) depends on %v\n", t.ID, t.Priority, t.Deps)
+				fmt.Fprintf(stdout, "task %3d (prio %d) depends on %v\n", t.ID, t.Priority, t.Deps)
 			}
 		}
 	}
+	return nil
 }
 
 // waitValue demonstrates Future.Wait from inside a region: a fresh
 // one-thread region waits on the already-completed future.
-func waitValue(f *omp.Future[float64], threads int) float64 {
+func waitValue(f *omp.Future[float64]) float64 {
 	var v float64
 	omp.Parallel(1, func(c *omp.Context) {
 		v = f.Wait(c)

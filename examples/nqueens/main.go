@@ -6,10 +6,11 @@
 //
 //	go run ./examples/nqueens -class small -threads 4 -virtual 16
 //
-// Each version runs on a real team of -threads, is verified against
-// the sequential digest, and its recorded graph is replayed on
-// -virtual simulated threads (at least -threads: every implicit task
-// of the recording needs its own thread).
+// Each version is one lab cell (lab.Executor): it runs on a real team
+// of -threads, is verified against the sequential digest, and its
+// recorded graph is replayed on -virtual simulated threads under the
+// lab's calibration (at least -threads: every implicit task of the
+// recording needs its own thread).
 package main
 
 import (
@@ -22,9 +23,7 @@ import (
 
 	_ "bots/internal/apps/all"
 	"bots/internal/core"
-	"bots/internal/omp"
-	"bots/internal/sim"
-	"bots/internal/trace"
+	"bots/internal/lab"
 )
 
 func main() {
@@ -38,6 +37,7 @@ var versions = []string{"manual-untied", "if-untied", "none-untied"}
 
 // run is the example: it prints the sequential digest and one line
 // per version, written only once that version's result verified.
+// One Executor shares the sequential baseline between the cells.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("nqueens", flag.ContinueOnError)
 	className := fs.String("class", "test", "input class")
@@ -46,50 +46,38 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *threads < 1 || *virtual < *threads {
-		return fmt.Errorf("need 1 <= -threads <= -virtual, have %d and %d", *threads, *virtual)
+	specs := make([]lab.JobSpec, len(versions))
+	for i, version := range versions {
+		specs[i] = lab.JobSpec{Bench: "nqueens", Version: version, Class: *className,
+			Threads: *threads, Simulate: *virtual}
+		if version == "none-untied" {
+			specs[i].RuntimeCutoff = "maxtasks" // what a 2009 runtime would do on its own
+		}
+		if err := specs[i].Validate(); err != nil {
+			return err
+		}
 	}
 
-	class, err := core.ParseClass(*className)
-	if err != nil {
-		return err
-	}
-	b, err := core.Get("nqueens")
-	if err != nil {
-		return err
-	}
-	seq, err := b.Seq(class)
+	exec := lab.NewExecutor()
+	b, _ := core.Get("nqueens") // the specs validated
+	class, _ := core.ParseClass(*className)
+	seq, err := exec.Baseline(b, class)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "sequential: %s in %v\n\n", seq.Digest, seq.Elapsed)
 
-	for _, version := range versions {
-		var rt omp.CutoffPolicy
-		if version == "none-untied" {
-			rt = omp.MaxTasks{} // what a 2009 runtime would do on its own
-		}
-		rec := trace.NewRecorder()
-		res, err := b.Run(core.RunConfig{
-			Class: class, Version: version, Threads: *threads,
-			RuntimeCutoff: rt, Recorder: rec,
-		})
+	for _, spec := range specs {
+		rec, err := exec.Execute(spec)
 		if err != nil {
 			return err
 		}
-		if err := b.Check(seq, res); err != nil {
-			return fmt.Errorf("%s: %w", version, err)
-		}
-		tr := rec.Finish()
-		p := sim.DefaultOverheads()
-		p.WorkUnitNS = float64(seq.Elapsed.Nanoseconds()) / float64(seq.Work)
-		r, err := sim.Run(tr, *virtual, p)
-		if err != nil {
-			return err
+		if !rec.Verified {
+			return fmt.Errorf("%s: %s", spec.Version, rec.VerifyError)
 		}
 		fmt.Fprintf(stdout, "%-13s verified tasks=%-8d undeferred=%-8d recorded(%dT) simulated(%dT): speedup=%.2f steals=%d\n",
-			version, res.Stats.TasksCreated, res.Stats.TasksUndeferred,
-			tr.NumRoots, *virtual, r.Speedup, r.Steals)
+			spec.Version, rec.Stats.TasksCreated, rec.Stats.TasksUndeferred,
+			rec.Spec.Threads, rec.Sim.Threads, rec.Sim.Speedup, rec.Sim.Steals)
 	}
 	return nil
 }

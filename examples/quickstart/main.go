@@ -5,7 +5,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"sync/atomic"
 
 	"bots/internal/omp"
@@ -66,9 +71,19 @@ func parallelFib(c *omp.Context, n, depth int) uint64 {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the example; it takes no flags.
+func run(args []string, stdout io.Writer) error {
+	if err := flag.NewFlagSet("quickstart", flag.ContinueOnError).Parse(args); err != nil {
+		return err
+	}
 	primes, st := countPrimes(200000, 4)
-	fmt.Printf("primes below 200000: %d\n", primes)
-	fmt.Printf("runtime stats: %s\n\n", st)
+	fmt.Fprintf(stdout, "primes below 200000: %d\n", primes)
+	fmt.Fprintf(stdout, "runtime stats: %s\n\n", st)
 
 	var fib uint64
 	st = omp.Parallel(4, func(c *omp.Context) {
@@ -76,6 +91,7 @@ func main() {
 			fib = parallelFib(c, 30, 0)
 		})
 	})
-	fmt.Printf("fib(30) = %d\n", fib)
-	fmt.Printf("runtime stats: %s\n", st)
+	fmt.Fprintf(stdout, "fib(30) = %d\n", fib)
+	fmt.Fprintf(stdout, "runtime stats: %s\n", st)
+	return nil
 }

@@ -72,30 +72,26 @@ func (e *Executor) Baseline(b *core.Benchmark, class core.Class) (*core.SeqResul
 	return ent.res, ent.err
 }
 
-// simParams assembles the simulator cost model for a job: default
-// overheads, the job's overrides, the benchmark's memory profile, and
-// the work-unit calibration from the sequential baseline.
-func simParams(b *core.Benchmark, seq *core.SeqResult, spec JobSpec) sim.Params {
+// SimParams is the one calibration from a benchmark run to the
+// simulator's cost model: default overheads, the job's overrides, the
+// benchmark's memory profile, the job's scheduler, and the work-unit
+// cost measured by the sequential baseline (1 ns when the baseline
+// measured no work or no time).
+func SimParams(b *core.Benchmark, seq *core.SeqResult, spec JobSpec) sim.Params {
 	p := sim.DefaultOverheads()
 	if o := spec.Overheads; o != nil {
 		p.ThreadSwitch = o.ThreadSwitch
 		p.SwitchNS = o.SwitchNS
 		p.QueueSerializeNS = o.QueueSerializeNS
 	}
-	p.WorkUnitNS = float64(seq.Elapsed.Nanoseconds()) / float64(seq.Work)
-	if p.WorkUnitNS <= 0 {
-		p.WorkUnitNS = 1
+	p.WorkUnitNS = 1
+	if seq.Work > 0 && seq.Elapsed > 0 {
+		p.WorkUnitNS = float64(seq.Elapsed.Nanoseconds()) / float64(seq.Work)
 	}
 	p.MemFraction = b.Profile.MemFraction
 	p.BandwidthCap = b.Profile.BandwidthCap
 	p.Scheduler = spec.Policy
 	return p
-}
-
-// analysisOf computes the stored work/span summary of a trace.
-func analysisOf(tr *trace.Trace) *trace.Analysis {
-	a := trace.Analyze(tr)
-	return &a
 }
 
 // ExecuteContext is Execute with a cancellation point at the top: a
@@ -120,18 +116,10 @@ func (e *Executor) Execute(spec JobSpec) (*Record, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	b, err := core.Get(spec.Bench)
-	if err != nil {
-		return nil, err
-	}
-	class, err := core.ParseClass(spec.Class)
-	if err != nil {
-		return nil, err
-	}
-	rtCutoff, err := omp.NewCutoff(spec.RuntimeCutoff)
-	if err != nil {
-		return nil, err
-	}
+	// Validate resolved each of these names.
+	b, _ := core.Get(spec.Bench)
+	class, _ := core.ParseClass(spec.Class)
+	rtCutoff, _ := omp.NewCutoff(spec.RuntimeCutoff)
 
 	seq, err := e.Baseline(b, class)
 	if err != nil {
@@ -180,11 +168,12 @@ func (e *Executor) Execute(spec JobSpec) (*Record, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("lab: %s/%s trace: %w", spec.Bench, spec.Version, err)
 	}
-	simRes, err := sim.Run(tr, spec.Simulate, simParams(b, seq, spec))
+	simRes, err := sim.Run(tr, spec.Simulate, SimParams(b, seq, spec))
 	if err != nil {
 		return nil, fmt.Errorf("lab: simulating %s/%s on %d threads: %w",
 			spec.Bench, spec.Version, spec.Simulate, err)
 	}
+	analysis := trace.Analyze(tr)
 
 	out := &Record{
 		Key:       key,
@@ -201,7 +190,7 @@ func (e *Executor) Execute(spec JobSpec) (*Record, error) {
 		Metric:    res.Metric,
 		Stats:     res.Stats,
 		Tasks:     tr.NumTasks(),
-		Analysis:  analysisOf(tr),
+		Analysis:  &analysis,
 		Sim:       summarizeSim(simRes),
 		Verified:  true,
 	}

@@ -21,6 +21,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"bots/internal/core"
@@ -258,7 +259,7 @@ func (j JobSpec) Validate() error {
 		return err
 	}
 	if !b.HasVersion(j.Version) {
-		return fmt.Errorf("lab: %s has no version %q", j.Bench, j.Version)
+		return fmt.Errorf("lab: %s has no version %q (have %s)", j.Bench, j.Version, strings.Join(b.Versions, ", "))
 	}
 	if _, err := core.ParseClass(j.Class); err != nil {
 		return err
